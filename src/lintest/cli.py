@@ -40,7 +40,9 @@ def _emit(report: dict, output, fmt: str):
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        # An explicit file keeps click from caching a wrapper keyed by
+        # sys.stdout, which would pin every redirected stdout (and its report).
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 _common = [

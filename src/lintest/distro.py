@@ -79,9 +79,14 @@ class Mixture(SampleDistribution):
         u = self._rng.random(m)
         idx = np.searchsorted(self._cum, u, side="right")
         idx = np.minimum(idx, len(self.components) - 1)
+        # One grouped draw per component, scattered back in row order, so each
+        # component's stream is consumed exactly as by one draw() per row.
         out = np.empty((m, self.dim))
-        for i, k in enumerate(idx):
-            out[i] = self.components[k].draw()
+        for k, component in enumerate(self.components):
+            rows = idx == k
+            count = int(np.count_nonzero(rows))
+            if count:
+                out[rows] = component.draw_many(count)
         return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -195,11 +196,13 @@ def run_calibrate(spec: ExperimentSpec, jobs: int = 1) -> dict:
     if trials < 1:
         raise SpecError("trials must be >= 1")
 
+    # More workers than cores or trials only adds process start-up.
+    workers = max(1, min(jobs, os.cpu_count() or 1, trials))
     start = time.perf_counter()
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one_trial, [raw] * trials, range(trials),
-                                    chunksize=max(1, trials // (jobs * 4))))
+                                    chunksize=max(1, trials // (workers * 4))))
     else:
         results = [_run_one_trial(raw, t) for t in range(trials)]
     results.sort(key=lambda v: v["trial"])

@@ -1,9 +1,9 @@
 """Cyclic Jacobi eigensolver for small dense symmetric matrices.
 
-All matrices in this package are symmetric and at most a few hundred on a
-side, so dense O(n^3) sweeps are fine.  Kept independent of LAPACK so the
-divergence toolkit has a self-contained, fully deterministic spectral
-routine (the lower-bound hot path uses numpy.linalg.eigh instead).
+Not used by the library: `gauss_core` and `lower_bound` both call
+numpy.linalg.eigh.  This pure-Python O(n^3) solver is a test-side reference
+that the LAPACK spectral core is checked against, and it stays importable
+because the benchmark's tracer (`bench/tracer.py`) wraps it.
 """
 
 from __future__ import annotations

@@ -50,6 +50,14 @@ def approx_eq(policy: EqPolicy, a: float, b: float) -> bool:
     return policy.eq(a, b)
 
 
+def _unit(direction) -> np.ndarray:
+    u = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(u)
+    if norm == 0:
+        raise ValueError("corruption direction must be nonzero")
+    return u / norm
+
+
 @dataclass(frozen=True)
 class CorruptionRegion:
     """Halfspace u.x > threshold carrying a prescribed standard-Gaussian mass."""
@@ -62,20 +70,14 @@ class CorruptionRegion:
     def from_mass(direction, mass: float) -> "CorruptionRegion":
         if not 0.0 < mass < 1.0:
             raise ValueError(f"corruption mass must lie in (0,1), got {mass}")
-        u = np.asarray(direction, dtype=float)
-        norm = np.linalg.norm(u)
-        if norm == 0:
-            raise ValueError("corruption direction must be nonzero")
-        u = u / norm
-        return CorruptionRegion(u, float(ndtri(1.0 - mass)), mass)
+        return CorruptionRegion(_unit(direction), float(ndtri(1.0 - mass)), mass)
 
     @staticmethod
     def from_threshold(direction, threshold: float) -> "CorruptionRegion":
         from scipy.special import ndtr
 
-        u = np.asarray(direction, dtype=float)
-        u = u / np.linalg.norm(u)
-        return CorruptionRegion(u, float(threshold), float(1.0 - ndtr(threshold)))
+        return CorruptionRegion(_unit(direction), float(threshold),
+                                float(1.0 - ndtr(threshold)))
 
 
 class FunctionOracle:

@@ -9,6 +9,7 @@ from lintest.distro import (
     StandardGaussian,
     load_empirical,
 )
+from lintest.rng import make_rng
 
 
 def test_standard_gaussian_determinism_and_moments():
@@ -65,6 +66,50 @@ def test_mixture_component_frequencies():
     x = mix.draw_many(m)
     frac_first = np.mean(x[:, 0] > 0)
     assert abs(frac_first - 0.2) < 3.0 / np.sqrt(m) + 0.01
+
+
+def _per_row_reference(weights, components, seed, m):
+    """The mixture draw as one component draw() per selected row."""
+    u = make_rng(seed).random(m)
+    idx = np.searchsorted(np.cumsum(weights), u, side="right")
+    idx = np.minimum(idx, len(components) - 1)
+    return np.array([components[k].draw() for k in idx])
+
+
+def _identity_components():
+    return [StandardGaussian(3, seed=1),
+            ShiftedGaussian([5.0, -1.0, 2.0], seed=2),
+            Empirical(np.arange(12.0).reshape(4, 3), seed=3),
+            Mixture([0.5, 0.5], [ShiftedGaussian([-9.0, 0.0, 0.0], seed=4),
+                                 StandardGaussian(3, seed=5)], seed=6)]
+
+
+def _correlated_components():
+    rng = np.random.default_rng(7)
+    covs = [a @ a.T + 0.1 * np.eye(3) for a in rng.standard_normal((2, 3, 3))]
+    return [ShiftedGaussian([1.0, 2.0, 3.0], covs[0], seed=8),
+            ShiftedGaussian([-1.0, 0.0, 1.0], covs[1], seed=9),
+            StandardGaussian(3, seed=10)]
+
+
+@pytest.mark.parametrize("m", [1, 7, 200])
+def test_grouped_mixture_matches_per_row_draws_exactly_for_identity_components(m):
+    weights = [0.1, 0.2, 0.3, 0.4]
+    grouped = Mixture(weights, _identity_components(), seed=11)
+    # a second call continues every stream where the first one left it
+    x = np.concatenate([grouped.draw_many(m), grouped.draw_many(5)])
+    ref = _per_row_reference(weights, _identity_components(), 11, m + 5)
+    assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 7, 200])
+def test_grouped_mixture_matches_per_row_draws_for_correlated_components(m):
+    # gemm on a block and gemv on one row may round differently, by ~1e-15.
+    weights = [0.3, 0.3, 0.4]
+    x = Mixture(weights, _correlated_components(), seed=12).draw_many(m)
+    ref = _per_row_reference(weights, _correlated_components(), 12, m)
+    assert x.shape == ref.shape == (m, 3)
+    assert np.allclose(x, ref, rtol=0.0, atol=1e-12)
 
 
 def test_empirical_draws_rows_from_dataset():

@@ -7,6 +7,7 @@ from scipy import integrate, stats
 from lintest.gauss_core import (
     GaussianDist,
     GaussianError,
+    _Spectral,
     empirical_tv,
     kl_gaussians,
     log_density,
@@ -14,6 +15,8 @@ from lintest.gauss_core import (
     sample_gaussian,
     shared_cov_tv_bound,
 )
+from lintest.jacobi import jacobi_eigh
+from lintest.rng import make_rng, standard_normal
 
 
 def _random_pd(rng, n, jitter=0.1):
@@ -74,6 +77,31 @@ def test_sampling_reproducible_and_seed_sensitive():
     b = sample_gaussian(d, 11, size=64)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample_gaussian(d, 12, size=64))
+
+
+@pytest.mark.parametrize("n", [1, 10, 50])
+def test_identity_covariance_sampling_is_standard_normal(n):
+    # eigh(I) is exactly I, so N(0, I) draws are the raw normal stream.
+    x = sample_gaussian(GaussianDist.standard(n), 11, size=64)
+    z = standard_normal(make_rng(11), (64, n))
+    assert x.tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+def test_spectral_core_matches_jacobi_reference(n, rank):
+    rng = np.random.default_rng(100 + n)
+    if rank == "full":
+        a = _random_pd(rng, n)
+    else:
+        b = rng.standard_normal((n, n - 1))
+        a = b @ b.T
+    sp = _Spectral(a)
+    w_ref, _ = jacobi_eigh(a)
+    assert np.allclose(sp.w, w_ref, rtol=0.0, atol=1e-10)
+    assert np.allclose(sp.v @ np.diag(sp.w) @ sp.v.T, a, rtol=0.0, atol=1e-10)
+    L = sp.factor()
+    assert np.allclose(L @ L.T, a, rtol=0.0, atol=1e-10)
 
 
 def test_sample_moments_match():

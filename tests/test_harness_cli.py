@@ -1,4 +1,10 @@
+import concurrent.futures
+import contextlib
+import gc
+import io
 import json
+import os
+import weakref
 
 import numpy as np
 import pytest
@@ -115,6 +121,43 @@ def test_run_calibrate_deterministic_and_jobs_invariant():
     assert a == b == c
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        _SerialPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, cpus, trials, workers", [
+    (64, 2, 4, [2]),      # clamped to the cores
+    (8, 16, 3, [3]),      # clamped to the trials
+    (4, 8, 1, []),        # one trial runs in-process
+    (4, None, 4, []),     # unknown core count counts as one
+    (0, 8, 4, []),        # nonpositive jobs run in-process
+])
+def test_run_calibrate_clamps_workers(monkeypatch, jobs, cpus, trials, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "started", [])
+    report = run_calibrate(_linear_spec(trials=trials), jobs=jobs)
+    assert _SerialPool.started == workers
+    serial = run_calibrate(_linear_spec(trials=trials))
+    report.pop("wall_clock_s")
+    serial.pop("wall_clock_s")
+    assert report == serial
+
+
 def test_run_calibrate_validation():
     with pytest.raises(SpecError):
         run_calibrate(ExperimentSpec.parse({"epsilon": 0.1}))
@@ -190,6 +233,19 @@ def test_cli_calibrate_json(tmp_path):
     report = json.loads(result.output)
     assert report["seed"] == 7  # flag override wins
     assert report["aggregates"]["accept_rate"] == 1.0
+
+
+def test_cli_does_not_keep_redirected_stdout_alive(tmp_path):
+    path = _write_spec(tmp_path, {"oracle": {"family": "linear", "dim": 3, "w_seed": 1},
+                                  "epsilon": 0.2, "algorithm": "gaussian-additivity"})
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main.main(["calibrate", "--spec", path], standalone_mode=False)
+    assert json.loads(buf.getvalue())["aggregates"]["accept_rate"] == 1.0
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
 
 
 def test_cli_reports_identical_modulo_wall_clock(tmp_path):

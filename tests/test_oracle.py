@@ -117,6 +117,8 @@ def test_corruption_region_from_mass_and_threshold():
         CorruptionRegion.from_mass([1.0], 1.5)
     with pytest.raises(ValueError):
         CorruptionRegion.from_mass([0.0], 0.3)
+    with pytest.raises(ValueError):
+        CorruptionRegion.from_threshold([0.0, 0.0], 1.0)
 
 
 def test_corrupted_linear_empirical_mass():
