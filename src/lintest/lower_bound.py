@@ -6,18 +6,21 @@ With delta = C * lambda_min(X)^2 / n^2 the two observation laws are within
 TV <= sqrt(C)/2, so even the optimal likelihood-ratio distinguisher stays
 near coin-flipping: no sample-based tester learns anything from n samples.
 
-The per-trial eigenwork (n up to a few hundred, 10^4 trials) runs through
-numpy.linalg.eigh; the closed-form bound only needs the Gram eigenvalues.
+A trial touches only the Gram spectrum.  It is drawn exactly, with no X,
+from the beta = 1 Laguerre bidiagonal model (Dumitriu & Edelman, "Matrix
+models for beta ensembles", J. Math. Phys. 2002) by one O(n^2) tridiagonal
+eigenvalue solve; the observation is drawn directly in the Gram eigenbasis,
+the only coordinates the likelihood-ratio rule reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import make_rng, standard_normal
+from .rng import chi, make_rng, standard_normal
 
 _DEGENERACY_FLOOR = 1e-10
 _MAX_RESAMPLES = 10
@@ -42,18 +45,15 @@ class LowerBoundConfig:
             raise LowerBoundError(f"C must lie in (0, (2/3)^2), got {self.C}")
         if self.trials < 1:
             raise LowerBoundError("need at least one trial")
-        if self.delta_override is not None and self.delta_override < 0:
+        if self.delta_override is not None and not self.delta_override >= 0:
             raise LowerBoundError("delta override must be nonnegative")
 
 
 @dataclass
 class SampleMatrix:
-    """X with standard-normal rows, its Gram matrix, and the Gram spectrum."""
+    """The Gram spectrum of an n x n sample matrix X with standard-normal rows."""
 
-    X: np.ndarray
-    gram: np.ndarray
-    eigvals: np.ndarray  # ascending eigenvalues of gram
-    eigvecs: np.ndarray
+    eigvals: np.ndarray  # ascending eigenvalues of XX^T
 
     @property
     def lambda_min(self) -> float:
@@ -62,33 +62,43 @@ class SampleMatrix:
 
     @staticmethod
     def from_matrix(X: np.ndarray) -> "SampleMatrix":
+        """Dense reference: the spectrum of XX^T for an explicit X."""
         X = np.asarray(X, dtype=float)
-        gram = X @ X.T
-        w, v = np.linalg.eigh(gram)
-        return SampleMatrix(X, gram, w, v)
+        return SampleMatrix(np.linalg.eigvalsh(X @ X.T))
 
 
 def build_instance(cfg: LowerBoundConfig, rng=None) -> tuple[SampleMatrix, float, int]:
-    """Sample X row-wise from N(0,I) and derive delta = C lambda_min(X)^2 / n^2.
+    """Draw the Gram spectrum of an n x n X ~ N(0, I) and delta = C lambda_min(X)^2 / n^2.
+
+    XX^T has the spectrum of T = BB^T, with B lower bidiagonal: diagonal
+    a = (chi_n, ..., chi_1), subdiagonal b = (chi_{n-1}, ..., chi_1).  T is
+    tridiagonal (diagonal a_i^2 + b_{i-1}^2, off-diagonal a_i b_i), so a draw
+    costs 2n - 1 chi variates and one eigenvalue-only tridiagonal solve.
 
     Numerically degenerate draws (Gram min eigenvalue <= 1e-10) are
     resampled, up to a hard cap; the resample count is returned so reports
     can surface it.  Degeneracy has measure zero, so the cap never binds in
     practice.
     """
+    from scipy.linalg import eigvalsh_tridiagonal  # imported here: only the game pays for it
+
     rng = rng if rng is not None else make_rng(cfg.seed)
+    n = cfg.n
+    dfs = np.concatenate([np.arange(n, 0, -1), np.arange(n - 1, 0, -1)])
     resamples = 0
     while True:
-        sm = SampleMatrix.from_matrix(standard_normal(rng, (cfg.n, cfg.n)))
+        c = chi(rng, dfs)
+        a, b = c[:n], c[n:]
+        diag = a * a
+        diag[1:] += b * b
+        sm = SampleMatrix(eigvalsh_tridiagonal(diag, a[:-1] * b))
         if sm.eigvals[0] > _DEGENERACY_FLOOR:
             break
         resamples += 1
         if resamples > _MAX_RESAMPLES:
             raise LowerBoundError("persistent degenerate sample matrix")
-    if cfg.delta_override is not None:
-        delta = float(cfg.delta_override)
-    else:
-        delta = derive_delta(sm, cfg.C)
+    override = cfg.delta_override
+    delta = derive_delta(sm, cfg.C) if override is None else float(override)
     return sm, delta, resamples
 
 
@@ -101,35 +111,21 @@ def derive_delta(sm: SampleMatrix, C: float) -> float:
 def tv_bound(sm: SampleMatrix, delta: float) -> float:
     """Closed-form TV bound between N(0, XX^T) and N(0, XX^T + delta I).
 
-    sqrt( (log det(S_yes)/det(S_no) + tr(S_yes^-1 S_no) - n) / 4 ), with the
-    two intermediate facts asserted on the way: the determinant ratio
-    det(S_no)/det(S_yes) = prod(1 + delta/lambda_i) exceeds 1, and the trace
-    is at most n + delta n^2 / lambda_min(X)^2.
+    sqrt( (log det(S_yes)/det(S_no) + tr(S_yes^-1 S_no) - n) / 4 ), which
+    with r_i = delta / lambda_i is sqrt( sum_i (r_i - log1p(r_i)) / 4 ).  The
+    terms are summed one by one, each nonnegative; under r = 1e-3, where
+    r - log1p(r) ~ r^2/2 would lose its digits to cancellation, each comes
+    from the Taylor series r^2/2 - r^3/3 + ... - r^7/7.
     """
     lam = np.asarray(sm.eigvals, dtype=float)
-    n = lam.size
     if lam[0] <= 0:
         raise LowerBoundError("Gram matrix is singular")
-    if delta < 0:
+    if not delta >= 0:
         raise LowerBoundError("delta must be nonnegative")
-    ratio_terms = delta / lam  # delta * lambda_i^{-1}
-    log_det_ratio = -float(np.sum(np.log1p(ratio_terms)))  # log det(S_yes)/det(S_no)
-    trace = n + float(np.sum(ratio_terms))
-    if delta > 0:
-        assert math.exp(-log_det_ratio) > 1.0, "determinant ratio claim violated"
-    assert trace <= n + delta * n**2 / max(lam[0], 1e-300) + 1e-9, "trace bound violated"
-    bracket = log_det_ratio + trace - n
-    assert bracket >= -1e-12
-    return float(math.sqrt(max(bracket, 0.0) / 4.0))
-
-
-def _log_density_delta(eigvals: np.ndarray, y2: np.ndarray, delta: float) -> float:
-    """Log density (up to the shared constant) of v under N(0, gram + delta I).
-
-    y2 holds the squared coordinates of v in the Gram eigenbasis.
-    """
-    lam = eigvals + delta
-    return float(-0.5 * (np.sum(np.log(lam)) + np.sum(y2 / lam)))
+    r = delta / lam
+    series = r * r * (1 / 2 - r * (1 / 3 - r * (1 / 4 - r * (1 / 5 - r * (1 / 6 - r / 7)))))
+    terms = np.where(r < 1e-3, series, r - np.log1p(r))
+    return float(math.sqrt(float(np.sum(terms)) / 4.0))
 
 
 @dataclass
@@ -180,11 +176,15 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 def run_distinguish_game(cfg: LowerBoundConfig) -> GameReport:
     """Play the yes/no distinguishing game with the likelihood-ratio rule.
 
-    Per trial: draw X, flip a fair coin, emit v = Xw (yes) or v = Xw + eps
-    with eps ~ N(0, delta I) (no), then classify v by comparing log densities
-    under N(0, XX^T) and N(0, XX^T + delta I).  The LR rule is the
-    TV-optimal distinguisher, so its empirical success rate certifies that
-    no algorithm beats 1/2 + TV/2.
+    Per trial: draw the Gram spectrum lambda, flip a fair coin, and draw the
+    observation v = Xw (yes) or v = Xw + eps, eps ~ N(0, delta I) (no), as
+    its coordinates y = U^T v in the Gram eigenbasis: given lambda, y is
+    N(0, diag(lambda)) or N(0, diag(lambda + delta)).  Classify y by the sign
+    of the log-likelihood ratio of no over yes (twice it is
+    sum(delta y^2 / (lambda (lambda + delta)) - log1p(delta / lambda)));
+    a ratio of exactly 0, as at delta = 0, goes to a coin flip.  The LR rule
+    is the TV-optimal distinguisher, so its empirical success rate certifies
+    that no algorithm beats 1/2 + TV/2.
     """
     rng = make_rng(cfg.seed)
     successes = 0
@@ -200,19 +200,11 @@ def run_distinguish_game(cfg: LowerBoundConfig) -> GameReport:
         tv_sum += tv
         tv_max = max(tv_max, tv)
 
+        lam = sm.eigvals
         truth_yes = bool(rng.random() < 0.5)
-        w = standard_normal(rng, cfg.n)
-        v = sm.X @ w
-        if not truth_yes:
-            v = v + math.sqrt(delta) * standard_normal(rng, cfg.n)
-
-        y2 = (sm.eigvecs.T @ v) ** 2
-        ll_yes = _log_density_delta(sm.eigvals, y2, 0.0)
-        ll_no = _log_density_delta(sm.eigvals, y2, delta)
-        if ll_yes == ll_no:
-            guess_yes = bool(rng.random() < 0.5)
-        else:
-            guess_yes = ll_yes > ll_no
+        y2 = (lam if truth_yes else lam + delta) * standard_normal(rng, cfg.n) ** 2
+        llr = float(np.sum(delta * y2 / (lam * (lam + delta)) - np.log1p(delta / lam)))
+        guess_yes = bool(rng.random() < 0.5) if llr == 0.0 else llr < 0.0
         if guess_yes == truth_yes:
             successes += 1
 

@@ -178,7 +178,8 @@ class NoisyLinear(FunctionOracle):
 
     The noise is a function of the point, not of the query: the canonical
     little-endian float64 bytes of x go through a keyed 64-bit hash, and the
-    hash feeds one inverse-CDF normal deviate.  Repeat queries agree exactly.
+    hash feeds one inverse-CDF normal deviate (-0.0 hashed as 0.0).  Repeat
+    queries agree exactly.
     """
 
     def __init__(self, w, delta_noise: float, noise_seed: int = 0):
@@ -191,12 +192,13 @@ class NoisyLinear(FunctionOracle):
         super().__init__(self.w.size)
 
     def _noise_one(self, row: np.ndarray) -> float:
-        h = hashlib.blake2b(row.astype("<f8").tobytes(), digest_size=8, key=self._key)
+        h = hashlib.blake2b(row, digest_size=8, key=self._key)
         u = (int.from_bytes(h.digest(), "little") + 0.5) / float(1 << 64)
         return float(ndtri(u))
 
     def _values(self, xs):
-        dev = np.fromiter((self._noise_one(r) for r in xs), dtype=float, count=xs.shape[0])
+        rows = np.ascontiguousarray(xs + 0.0, dtype="<f8")  # one canonical copy for the batch
+        dev = np.fromiter((self._noise_one(r) for r in rows), dtype=float, count=xs.shape[0])
         return xs @ self.w + np.sqrt(self.delta_noise) * dev
 
 

@@ -2,15 +2,15 @@
 
 Everything random in the package flows through this module so that a
 (seed, call sequence) pair reproduces bit-identical streams on any
-platform.  Philox is counter-based; normals come from the inverse normal
-CDF applied to 53-bit uniforms, avoiding the evaluation-order sensitivity
-of Box-Muller style generators.
+platform.  Philox is counter-based; normals (and chi variates) come from
+the inverse CDF applied to 53-bit uniforms, avoiding the evaluation-order
+sensitivity of Box-Muller style generators.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import chdtri, ndtri
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,3 +52,8 @@ def uniform_open(rng: np.random.Generator, size=None) -> np.ndarray:
 def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:
     """Deterministic N(0,1) draws via the inverse-CDF method."""
     return ndtri(uniform_open(rng, size=size))
+
+
+def chi(rng: np.random.Generator, df) -> np.ndarray:
+    """Deterministic chi(df) draws, one per entry of df, via the inverse chi-square CDF."""
+    return np.sqrt(chdtri(df, uniform_open(rng, size=np.shape(df))))

@@ -312,3 +312,38 @@ def test_cli_env_seed_fallback(tmp_path):
                            env={"LINTEST_SEED": "99"})
     assert result.exit_code == 0
     assert json.loads(result.output)["seed"] == 99
+
+
+def test_cli_honours_spec_output(tmp_path):
+    out = tmp_path / "report.json"
+    path = _write_spec(tmp_path, {"n": 4, "trials": 5, "seed": 2, "output": str(out)})
+    result = CliRunner().invoke(main, ["lower-bound", "--spec", path])
+    assert result.exit_code == 0, result.output
+    assert result.output == ""
+    assert json.loads(out.read_text())["cells"][0]["n"] == 4
+
+
+@pytest.mark.parametrize("spec_jobs, flag, expected", [(None, [], 1), (3, [], 3),
+                                                       (3, ["--jobs", "2"], 2)])
+def test_cli_honours_spec_jobs(tmp_path, monkeypatch, spec_jobs, flag, expected):
+    seen = []
+
+    def fake_calibrate(spec, jobs=1):
+        seen.append(jobs)
+        return {"command": "calibrate"}
+
+    monkeypatch.setattr("lintest.cli.run_calibrate", fake_calibrate)
+    spec = {"oracle": {"family": "linear", "dim": 2}, "epsilon": 0.2}
+    if spec_jobs is not None:
+        spec["jobs"] = spec_jobs
+    result = CliRunner().invoke(main, ["calibrate", "--spec", _write_spec(tmp_path, spec)] + flag)
+    assert result.exit_code == 0, result.output
+    assert seen == [expected]
+
+
+def test_cli_lower_bound_tiny_delta_override_exits_cleanly(tmp_path):
+    path = _write_spec(tmp_path, {"n": 5, "trials": 20, "seed": 1, "delta_override": 1e-20})
+    result = CliRunner().invoke(main, ["lower-bound", "--spec", path])
+    assert result.exit_code == 0, result.output
+    cell = json.loads(result.output)["cells"][0]
+    assert 0.0 < cell["max_tv_bound"] < 1e-9

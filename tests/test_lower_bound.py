@@ -1,7 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.stats import ks_2samp
 
 from lintest.lower_bound import (
     LowerBoundConfig,
@@ -13,7 +16,7 @@ from lintest.lower_bound import (
     tv_bound,
     wilson_interval,
 )
-from lintest.rng import make_rng
+from lintest.rng import chi, make_rng, standard_normal
 
 
 def test_config_validation():
@@ -27,6 +30,8 @@ def test_config_validation():
         LowerBoundConfig(n=5, trials=0)
     with pytest.raises(LowerBoundError):
         LowerBoundConfig(n=5, delta_override=-1.0)
+    with pytest.raises(LowerBoundError):
+        LowerBoundConfig(n=5, delta_override=float("nan"))
 
 
 def test_sample_matrix_identity_fixture():
@@ -109,3 +114,111 @@ def test_game_report_is_deterministic_and_json_complete():
     assert set(a) == {"n", "C", "trials", "seed", "successes", "success_rate",
                       "wilson_interval", "mean_tv_bound", "max_tv_bound",
                       "delta_stats", "resamples", "bound_respected", "delta_override"}
+
+
+# --- the spectrum-only path against the dense reference ------------------------------
+
+
+def _dense_spectra(n, draws, seed):
+    rng = make_rng(seed)
+    return np.array([SampleMatrix.from_matrix(standard_normal(rng, (n, n))).eigvals
+                     for _ in range(draws)])
+
+
+def _bidiagonal_spectra(n, draws, seed):
+    cfg = LowerBoundConfig(n=n, trials=1, seed=0)
+    rng = make_rng(seed)
+    return np.array([build_instance(cfg, rng)[0].eigvals for _ in range(draws)])
+
+
+@pytest.mark.parametrize("n", [2, 10, 50])
+def test_bidiagonal_spectrum_matches_dense_in_distribution(n):
+    dense = _dense_spectra(n, 2000, seed=100 + n)
+    bidiag = _bidiagonal_spectra(n, 2000, seed=200 + n)
+    for k in (0, n // 2, n - 1):  # lambda_min, the median eigenvalue, lambda_max
+        assert ks_2samp(dense[:, k], bidiag[:, k]).pvalue > 1e-3
+
+
+def test_tridiagonal_solve_matches_dense_eigvalsh_on_one_bidiagonal():
+    n = 50
+    c = chi(make_rng(7), np.concatenate([np.arange(n, 0, -1), np.arange(n - 1, 0, -1)]))
+    B = np.diag(c[:n]) + np.diag(c[n:], -1)
+    dense = np.linalg.eigvalsh(B @ B.T)
+    a, b = c[:n], c[n:]
+    tri = eigvalsh_tridiagonal(a * a + np.concatenate([[0.0], b * b]), a[:-1] * b)
+    # delta is proportional to lambda_min, so it needs relative accuracy
+    assert tri[0] == pytest.approx(dense[0], rel=1e-10)
+    assert np.allclose(tri, dense, rtol=1e-10, atol=0.0)
+
+
+def _dense_route_successes(n, delta, trials, seed):
+    """The game played on an explicit X: v = Xw (+ noise), rotated by the eigenvectors."""
+    rng = make_rng(seed)
+    successes = 0
+    for _ in range(trials):
+        X = standard_normal(rng, (n, n))
+        lam, U = np.linalg.eigh(X @ X.T)
+        truth_yes = bool(rng.random() < 0.5)
+        v = X @ standard_normal(rng, n)
+        if not truth_yes:
+            v = v + math.sqrt(delta) * standard_normal(rng, n)
+        y2 = (U.T @ v) ** 2
+        ll_yes = -0.5 * (np.sum(np.log(lam)) + np.sum(y2 / lam))
+        ll_no = -0.5 * (np.sum(np.log(lam + delta)) + np.sum(y2 / (lam + delta)))
+        successes += (ll_yes > ll_no) == truth_yes
+    return successes
+
+
+def test_direct_eigenbasis_draws_match_the_dense_route():
+    trials = 4000
+    dense_rate = _dense_route_successes(10, 0.5, trials, seed=12) / trials
+    direct = run_distinguish_game(LowerBoundConfig(n=10, trials=trials, seed=13,
+                                                   delta_override=0.5))
+    lo, hi = direct.wilson_interval
+    assert lo <= dense_rate <= hi
+    lo, hi = wilson_interval(round(dense_rate * trials), trials)
+    assert lo <= direct.success_rate <= hi
+    assert direct.success_rate > 0.6  # delta = 0.5 at n = 10 is far from coin flipping
+
+
+# --- TV bound accuracy and edge cases -------------------------------------------------
+
+
+def _tv_bound_decimal(eigvals, delta):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(delta)
+        total = Decimal(0)
+        for lam in eigvals:
+            r = d / Decimal(float(lam))
+            total += r - (1 + r).ln()
+        return float((total / 4).sqrt())
+
+
+@pytest.mark.parametrize("n", [10, 100, 200])
+def test_tv_bound_matches_a_decimal_reference(n):
+    cfg = LowerBoundConfig(n=n, C=0.01, trials=1, seed=0)
+    rng = make_rng(30 + n)
+    for _ in range(5):
+        sm, delta, _ = build_instance(cfg, rng)
+        assert tv_bound(sm, delta) == pytest.approx(_tv_bound_decimal(sm.eigvals, delta),
+                                                    rel=1e-12)
+
+
+def test_tv_bound_covers_both_sides_of_the_series_switch():
+    sm = SampleMatrix(np.array([1.0, 10.0, 1e3]))
+    for delta in (0.5, 1e-3, 0.999e-3, 1.001e-3):
+        assert tv_bound(sm, delta) == pytest.approx(_tv_bound_decimal(sm.eigvals, delta),
+                                                    rel=1e-12)
+    with pytest.raises(LowerBoundError):
+        tv_bound(sm, float("nan"))
+
+
+@pytest.mark.parametrize("delta", [1e-20, 0.0])
+def test_game_runs_at_vanishing_delta(delta):
+    report = run_distinguish_game(LowerBoundConfig(n=8, trials=400, seed=9,
+                                                   delta_override=delta))
+    assert abs(report.success_rate - 0.5) < 0.1
+    assert 0.0 <= report.max_tv_bound < 1e-9
+    assert (report.max_tv_bound == 0.0) == (delta == 0.0)
+    assert report.bound_respected

@@ -165,6 +165,14 @@ def test_noisy_linear_noise_statistics_and_seeding():
         NoisyLinear(w, -0.1)
 
 
+def test_noisy_linear_noise_ignores_the_sign_of_zero():
+    f = NoisyLinear([1.0, 2.0], 0.1, noise_seed=3)
+    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0]])
+    vals = f.query_batch(pts)
+    assert vals[0] == vals[1]
+    assert vals[2] == vals[3]
+
+
 def test_norm_oracle_is_even():
     f = NormOracle(4)
     xs = np.random.default_rng(4).standard_normal((100, 4))

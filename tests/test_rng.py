@@ -1,6 +1,8 @@
 import numpy as np
+from scipy.stats import chi as chi_law
+from scipy.stats import kstest
 
-from lintest.rng import derive_seed, make_rng, mix64, standard_normal, uniform_open
+from lintest.rng import chi, derive_seed, make_rng, mix64, standard_normal, uniform_open
 
 
 def test_mix64_is_deterministic_and_in_range():
@@ -39,3 +41,12 @@ def test_standard_normal_moments_and_shape():
     assert abs(z.std() - 1.0) < 0.01
     assert standard_normal(make_rng(2), (3, 4)).shape == (3, 4)
     assert np.isscalar(float(standard_normal(make_rng(3))))
+
+
+def test_chi_draws_follow_their_laws_one_per_df():
+    dfs = np.repeat([1, 5, 40], 3000).reshape(3, 3000)
+    draws = chi(make_rng(4), dfs)
+    assert draws.shape == (3, 3000)
+    for df, row in zip((1, 5, 40), draws):
+        assert kstest(row, chi_law(df).cdf).pvalue > 1e-3
+    assert np.array_equal(draws, chi(make_rng(4), dfs))
