@@ -31,9 +31,8 @@ def _load_spec(spec_path, overrides: dict) -> ExperimentSpec:
     return ExperimentSpec.parse(raw)
 
 
-def _emit(report: dict, spec: ExperimentSpec, output, fmt):
-    output = output or spec.get("output")
-    if (fmt or spec.get("format", "json")) == "csv":
+def _emit(report: dict, output, fmt: str):
+    if fmt == "csv":
         text = report_to_csv(report)
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -52,8 +51,8 @@ _common = [
     click.option("--epsilon", type=float, default=None),
     click.option("--trials", type=int, default=None),
     click.option("--seed", type=int, default=None),
-    click.option("--jobs", type=int, default=None,
-                 help="Worker processes for trial fan-out [default: the spec's jobs, else 1]."),
+    click.option("--jobs", type=int, default=1, show_default=True,
+                 help="Worker processes for trial fan-out."),
     click.option("--output", type=click.Path(), default=None,
                  help="Write the report here instead of stdout."),
     click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None),
@@ -81,8 +80,8 @@ def _calibrate_like(algorithm, spec_path, epsilon, trials, seed, jobs, output, f
         spec = _load_spec(spec_path, {"epsilon": epsilon, "trials": trials, "seed": seed})
         if algorithm is not None:
             spec.raw["algorithm"] = algorithm
-        report = run_calibrate(spec, jobs=int(spec.get("jobs", 1)) if jobs is None else jobs)
-        _emit(report, spec, output, fmt)
+        report = run_calibrate(spec, jobs=jobs)
+        _emit(report, output, fmt or spec.get("format", "json"))
     except (SpecError, ValueError, OSError, KeyError) as exc:
         _fail(exc)
 
@@ -115,7 +114,7 @@ def cmd_query_scaling(spec_path, epsilon, trials, seed, jobs, output, fmt):
     try:
         spec = _load_spec(spec_path, {"seed": seed})
         report = run_query_scaling(spec)
-        _emit(report, spec, output, fmt)
+        _emit(report, output, fmt or spec.get("format", "json"))
     except (SpecError, ValueError, OSError, KeyError) as exc:
         _fail(exc)
 
@@ -127,7 +126,7 @@ def cmd_lower_bound(spec_path, epsilon, trials, seed, jobs, output, fmt):
     try:
         spec = _load_spec(spec_path, {"trials": trials, "seed": seed})
         report = run_lower_bound(spec)
-        _emit(report, spec, output, fmt)
+        _emit(report, output, fmt or spec.get("format", "json"))
     except (SpecError, ValueError, OSError, KeyError) as exc:
         _fail(exc)
 

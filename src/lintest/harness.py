@@ -134,7 +134,7 @@ def build_distribution(spec: dict, seed: int) -> SampleDistribution:
 
 _SPEC_KEYS = {
     "command", "algorithm", "oracle", "distribution", "epsilon", "epsilons",
-    "trials", "seed", "r", "jobs", "output", "format",
+    "trials", "seed", "r", "format",
     "n", "n_list", "C", "C_list", "delta_override",
 }
 _ALGORITHMS = {"gaussian-additivity", "df-additivity", "df-linearity"}

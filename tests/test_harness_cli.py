@@ -314,31 +314,19 @@ def test_cli_env_seed_fallback(tmp_path):
     assert json.loads(result.output)["seed"] == 99
 
 
-def test_cli_honours_spec_output(tmp_path):
-    out = tmp_path / "report.json"
-    path = _write_spec(tmp_path, {"n": 4, "trials": 5, "seed": 2, "output": str(out)})
-    result = CliRunner().invoke(main, ["lower-bound", "--spec", path])
-    assert result.exit_code == 0, result.output
-    assert result.output == ""
-    assert json.loads(out.read_text())["cells"][0]["n"] == 4
-
-
-@pytest.mark.parametrize("spec_jobs, flag, expected", [(None, [], 1), (3, [], 3),
-                                                       (3, ["--jobs", "2"], 2)])
-def test_cli_honours_spec_jobs(tmp_path, monkeypatch, spec_jobs, flag, expected):
-    seen = []
-
-    def fake_calibrate(spec, jobs=1):
-        seen.append(jobs)
-        return {"command": "calibrate"}
-
-    monkeypatch.setattr("lintest.cli.run_calibrate", fake_calibrate)
-    spec = {"oracle": {"family": "linear", "dim": 2}, "epsilon": 0.2}
-    if spec_jobs is not None:
-        spec["jobs"] = spec_jobs
-    result = CliRunner().invoke(main, ["calibrate", "--spec", _write_spec(tmp_path, spec)] + flag)
-    assert result.exit_code == 0, result.output
-    assert seen == [expected]
+@pytest.mark.parametrize("command", ["lower-bound", "calibrate"])
+@pytest.mark.parametrize("key", ["output", "jobs"])
+def test_cli_rejects_spec_output_and_jobs(tmp_path, command, key):
+    report = tmp_path / "report.json"
+    spec = {"n": 4, "trials": 5, "seed": 2} if command == "lower-bound" else \
+        {"oracle": {"family": "linear", "dim": 2}, "epsilon": 0.2, "trials": 2, "seed": 2}
+    spec[key] = str(report) if key == "output" else 2
+    result = CliRunner().invoke(main, [command, "--spec", _write_spec(tmp_path, spec)])
+    assert result.exit_code == 2
+    err = getattr(result, "stderr", "") or result.output
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "SpecError" and key in payload["message"]
+    assert not report.exists()
 
 
 def test_cli_lower_bound_tiny_delta_override_exits_cleanly(tmp_path):
