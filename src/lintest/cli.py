@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -9,7 +10,6 @@ import sys
 import click
 
 from .harness import (
-    ExperimentSpec,
     SpecError,
     report_to_csv,
     run_calibrate,
@@ -18,17 +18,19 @@ from .harness import (
 )
 
 
-def _load_spec(spec_path, overrides: dict) -> ExperimentSpec:
+def _load_spec(spec_path, overrides: dict) -> dict:
     raw = {}
     if spec_path:
         with open(spec_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise SpecError("a spec file holds one JSON object")
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value
     if "seed" not in raw and os.environ.get("LINTEST_SEED"):
         raw["seed"] = int(os.environ["LINTEST_SEED"])
-    return ExperimentSpec.parse(raw)
+    return raw
 
 
 def _emit(report: dict, output, fmt: str):
@@ -45,24 +47,34 @@ def _emit(report: dict, output, fmt: str):
         click.echo(text, nl=False, file=sys.stdout)
 
 
-_common = [
-    click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
-                 help="JSON experiment spec; command-line flags win on conflict."),
-    click.option("--epsilon", type=float, default=None),
-    click.option("--trials", type=int, default=None),
-    click.option("--seed", type=int, default=None),
-    click.option("--jobs", type=int, default=1, show_default=True,
-                 help="Worker processes for trial fan-out."),
-    click.option("--output", type=click.Path(), default=None,
-                 help="Write the report here instead of stdout."),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None),
-]
+@contextlib.contextmanager
+def _errors_as_json():
+    """Report bad input as one line of JSON on stderr and exit 2."""
+    try:
+        yield
+    except (ValueError, OSError, KeyError) as exc:  # SpecError is a ValueError
+        click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
+        sys.exit(2)
 
 
-def _with_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+_SPEC = click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
+                     help="JSON experiment spec; command-line flags win on conflict.")
+_EPSILON = click.option("--epsilon", type=float, default=None)
+_TRIALS = click.option("--trials", type=int, default=None)
+_SEED = click.option("--seed", type=int, default=None)
+_JOBS = click.option("--jobs", type=int, default=1, show_default=True,
+                     help="Worker processes for trial fan-out.")
+_OUTPUT = click.option("--output", type=click.Path(), default=None,
+                       help="Write the report here instead of stdout.")
+_FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None)
+
+
+def _options(*options):
+    def decorate(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return decorate
 
 
 @click.group()
@@ -70,65 +82,47 @@ def main():
     """Distribution-free additivity/linearity testers and the sample lower bound."""
 
 
-def _fail(exc: Exception):
-    click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
-    sys.exit(2)
+def _calibrate_command(name: str, algorithm: str | None, doc: str):
+    """A command that runs `calibrate`, pinned to one algorithm unless it is None."""
+
+    @main.command(name, help=doc)
+    @_options(_SPEC, _EPSILON, _TRIALS, _SEED, _JOBS, _OUTPUT, _FORMAT)
+    def command(spec_path, epsilon, trials, seed, jobs, output, fmt):
+        with _errors_as_json():
+            spec = _load_spec(spec_path, {"epsilon": epsilon, "trials": trials, "seed": seed})
+            if algorithm is not None and spec.setdefault("algorithm", algorithm) != algorithm:
+                raise SpecError(f"{name} runs {algorithm}, not the spec's {spec['algorithm']!r}")
+            _emit(run_calibrate(spec, jobs=jobs), output, fmt or spec.get("format", "json"))
+
+    return command
 
 
-def _calibrate_like(algorithm, spec_path, epsilon, trials, seed, jobs, output, fmt):
-    try:
-        spec = _load_spec(spec_path, {"epsilon": epsilon, "trials": trials, "seed": seed})
-        if algorithm is not None:
-            spec.raw["algorithm"] = algorithm
-        report = run_calibrate(spec, jobs=jobs)
-        _emit(report, output, fmt or spec.get("format", "json"))
-    except (SpecError, ValueError, OSError, KeyError) as exc:
-        _fail(exc)
-
-
-@main.command("test-additivity")
-@_with_common
-def cmd_test_additivity(spec_path, epsilon, trials, seed, jobs, output, fmt):
-    """Run the distribution-free additivity tester."""
-    _calibrate_like("df-additivity", spec_path, epsilon, trials, seed, jobs, output, fmt)
-
-
-@main.command("test-linearity")
-@_with_common
-def cmd_test_linearity(spec_path, epsilon, trials, seed, jobs, output, fmt):
-    """Run the distribution-free linearity tester."""
-    _calibrate_like("df-linearity", spec_path, epsilon, trials, seed, jobs, output, fmt)
-
-
-@main.command("calibrate")
-@_with_common
-def cmd_calibrate(spec_path, epsilon, trials, seed, jobs, output, fmt):
-    """Aggregate accept/reject rates over many seeded trials."""
-    _calibrate_like(None, spec_path, epsilon, trials, seed, jobs, output, fmt)
+cmd_test_additivity = _calibrate_command(
+    "test-additivity", "df-additivity", "Run the distribution-free additivity tester.")
+cmd_test_linearity = _calibrate_command(
+    "test-linearity", "df-linearity", "Run the distribution-free linearity tester.")
+cmd_calibrate = _calibrate_command(
+    "calibrate", None, "Aggregate accept/reject rates over many seeded trials.")
 
 
 @main.command("query-scaling")
-@_with_common
-def cmd_query_scaling(spec_path, epsilon, trials, seed, jobs, output, fmt):
+@_options(_SPEC, _SEED, _OUTPUT, _FORMAT)
+def cmd_query_scaling(spec_path, seed, output, fmt):
     """Sweep epsilon and compare measured query counts against the closed form."""
-    try:
+    with _errors_as_json():
         spec = _load_spec(spec_path, {"seed": seed})
-        report = run_query_scaling(spec)
-        _emit(report, output, fmt or spec.get("format", "json"))
-    except (SpecError, ValueError, OSError, KeyError) as exc:
-        _fail(exc)
+        _emit(run_query_scaling(spec), output, fmt or spec.get("format", "json"))
 
 
+# --jobs is accepted, hidden and unused: the game runs in-process, and the
+# benchmark passes --jobs to every command it calls.
 @main.command("lower-bound")
-@_with_common
-def cmd_lower_bound(spec_path, epsilon, trials, seed, jobs, output, fmt):
+@_options(_SPEC, _TRIALS, _SEED, click.option("--jobs", type=int, hidden=True), _OUTPUT, _FORMAT)
+def cmd_lower_bound(spec_path, trials, seed, jobs, output, fmt):
     """Play the likelihood-ratio distinguishing game over an (n, C) grid."""
-    try:
+    with _errors_as_json():
         spec = _load_spec(spec_path, {"trials": trials, "seed": seed})
-        report = run_lower_bound(spec)
-        _emit(report, output, fmt or spec.get("format", "json"))
-    except (SpecError, ValueError, OSError, KeyError) as exc:
-        _fail(exc)
+        _emit(run_lower_bound(spec), output, fmt or spec.get("format", "json"))
 
 
 if __name__ == "__main__":

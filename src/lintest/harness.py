@@ -1,9 +1,9 @@
-"""Experiment harness: spec parsing, trial fan-out, and report assembly.
+"""Experiment harness: spec checking, trial fan-out, and report assembly.
 
-Specs are JSON dicts (unknown keys rejected); every trial derives its own
-seeds from the master seed through the mixing hash, so reports are
-byte-identical across re-runs and across worker schedules, wall-clock
-aside.
+Specs are JSON dicts; each command rejects every key it does not read.
+Every trial derives its own seeds from the master seed through the mixing
+hash, so reports are byte-identical across re-runs and across worker
+schedules, wall-clock aside.
 """
 
 from __future__ import annotations
@@ -12,13 +12,11 @@ import concurrent.futures
 import math
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .distro import (
-    Empirical,
     Mixture,
     SampleDistribution,
     ShiftedGaussian,
@@ -29,13 +27,14 @@ from .lower_bound import LowerBoundConfig, run_distinguish_game, wilson_interval
 from .oracle import (
     ConstantShiftLinear,
     CorruptedLinear,
+    CorruptionRegion,
     FunctionOracle,
     LinearOracle,
     NoisyLinear,
     NormOracle,
     random_linear,
 )
-from .rng import derive_seed, make_rng, standard_normal
+from .rng import derive_seed
 from .tester import (
     QUERIES_PER_ADDITIVITY_ROUND,
     TesterConfig,
@@ -60,16 +59,6 @@ _CORRUPTION_KEYS = {"mass", "payload", "direction", "threshold", "odd_symmetric"
 _NOISE_KEYS = {"delta", "seed"}
 
 
-def _oracle_w(spec: dict, dim: int) -> np.ndarray:
-    if "w_explicit" in spec:
-        w = np.asarray(spec["w_explicit"], dtype=float)
-        if w.size != dim:
-            raise SpecError(f"w_explicit has length {w.size}, expected {dim}")
-        return w
-    w_seed = int(spec.get("w_seed", 0))
-    return standard_normal(make_rng(w_seed), dim)
-
-
 def build_oracle(spec: dict, trial_seed: int = 0) -> FunctionOracle:
     """Instantiate a fresh oracle from its JSON spec."""
     _check_keys(spec, _ORACLE_KEYS, "oracle spec")
@@ -79,7 +68,12 @@ def build_oracle(spec: dict, trial_seed: int = 0) -> FunctionOracle:
         raise SpecError("oracle spec needs a positive 'dim'")
     if family == "norm":
         return NormOracle(dim)
-    w = _oracle_w(spec, dim)
+    if "w_explicit" in spec:
+        w = np.asarray(spec["w_explicit"], dtype=float)
+        if w.size != dim:
+            raise SpecError(f"w_explicit has length {w.size}, expected {dim}")
+    else:
+        w = random_linear(dim, int(spec.get("w_seed", 0))).w
     if family == "linear":
         return LinearOracle(w)
     if family == "constant-shift-linear":
@@ -93,8 +87,6 @@ def build_oracle(spec: dict, trial_seed: int = 0) -> FunctionOracle:
         if direction is None:
             direction = np.eye(dim)[0]
         if "threshold" in c:
-            from .oracle import CorruptionRegion
-
             region = CorruptionRegion.from_threshold(direction, float(c["threshold"]))
             return CorruptedLinear(w, region, payload, odd)
         if "mass" not in c:
@@ -132,29 +124,12 @@ def build_distribution(spec: dict, seed: int) -> SampleDistribution:
     raise SpecError(f"unknown distribution kind: {kind!r}")
 
 
-_SPEC_KEYS = {
-    "command", "algorithm", "oracle", "distribution", "epsilon", "epsilons",
-    "trials", "seed", "r", "format",
-    "n", "n_list", "C", "C_list", "delta_override",
-}
+# The keys each command reads; "format" is read by the CLI.
+_CALIBRATE_KEYS = {"algorithm", "oracle", "distribution", "epsilon", "trials", "seed", "r",
+                   "format"}
+_QUERY_SCALING_KEYS = {"epsilons", "oracle", "seed", "r", "format"}
+_LOWER_BOUND_KEYS = {"n", "n_list", "C", "C_list", "trials", "seed", "delta_override", "format"}
 _ALGORITHMS = {"gaussian-additivity", "df-additivity", "df-linearity"}
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    raw: dict
-
-    @staticmethod
-    def parse(d: dict) -> "ExperimentSpec":
-        _check_keys(d, _SPEC_KEYS, "experiment spec")
-        if "oracle" in d:
-            _check_keys(d["oracle"], _ORACLE_KEYS, "oracle spec")
-        if "distribution" in d:
-            _check_keys(d["distribution"], _DIST_KEYS, "distribution spec")
-        return ExperimentSpec(dict(d))
-
-    def get(self, key, default=None):
-        return self.raw.get(key, default)
 
 
 def _run_one_trial(raw_spec: dict, trial: int) -> dict:
@@ -173,26 +148,27 @@ def _run_one_trial(raw_spec: dict, trial: int) -> dict:
         dist = build_distribution(dict(dspec), derive_seed(seed, trial, 2))
         if algorithm == "df-additivity":
             verdict = run_df_additivity(oracle, dist, cfg)
-        elif algorithm == "df-linearity":
-            verdict = run_df_linearity(oracle, dist, cfg)
         else:
-            raise SpecError(f"unknown algorithm: {algorithm!r}")
+            verdict = run_df_linearity(oracle, dist, cfg)
     out = verdict.to_json()
     out["trial"] = trial
     return out
 
 
-def run_calibrate(spec: ExperimentSpec, jobs: int = 1) -> dict:
+def run_calibrate(spec: dict, jobs: int = 1) -> dict:
     """Run `trials` independent tester invocations and aggregate the verdicts."""
-    raw = spec.raw
-    if "oracle" not in raw:
+    _check_keys(spec, _CALIBRATE_KEYS, "calibrate spec")
+    if "oracle" not in spec:
         raise SpecError("calibrate needs an 'oracle' spec")
-    if "epsilon" not in raw:
+    if "epsilon" not in spec:
         raise SpecError("calibrate needs 'epsilon'")
-    algorithm = raw.get("algorithm", "df-additivity")
+    algorithm = spec.get("algorithm", "df-additivity")
     if algorithm not in _ALGORITHMS:
         raise SpecError(f"unknown algorithm: {algorithm!r}")
-    trials = int(raw.get("trials", 1))
+    if algorithm == "gaussian-additivity" and "distribution" in spec:
+        raise SpecError("gaussian-additivity measures distance under N(0,I) "
+                        "and reads no 'distribution'")
+    trials = int(spec.get("trials", 1))
     if trials < 1:
         raise SpecError("trials must be >= 1")
 
@@ -201,10 +177,10 @@ def run_calibrate(spec: ExperimentSpec, jobs: int = 1) -> dict:
     start = time.perf_counter()
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_trial, [raw] * trials, range(trials),
+            results = list(pool.map(_run_one_trial, [spec] * trials, range(trials),
                                     chunksize=max(1, trials // (workers * 4))))
     else:
-        results = [_run_one_trial(raw, t) for t in range(trials)]
+        results = [_run_one_trial(spec, t) for t in range(trials)]
     results.sort(key=lambda v: v["trial"])
     wall = time.perf_counter() - start
 
@@ -215,10 +191,10 @@ def run_calibrate(spec: ExperimentSpec, jobs: int = 1) -> dict:
         hist[str(q)] = hist.get(str(q), 0) + 1
     lo, hi = wilson_interval(accepts, trials)
     return {
-        "spec": raw,
+        "spec": spec,
         "command": "calibrate",
         "library_version": __version__,
-        "seed": int(raw.get("seed", 0)),
+        "seed": int(spec.get("seed", 0)),
         "aggregates": {
             "trials": trials,
             "accept_rate": accepts / trials,
@@ -233,22 +209,22 @@ def run_calibrate(spec: ExperimentSpec, jobs: int = 1) -> dict:
     }
 
 
-def run_query_scaling(spec: ExperimentSpec) -> dict:
+def run_query_scaling(spec: dict) -> dict:
     """Sweep epsilon and compare measured accept-path queries to the closed form."""
-    raw = spec.raw
-    epsilons = raw.get("epsilons")
+    _check_keys(spec, _QUERY_SCALING_KEYS, "query-scaling spec")
+    epsilons = spec.get("epsilons")
     if not epsilons:
         raise SpecError("query-scaling needs a nonempty 'epsilons' list")
     epsilons = [float(e) for e in epsilons]
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise SpecError("'epsilons' must be strictly decreasing")
-    oracle_spec = raw.get("oracle") or {"family": "linear", "dim": 10, "w_seed": 1}
-    seed = int(raw.get("seed", 0))
+    oracle_spec = spec.get("oracle") or {"family": "linear", "dim": 10, "w_seed": 1}
+    seed = int(spec.get("seed", 0))
 
     start = time.perf_counter()
     rows = []
     for i, eps in enumerate(epsilons):
-        cfg = TesterConfig(epsilon=eps, r=int(raw.get("r", 50)), seed=derive_seed(seed, i))
+        cfg = TesterConfig(epsilon=eps, r=int(spec.get("r", 50)), seed=derive_seed(seed, i))
         oracle = build_oracle(oracle_spec, trial_seed=derive_seed(seed, i, 3))
         verdict = run_gaussian_additivity(oracle, cfg)
         formula = cfg.accept_path_queries()
@@ -271,7 +247,7 @@ def run_query_scaling(spec: ExperimentSpec) -> dict:
     ratios = [r["ratio_main_stage"] for r in rows if r["ratio_main_stage"] is not None]
     band = max(ratios) / min(ratios) if ratios else None
     return {
-        "spec": raw,
+        "spec": spec,
         "command": "query-scaling",
         "library_version": __version__,
         "seed": seed,
@@ -282,16 +258,19 @@ def run_query_scaling(spec: ExperimentSpec) -> dict:
     }
 
 
-def run_lower_bound(spec: ExperimentSpec) -> dict:
+def run_lower_bound(spec: dict) -> dict:
     """Run the distinguishing game over an (n, C) grid."""
-    raw = spec.raw
-    n_list = raw.get("n_list") or ([raw["n"]] if "n" in raw else [])
-    c_list = raw.get("C_list") or [raw.get("C", 0.01)]
+    _check_keys(spec, _LOWER_BOUND_KEYS, "lower-bound spec")
+    for one, many in (("n", "n_list"), ("C", "C_list")):
+        if one in spec and many in spec:
+            raise SpecError(f"give '{one}' or '{many}', not both")
+    n_list = spec.get("n_list", [spec["n"]] if "n" in spec else [])
+    c_list = spec.get("C_list", [spec.get("C", 0.01)])
     if not n_list or not c_list:
         raise SpecError("lower-bound needs a nonempty n / n_list grid")
-    trials = int(raw.get("trials", 1000))
-    seed = int(raw.get("seed", 0))
-    override = raw.get("delta_override")
+    trials = int(spec.get("trials", 1000))
+    seed = int(spec.get("seed", 0))
+    override = spec.get("delta_override")
 
     start = time.perf_counter()
     cells = []
@@ -302,7 +281,7 @@ def run_lower_bound(spec: ExperimentSpec) -> dict:
                                    delta_override=None if override is None else float(override))
             cells.append(run_distinguish_game(cfg).to_json())
     return {
-        "spec": raw,
+        "spec": spec,
         "command": "lower-bound",
         "library_version": __version__,
         "seed": seed,
@@ -337,33 +316,17 @@ def _fmt(v) -> str:
 def report_to_csv(report: dict) -> str:
     """Render a report as delimited rows with a fixed, documented column order."""
     cmd = report["command"]
-    cols = CSV_COLUMNS[cmd]
-    lines = [",".join(cols)]
     if cmd == "calibrate":
         agg = report["aggregates"]
         lo, hi = agg["accept_wilson95"]
-        row = {
-            "trials": agg["trials"], "accept_rate": agg["accept_rate"],
-            "reject_rate": agg["reject_rate"], "wilson_low": lo, "wilson_high": hi,
-            "mean_queries": agg["mean_queries"], "max_queries": agg["max_queries"],
-        }
-        lines.append(",".join(_fmt(row[c]) for c in cols))
+        rows = [{**agg, "wilson_low": lo, "wilson_high": hi}]
     elif cmd == "query-scaling":
-        for r in report["rows"]:
-            lines.append(",".join(_fmt(r[c]) for c in cols))
-    elif cmd == "lower-bound":
-        for cell in report["cells"]:
-            lo, hi = cell["wilson_interval"]
-            row = {
-                "n": cell["n"], "C": cell["C"], "delta_override": cell["delta_override"],
-                "trials": cell["trials"], "successes": cell["successes"],
-                "success_rate": cell["success_rate"], "wilson_low": lo, "wilson_high": hi,
-                "mean_tv_bound": cell["mean_tv_bound"],
-                "max_tv_bound": cell["max_tv_bound"],
-                "delta_min": cell["delta_stats"]["min"],
-                "delta_mean": cell["delta_stats"]["mean"],
-                "delta_max": cell["delta_stats"]["max"],
-                "bound_respected": cell["bound_respected"],
-            }
-            lines.append(",".join(_fmt(row[c]) for c in cols))
+        rows = report["rows"]
+    else:
+        rows = [{**cell, "wilson_low": cell["wilson_interval"][0],
+                 "wilson_high": cell["wilson_interval"][1],
+                 **{f"delta_{stat}": v for stat, v in cell["delta_stats"].items()}}
+                for cell in report["cells"]]
+    cols = CSV_COLUMNS[cmd]
+    lines = [",".join(cols)] + [",".join(_fmt(row[c]) for c in cols) for row in rows]
     return "\n".join(lines) + "\n"

@@ -25,9 +25,12 @@ class OracleError(ValueError):
 class EqPolicy:
     """Approximate equality standing in for exact-real comparison.
 
-    a == b iff |a - b| <= abs_tol + rel_tol * max(|a|, |b|); symmetric by
-    construction.  Defaults leave ~6 orders of magnitude between double
-    rounding error and the smallest violation payloads we test.
+    a == b iff |a - b| <= abs_tol + rel_tol * max(|a|, |b|, mag); symmetric
+    by construction.  `mag` is the magnitude of the operands a and b were
+    summed from: rounding error scales with the operands, not with the
+    result, and a sum of large terms can be small.  Defaults leave ~6 orders
+    of magnitude between double rounding error and the smallest violation
+    payloads we test.
     """
 
     rel_tol: float = 1e-9
@@ -38,16 +41,13 @@ class EqPolicy:
             raise ValueError("tolerances must be nonnegative")
 
     def eq(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.abs_tol + self.rel_tol * max(abs(a), abs(b))
+        return bool(self.eq_arr(a, b))
 
-    def eq_arr(self, a, b) -> np.ndarray:
+    def eq_arr(self, a, b, mag=0.0) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        return np.abs(a - b) <= self.abs_tol + self.rel_tol * np.maximum(np.abs(a), np.abs(b))
-
-
-def approx_eq(policy: EqPolicy, a: float, b: float) -> bool:
-    return policy.eq(a, b)
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), mag)
+        return np.abs(a - b) <= self.abs_tol + self.rel_tol * scale
 
 
 def _unit(direction) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distro import SampleDistribution, StandardGaussian
+from .distro import SampleDistribution
 from .oracle import EqPolicy, FunctionOracle
 from .rng import derive_seed, make_rng, standard_normal
 
@@ -131,14 +131,23 @@ class Verdict:
         }
 
 
-def scaling_index(p, r: int = 50) -> int:
-    """k_p: 1 inside the radius-1/r ball, else ceil(r * ||p||)."""
-    norm = float(np.linalg.norm(np.asarray(p, dtype=float)))
-    if not np.isfinite(norm):
+def _verdict(f: FunctionOracle, start: int, cfg: TesterConfig, site: str | None = None,
+             transcript: list | None = None) -> Verdict:
+    """The verdict of a run that began at query count `start`, as cfg's caller sees it."""
+    return Verdict("accept" if site is None else "reject", site, f.query_count - start,
+                   cfg.epsilon, cfg.seed, transcript or [])
+
+
+def scaling_index(points, r: int = 50) -> np.ndarray:
+    """k_p per point (rows on the last axis): 1 inside the radius-1/r ball, else ceil(r * ||p||).
+
+    The indices are integral floats, so p / k_p is the same division for
+    every caller.
+    """
+    norms = np.linalg.norm(np.asarray(points, dtype=float), axis=-1)
+    if not np.all(np.isfinite(norms)):
         raise ValueError("point has non-finite norm")
-    k = 1 if norm <= 1.0 / r else math.ceil(r * norm)
-    assert norm / k <= 1.0 / r + 1e-15
-    return k
+    return np.where(norms <= 1.0 / r, 1.0, np.ceil(r * norms))
 
 
 def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
@@ -166,12 +175,12 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
         f_xy = f.query_batch(x - y)
         f_x2 = f.query_batch(x)
         f_y = f.query_batch(y)
-        diff_ok = eq(f_xy, f_x2 - f_y)
+        diff_ok = eq(f_xy, f_x2 - f_y, np.abs(f_x2) + np.abs(f_y))
 
         h1 = f.query_batch((x - y) / 2.0)
         h2 = f.query_batch((x - z) / 2.0)
         h3 = f.query_batch((z - y) / 2.0)
-        three_ok = eq(h1, h2 + h3)
+        three_ok = eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))
 
         bad = ~(neg_ok & diff_ok & three_ok)
         if np.any(bad):
@@ -182,9 +191,9 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
                 site = "difference"
             else:
                 site = "three-point"
-            return Verdict("reject", site, f.query_count - start, cfg.epsilon, cfg.seed,
-                           transcript=[(site, x[i].tolist(), y[i].tolist(), z[i].tolist())])
-    return Verdict("accept", None, f.query_count - start, cfg.epsilon, cfg.seed)
+            return _verdict(f, start, cfg, site,
+                            [(site, x[i].tolist(), y[i].tolist(), z[i].tolist())])
+    return _verdict(f, start, cfg)
 
 
 # the algorithm name collides with test-collection heuristics
@@ -203,85 +212,75 @@ class QueryGResult:
     queries_used: int
 
 
-def query_g(f: FunctionOracle, p, cfg: TesterConfig, rng=None) -> QueryGResult:
-    """Probe the self-corrected function g at p.
+def probe_g(f: FunctionOracle, points, cfg: TesterConfig, rng):
+    """Probe the self-corrected function g at each row of `points`.
 
     Maps p into the 1/r ball via k_p, samples x_1..x_N ~ N(0,I), and
-    demands that all v_i = f(p/k_p - x_i) + f(x_i) agree (each compared
-    against v_1; the tolerance band at most doubles, which is negligible
-    against payload scales).  Returns k_p * v_1 on agreement.
+    demands that all v_i = f(p/k_p - x_i) + f(x_i) agree with v_1, each
+    comparison tolerant to the rounding of the operands it was summed
+    from.  Rows take their x_i from the stream in order, so a batch draws
+    exactly what one probe per row would.
+
+    Returns per row: k_p, whether all v_i agree, v_1 = g(p) / k_p, and
+    |f(p/k_p - x_1)| + |f(x_1)|, the magnitude of the operands of v_1.
     """
+    points = np.asarray(points, dtype=float)
+    m, n = points.shape
+    nq = cfg.rounds_queryg
+    ks = scaling_index(points, cfg.r)
+    xs = standard_normal(rng, (m, nq, n))
+    shifted = points[:, None, :] / ks[:, None, None] - xs
+    va = f.query_batch(shifted.reshape(-1, n)).reshape(m, nq)
+    vb = f.query_batch(xs.reshape(-1, n)).reshape(m, nq)
+    v = va + vb
+    mag = np.abs(va) + np.abs(vb)
+    agree = np.all(cfg.policy.eq_arr(v[:, 1:], v[:, :1], mag[:, 1:] + mag[:, :1]), axis=1)
+    return ks, agree, v[:, 0], mag[:, 0]
+
+
+def query_g(f: FunctionOracle, p, cfg: TesterConfig, rng=None) -> QueryGResult:
+    """Probe g at the single point p; returns k_p * v_1 on agreement."""
     rng = rng if rng is not None else make_rng(cfg.seed)
     start = f.query_count
-    p = np.asarray(p, dtype=float)
-    k = scaling_index(p, cfg.r)
-    nq = cfg.rounds_queryg
-    xs = standard_normal(rng, (nq, f.dim))
-    va = f.query_batch(p / k - xs)
-    vb = f.query_batch(xs)
-    v = va + vb
-    if not bool(np.all(cfg.policy.eq_arr(v[1:], v[0]))):
+    ks, agree, v1, _ = probe_g(f, np.asarray(p, dtype=float)[None, :], cfg, rng)
+    k, base = int(ks[0]), float(v1[0])
+    if not agree[0]:
         return QueryGResult(True, None, k, None, f.query_count - start)
-    return QueryGResult(False, float(k * v[0]), k, float(v[0]), f.query_count - start)
+    return QueryGResult(False, k * base, k, base, f.query_count - start)
 
 
-def _main_loop(f: FunctionOracle, cfg: TesterConfig, rng, points) -> Verdict:
-    """Shared distance-testing stage: compare f(p) with the g-probe at p.
+def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | None) -> Verdict:
+    """The identity battery, then the main loop comparing f(p) with the g-probe at p.
 
-    All rounds are evaluated in a handful of vectorized oracle calls; the
-    probe draws are consumed in the same order as a round-by-round loop
-    would consume them, so the stream is unchanged.  Rejection reports the
-    first failing round.
+    The main-loop points come from d, or from N(0,I) on the tester's own
+    stream when d is None.  Rejection reports the first failing round.
     """
+    rng = make_rng(cfg.seed)
     start = f.query_count
-    points = np.asarray(points, dtype=float)
-    n_rounds, n = points.shape
-    nq = cfg.rounds_queryg
-    eq = cfg.policy.eq_arr
-
-    norms = np.linalg.norm(points, axis=1)
-    ks = np.where(norms <= 1.0 / cfg.r, 1.0, np.ceil(cfg.r * norms))
+    battery = test_additivity(f, cfg, rng)
+    if not battery.accepted:
+        return battery
+    if d is None:
+        points = standard_normal(rng, (cfg.rounds_main, f.dim))
+    else:
+        points = d.draw_many(cfg.rounds_main)
     fp = f.query_batch(points)
-    xs = standard_normal(rng, (n_rounds, nq, n))
-    shifted = points[:, None, :] / ks[:, None, None] - xs
-    va = f.query_batch(shifted.reshape(-1, n)).reshape(n_rounds, nq)
-    vb = f.query_batch(xs.reshape(-1, n)).reshape(n_rounds, nq)
-    v = va + vb
-
-    agree = np.all(eq(v[:, 1:], v[:, :1]), axis=1)
+    ks, agree, v1, mag1 = probe_g(f, points, cfg, rng)
     # Compare at the per-ball scale (f(p)/k vs v_1) rather than after
     # multiplying by k; identical test, better conditioned when f(p) ~ 0.
-    match = eq(fp / ks, v[:, 0])
-    bad = ~(agree & match)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        if not agree[i]:
-            return Verdict("reject", "query-g-disagreement", f.query_count - start,
-                           cfg.epsilon, cfg.seed, transcript=[("query-g", points[i].tolist())])
-        return Verdict("reject", "f!=g", f.query_count - start, cfg.epsilon, cfg.seed,
-                       transcript=[("f!=g", points[i].tolist(), float(fp[i]),
-                                    float(ks[i] * v[i, 0]))])
-    return Verdict("accept", None, f.query_count - start, cfg.epsilon, cfg.seed)
-
-
-def _compose(first: Verdict, cfg: TesterConfig, total_queries: int) -> Verdict:
-    v = replace(first)
-    v.queries_used = total_queries
-    v.epsilon = cfg.epsilon
-    v.seed = cfg.seed
-    return v
+    bad = ~(agree & cfg.policy.eq_arr(fp / ks, v1, mag1))
+    if not np.any(bad):
+        return _verdict(f, start, cfg)
+    i = int(np.argmax(bad))
+    if not agree[i]:
+        return _verdict(f, start, cfg, "query-g-disagreement", [("query-g", points[i].tolist())])
+    return _verdict(f, start, cfg, "f!=g",
+                    [("f!=g", points[i].tolist(), float(fp[i]), float(ks[i] * v1[i]))])
 
 
 def run_gaussian_additivity(f: FunctionOracle, cfg: TesterConfig) -> Verdict:
     """Additivity tester with distance measured over N(0,I)."""
-    rng = make_rng(cfg.seed)
-    start = f.query_count
-    ta = test_additivity(f, cfg, rng)
-    if not ta.accepted:
-        return _compose(ta, cfg, f.query_count - start)
-    points = standard_normal(rng, (cfg.rounds_main, f.dim))
-    main = _main_loop(f, cfg, rng, points)
-    return _compose(main, cfg, f.query_count - start)
+    return _additivity(f, cfg, None)
 
 
 def run_df_additivity(f: FunctionOracle, d: SampleDistribution, cfg: TesterConfig) -> Verdict:
@@ -292,13 +291,7 @@ def run_df_additivity(f: FunctionOracle, d: SampleDistribution, cfg: TesterConfi
     """
     if d.dim != f.dim:
         raise ValueError(f"distribution dimension {d.dim} != oracle dimension {f.dim}")
-    rng = make_rng(cfg.seed)
-    start = f.query_count
-    ta = test_additivity(f, cfg, rng)
-    if not ta.accepted:
-        return _compose(ta, cfg, f.query_count - start)
-    main = _main_loop(f, cfg, rng, d.draw_many(cfg.rounds_main))
-    return _compose(main, cfg, f.query_count - start)
+    return _additivity(f, cfg, d)
 
 
 class OddOracle(FunctionOracle):
@@ -329,12 +322,9 @@ def force_negativity(f: FunctionOracle, d: SampleDistribution,
         bad = ~cfg.policy.eq_arr(b, -a)
         if np.any(bad):
             i = int(np.argmax(bad))
-            verdict = Verdict("reject", "force-negativity", f.query_count - start,
-                              cfg.epsilon, cfg.seed,
-                              transcript=[("force-negativity", xs[i].tolist(),
-                                           float(a[i]), float(b[i]))])
-            return None, verdict
-    return OddOracle(f), Verdict("accept", None, f.query_count - start, cfg.epsilon, cfg.seed)
+            return None, _verdict(f, start, cfg, "force-negativity",
+                                  [("force-negativity", xs[i].tolist(), float(a[i]), float(b[i]))])
+    return OddOracle(f), _verdict(f, start, cfg)
 
 
 def run_df_linearity(f: FunctionOracle, d: SampleDistribution, cfg: TesterConfig) -> Verdict:
@@ -345,14 +335,9 @@ def run_df_linearity(f: FunctionOracle, d: SampleDistribution, cfg: TesterConfig
     wrapper is still epsilon/2-far from the additive self-correction).
     Continuity of f is the caller's guarantee and is not checked.
     """
-    if d.dim != f.dim:
-        raise ValueError(f"distribution dimension {d.dim} != oracle dimension {f.dim}")
     start = f.query_count
-    wrapped, fn_verdict = force_negativity(f, d, cfg)
-    if wrapped is None:
-        return _compose(fn_verdict, cfg, f.query_count - start)
-    inner = replace(cfg, epsilon=cfg.epsilon / 2.0, seed=derive_seed(cfg.seed, 1))
-    verdict = run_df_additivity(wrapped, d, inner)
-    out = _compose(verdict, cfg, f.query_count - start)
-    out.epsilon = cfg.epsilon
-    return out
+    wrapped, verdict = force_negativity(f, d, cfg)
+    if wrapped is not None:
+        inner = replace(cfg, epsilon=cfg.epsilon / 2.0, seed=derive_seed(cfg.seed, 1))
+        verdict = run_df_additivity(wrapped, d, inner)
+    return _verdict(f, start, cfg, verdict.reject_site, verdict.transcript)

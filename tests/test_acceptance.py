@@ -21,7 +21,7 @@ from lintest.gauss_core import (
     pinsker_tv_bound,
     shared_cov_tv_bound,
 )
-from lintest.harness import ExperimentSpec, run_query_scaling
+from lintest.harness import run_query_scaling
 from lintest.lower_bound import (
     LowerBoundConfig,
     run_distinguish_game,
@@ -130,8 +130,7 @@ def test_acceptance_04_query_complexity(capsys):
     # Accept-path query counts match the closed form exactly for
     # eps in {0.2, 0.1, 0.05, 0.01}; the epsilon-dependent stage stays within
     # a 4x band of (1/eps) log2(1/eps) across the sweep.
-    report = run_query_scaling(ExperimentSpec.parse(
-        {"epsilons": [0.2, 0.1, 0.05, 0.01], "seed": 30}))
+    report = run_query_scaling({"epsilons": [0.2, 0.1, 0.05, 0.01], "seed": 30})
     rows = report["rows"]
     measured = [r["measured_queries"] for r in rows]
     exact = all(r["outcome"] == "accept" and r["exact_on_accept"] for r in rows)

@@ -13,7 +13,6 @@ from click.testing import CliRunner
 from lintest.cli import main
 from lintest.harness import (
     CSV_COLUMNS,
-    ExperimentSpec,
     SpecError,
     build_distribution,
     build_oracle,
@@ -36,9 +35,9 @@ from lintest.oracle import (
 
 def test_unknown_spec_fields_rejected():
     with pytest.raises(SpecError, match="unknown field"):
-        ExperimentSpec.parse({"epsilon": 0.1, "bogus": 1})
+        run_calibrate({"epsilon": 0.1, "bogus": 1})
     with pytest.raises(SpecError):
-        ExperimentSpec.parse({"oracle": {"family": "linear", "dim": 2, "nope": 3}})
+        run_calibrate({"oracle": {"family": "linear", "dim": 2, "nope": 3}, "epsilon": 0.1})
     with pytest.raises(SpecError):
         build_distribution({"kind": "standard-gaussian", "dim": 2, "extra": 0}, 0)
 
@@ -98,7 +97,7 @@ def _linear_spec(**extra):
             "epsilon": 0.2, "trials": 3, "seed": 5,
             "algorithm": "gaussian-additivity"}
     spec.update(extra)
-    return ExperimentSpec.parse(spec)
+    return spec
 
 
 def test_run_calibrate_linear_all_accept():
@@ -160,9 +159,9 @@ def test_run_calibrate_clamps_workers(monkeypatch, jobs, cpus, trials, workers):
 
 def test_run_calibrate_validation():
     with pytest.raises(SpecError):
-        run_calibrate(ExperimentSpec.parse({"epsilon": 0.1}))
+        run_calibrate({"epsilon": 0.1})
     with pytest.raises(SpecError):
-        run_calibrate(ExperimentSpec.parse({"oracle": {"family": "linear", "dim": 2}}))
+        run_calibrate({"oracle": {"family": "linear", "dim": 2}})
     with pytest.raises(SpecError):
         run_calibrate(_linear_spec(algorithm="quantum"))
     with pytest.raises(SpecError):
@@ -170,8 +169,7 @@ def test_run_calibrate_validation():
 
 
 def test_run_query_scaling_rows_and_band():
-    spec = ExperimentSpec.parse({"epsilons": [0.2, 0.1], "seed": 1})
-    report = run_query_scaling(spec)
+    report = run_query_scaling({"epsilons": [0.2, 0.1], "seed": 1})
     assert [r["epsilon"] for r in report["rows"]] == [0.2, 0.1]
     for row in report["rows"]:
         assert row["outcome"] == "accept"
@@ -180,20 +178,18 @@ def test_run_query_scaling_rows_and_band():
         assert row["measured_queries"] == row["formula_queries"]
     assert report["ratio_band_ok"]
     with pytest.raises(SpecError):
-        run_query_scaling(ExperimentSpec.parse({"epsilons": [0.1, 0.2]}))
+        run_query_scaling({"epsilons": [0.1, 0.2]})
     with pytest.raises(SpecError):
-        run_query_scaling(ExperimentSpec.parse({"epsilons": []}))
+        run_query_scaling({"epsilons": []})
 
 
 def test_run_lower_bound_grid():
-    spec = ExperimentSpec.parse({"n_list": [4, 6], "C_list": [0.01, 0.1],
-                                 "trials": 20, "seed": 2})
-    report = run_lower_bound(spec)
+    report = run_lower_bound({"n_list": [4, 6], "C_list": [0.01, 0.1], "trials": 20, "seed": 2})
     assert len(report["cells"]) == 4
     assert {(c["n"], c["C"]) for c in report["cells"]} == {(4, 0.01), (4, 0.1),
                                                            (6, 0.01), (6, 0.1)}
     with pytest.raises(SpecError):
-        run_lower_bound(ExperimentSpec.parse({"C_list": [0.01]}))
+        run_lower_bound({"C_list": [0.01]})
 
 
 # --- CSV rendering -----------------------------------------------------------------
@@ -202,9 +198,9 @@ def test_run_lower_bound_grid():
 def test_csv_headers_are_pinned():
     cal = report_to_csv(run_calibrate(_linear_spec()))
     assert cal.splitlines()[0] == ",".join(CSV_COLUMNS["calibrate"])
-    qs = report_to_csv(run_query_scaling(ExperimentSpec.parse({"epsilons": [0.2]})))
+    qs = report_to_csv(run_query_scaling({"epsilons": [0.2]}))
     assert qs.splitlines()[0] == ",".join(CSV_COLUMNS["query-scaling"])
-    lb = report_to_csv(run_lower_bound(ExperimentSpec.parse({"n": 4, "trials": 10})))
+    lb = report_to_csv(run_lower_bound({"n": 4, "trials": 10}))
     lines = lb.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS["lower-bound"])
     assert len(lines) == 2
@@ -327,6 +323,53 @@ def test_cli_rejects_spec_output_and_jobs(tmp_path, command, key):
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "SpecError" and key in payload["message"]
     assert not report.exists()
+
+
+_LINEAR = {"family": "linear", "dim": 2}
+
+
+@pytest.mark.parametrize("command, spec, word", [
+    ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "n_list": [4]}, "n_list"),
+    ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "algorithm": "gaussian-additivity",
+                   "distribution": {"kind": "standard-gaussian", "dim": 2}}, "distribution"),
+    ("test-additivity", {"oracle": _LINEAR, "epsilon": 0.2, "algorithm": "df-linearity"},
+     "df-linearity"),
+    ("lower-bound", {"n": 4, "trials": 5, "oracle": _LINEAR}, "oracle"),
+    ("lower-bound", {"n": 4, "trials": 5, "epsilon": 0.1}, "epsilon"),
+    ("lower-bound", {"n": 4, "n_list": [6], "trials": 5}, "n_list"),
+    ("query-scaling", {"epsilons": [0.2], "command": "query-scaling"}, "command"),
+    ("query-scaling", {"epsilons": [0.2], "trials": 3}, "trials"),
+    ("query-scaling", [{"epsilons": [0.2]}], "JSON object"),
+])
+def test_cli_rejects_spec_keys_the_command_does_not_read(tmp_path, command, spec, word):
+    result = CliRunner().invoke(main, [command, "--spec", _write_spec(tmp_path, spec)])
+    assert result.exit_code == 2
+    err = getattr(result, "stderr", "") or result.output
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "SpecError" and word in payload["message"]
+
+
+@pytest.mark.parametrize("args", [["query-scaling", "--jobs", "2"],
+                                  ["query-scaling", "--epsilon", "0.1"],
+                                  ["query-scaling", "--trials", "3"],
+                                  ["lower-bound", "--epsilon", "0.1"]])
+def test_cli_rejects_flags_the_command_does_not_honour(tmp_path, args):
+    spec = {"epsilons": [0.2]} if args[0] == "query-scaling" else {"n": 4, "trials": 5}
+    result = CliRunner().invoke(main, [*args, "--spec", _write_spec(tmp_path, spec)])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+def test_cli_lower_bound_accepts_the_unused_jobs_flag(tmp_path):
+    # kept because the benchmark passes --jobs to every command
+    path = _write_spec(tmp_path, {"n": 4, "trials": 5, "seed": 1})
+    plain = CliRunner().invoke(main, ["lower-bound", "--spec", path])
+    jobs = CliRunner().invoke(main, ["lower-bound", "--spec", path, "--jobs", "2"])
+    assert plain.exit_code == jobs.exit_code == 0
+    reports = [json.loads(r.output) for r in (plain, jobs)]
+    for report in reports:
+        report.pop("wall_clock_s")
+    assert reports[0] == reports[1]
 
 
 def test_cli_lower_bound_tiny_delta_override_exits_cleanly(tmp_path):

@@ -15,7 +15,6 @@ from lintest.oracle import (
     NoisyLinear,
     NormOracle,
     OracleError,
-    approx_eq,
     estimate_distance,
     random_linear,
 )
@@ -49,7 +48,6 @@ def test_eq_policy_symmetric_and_reflexive(a, b):
     pol = EqPolicy()
     assert pol.eq(a, a)
     assert pol.eq(a, b) == pol.eq(b, a)
-    assert approx_eq(pol, a, b) == pol.eq(a, b)
 
 
 def test_eq_arr_matches_scalar():
@@ -58,6 +56,10 @@ def test_eq_arr_matches_scalar():
     b = np.array([1.0 + 1e-7, 1e-10, -3.0 - 1.0, 1e6 + 0.5])
     arr = pol.eq_arr(a, b)
     assert list(arr) == [pol.eq(x, y) for x, y in zip(a, b)]
+    # the operand magnitude widens the band only where it exceeds |a| and |b|
+    assert list(pol.eq_arr(a, b, mag=np.zeros(4))) == list(arr)
+    assert list(pol.eq_arr([1e-3, -3.0], [0.0, -4.0], mag=1e4)) == [True, False]
+    assert not pol.eq_arr(1e-3, 0.0)
 
 
 # --- base oracle mechanics -----------------------------------------------------

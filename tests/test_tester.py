@@ -12,6 +12,7 @@ from lintest.oracle import (
     NormOracle,
     random_linear,
 )
+from lintest.rng import make_rng, standard_normal
 from lintest.tester import (
     QUERIES_PER_ADDITIVITY_ROUND,
     OddOracle,
@@ -21,6 +22,7 @@ from lintest.tester import (
     default_n_queryg,
     default_n_testadd,
     force_negativity,
+    probe_g,
     query_g,
     run_df_additivity,
     run_df_linearity,
@@ -75,19 +77,28 @@ def test_scaling_index_examples():
     assert scaling_index(np.array([0.01, 0.0])) == 1
     assert scaling_index(np.array([0.02])) == 1  # exactly on the 1/50 boundary
     assert scaling_index(np.array([2.03, 0.0])) == 102
+    assert list(scaling_index(np.array([[0.01, 0.0], [2.03, 0.0]]))) == [1, 102]
     with pytest.raises(ValueError):
         scaling_index(np.array([np.nan]))
+    with pytest.raises(ValueError):
+        scaling_index(np.array([[1.0, 0.0], [np.nan, 0.0]]))
+
+
+_rows = st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n), min_size=1, max_size=6))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8), st.integers(1, 200))
-def test_scaling_index_maps_into_ball(coords, r):
-    p = np.asarray(coords)
-    k = scaling_index(p, r)
-    assert isinstance(k, int) and k >= 1
-    assert np.linalg.norm(p) / k <= 1.0 / r + 1e-12
-    if np.linalg.norm(p) <= 1.0 / r:
-        assert k == 1
+@given(_rows, st.integers(1, 200))
+def test_scaling_index_maps_into_ball(rows, r):
+    points = np.asarray(rows)
+    ks = scaling_index(points, r)
+    norms = np.linalg.norm(points, axis=1)
+    assert ks.shape == (len(rows),)
+    assert np.all(ks >= 1) and np.all(ks == np.ceil(ks))
+    assert np.all(norms / ks <= 1.0 / r + 1e-12)
+    assert np.all(ks[norms <= 1.0 / r] == 1)
+    assert [scaling_index(p, r) for p in points] == list(ks)
 
 
 # --- identity battery ------------------------------------------------------------
@@ -144,6 +155,29 @@ def test_query_g_recovers_linear_values_at_all_scales():
         assert abs(res.value - float(f.w @ p)) <= 1e-9 * max(1.0, abs(f.w @ p))
 
 
+@pytest.mark.parametrize("make, clean", [
+    (lambda: random_linear(5, w_seed=3), True),
+    (lambda: CorruptedLinear.with_mass(np.ones(5), 0.3), False),
+])
+def test_query_g_is_one_row_of_probe_g(make, clean):
+    cfg = TesterConfig(epsilon=0.1, seed=9)
+    scales = np.array([[0.001], [0.5], [1.0], [3.0], [40.0], [1.0], [2.0], [0.1]])
+    points = np.random.default_rng(3).standard_normal((8, 5)) * scales
+    ks, agree, v1, _ = probe_g(make(), points, cfg, make_rng(cfg.seed))
+    # query_g on a fresh stream is row 0; on a continued stream, row i
+    first = query_g(make(), points[0], cfg)
+    assert (first.k, first.rejected) == (ks[0], not agree[0])
+    rng = make_rng(cfg.seed)
+    for i, p in enumerate(points):
+        res = query_g(make(), p, cfg, rng)
+        assert res.k == ks[i]
+        assert res.rejected == (not agree[i])
+        if not res.rejected:
+            assert res.base_value == v1[i]
+            assert res.value == res.k * v1[i]
+    assert agree.all() == clean
+
+
 def test_query_g_on_constant_shift_sees_the_doubled_shift():
     # v_i = w.(p/k - x) + c + w.x + c, so the probe agrees on w.p/k + 2c
     w = np.array([1.0, -1.0])
@@ -186,6 +220,21 @@ def test_query_g_is_additive_and_homogeneous_on_lightly_corrupted_input():
 # --- end-to-end testers -------------------------------------------------------------
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(-12.0, 12.0), st.integers(1, 500), st.integers(0, 2**32 - 1))
+def test_exactly_linear_is_accepted_at_any_weight_scale(log_scale, n, seed):
+    # Rounding error scales with the operands of each identity, not its result;
+    # epsilon 0.01 makes thousands of probe comparisons per verdict.
+    w = 10.0**log_scale * standard_normal(make_rng(seed), n)
+    cfg = TesterConfig(epsilon=0.01, seed=seed)
+    for run in (lambda f: run_gaussian_additivity(f, cfg),
+                lambda f: run_df_linearity(f, StandardGaussian(n, seed=seed + 1), cfg)):
+        f = LinearOracle(w)
+        verdict = run(f)
+        assert verdict.accepted, verdict.reject_site
+        assert verdict.queries_used == f.query_count
+
+
 def test_gaussian_additivity_accepts_linear_exactly():
     f = random_linear(10, w_seed=3)
     cfg = TesterConfig(epsilon=0.1, seed=7)
@@ -219,6 +268,10 @@ def test_df_additivity_dimension_mismatch():
     with pytest.raises(ValueError):
         run_df_additivity(random_linear(3, 0), StandardGaussian(4, 0),
                           TesterConfig(epsilon=0.1))
+    f = random_linear(3, 0)
+    with pytest.raises(ValueError):
+        run_df_linearity(f, StandardGaussian(4, 0), TesterConfig(epsilon=0.1))
+    assert f.query_count == 0
 
 
 def test_df_additivity_sees_corruption_hidden_from_the_gaussian_tester():
