@@ -63,7 +63,7 @@ _EPSILON = click.option("--epsilon", type=float, default=None)
 _TRIALS = click.option("--trials", type=int, default=None)
 _SEED = click.option("--seed", type=int, default=None)
 _JOBS = click.option("--jobs", type=int, default=1, show_default=True,
-                     help="Worker processes for trial fan-out.")
+                     help="Worker processes for the fan-out over trials or grid cells.")
 _OUTPUT = click.option("--output", type=click.Path(), default=None,
                        help="Write the report here instead of stdout.")
 _FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None)
@@ -114,15 +114,13 @@ def cmd_query_scaling(spec_path, seed, output, fmt):
         _emit(run_query_scaling(spec), output, fmt or spec.get("format", "json"))
 
 
-# --jobs is accepted, hidden and unused: the game runs in-process, and the
-# benchmark passes --jobs to every command it calls.
 @main.command("lower-bound")
-@_options(_SPEC, _TRIALS, _SEED, click.option("--jobs", type=int, hidden=True), _OUTPUT, _FORMAT)
+@_options(_SPEC, _TRIALS, _SEED, _JOBS, _OUTPUT, _FORMAT)
 def cmd_lower_bound(spec_path, trials, seed, jobs, output, fmt):
     """Play the likelihood-ratio distinguishing game over an (n, C) grid."""
     with _errors_as_json():
         spec = _load_spec(spec_path, {"trials": trials, "seed": seed})
-        _emit(run_lower_bound(spec), output, fmt or spec.get("format", "json"))
+        _emit(run_lower_bound(spec, jobs=jobs), output, fmt or spec.get("format", "json"))
 
 
 if __name__ == "__main__":

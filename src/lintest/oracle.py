@@ -8,13 +8,12 @@ counter increments by exactly one per evaluated point, batch or not.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .rng import make_rng, standard_normal
+from .rng import hash_rows, make_rng, open_unit, standard_normal
 
 
 class OracleError(ValueError):
@@ -177,9 +176,9 @@ class NoisyLinear(FunctionOracle):
     """w.x + eta(x) with eta(x) ~ N(0, delta_noise) keyed by the bits of x.
 
     The noise is a function of the point, not of the query: the canonical
-    little-endian float64 bytes of x go through a keyed 64-bit hash, and the
-    hash feeds one inverse-CDF normal deviate (-0.0 hashed as 0.0).  Repeat
-    queries agree exactly.
+    little-endian float64 words of x (-0.0 read as 0.0) go through a hash
+    keyed by noise_seed, and its top 53 bits feed one inverse-CDF normal
+    deviate.  Repeat queries agree exactly.
     """
 
     def __init__(self, w, delta_noise: float, noise_seed: int = 0):
@@ -188,18 +187,12 @@ class NoisyLinear(FunctionOracle):
             raise OracleError("noise variance must be nonnegative")
         self.delta_noise = float(delta_noise)
         self.noise_seed = int(noise_seed)
-        self._key = (self.noise_seed & (1 << 64) - 1).to_bytes(8, "little")
         super().__init__(self.w.size)
 
-    def _noise_one(self, row: np.ndarray) -> float:
-        h = hashlib.blake2b(row, digest_size=8, key=self._key)
-        u = (int.from_bytes(h.digest(), "little") + 0.5) / float(1 << 64)
-        return float(ndtri(u))
-
     def _values(self, xs):
-        rows = np.ascontiguousarray(xs + 0.0, dtype="<f8")  # one canonical copy for the batch
-        dev = np.fromiter((self._noise_one(r) for r in rows), dtype=float, count=xs.shape[0])
-        return xs @ self.w + np.sqrt(self.delta_noise) * dev
+        words = np.ascontiguousarray(xs + 0.0, dtype="<f8").view("<u8")
+        h = hash_rows(words, self.noise_seed)
+        return xs @ self.w + np.sqrt(self.delta_noise) * ndtri(open_unit(h >> 11))
 
 
 class NormOracle(FunctionOracle):

@@ -15,15 +15,35 @@ from scipy.special import chdtri, ndtri
 _MASK64 = (1 << 64) - 1
 
 
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer: a 64-bit avalanche mix."""
-    x &= _MASK64
+def mix64(x):
+    """SplitMix64 finalizer: a 64-bit avalanche mix of an int or of a uint64 array.
+
+    A bijection on 64-bit words; uint64 arrays wrap modulo 2**64 on their own.
+    """
+    x = x & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
     return x
+
+
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, the golden ratio in 64 bits
+
+
+def hash_rows(words: np.ndarray, key: int) -> np.ndarray:
+    """Keyed 64-bit hash of each row of a uint64 matrix: a SplitMix64 chain, one word a step.
+
+    Each step is a bijection of the running hash, so rows that differ in a
+    single word never collide; the increment keeps an all-zero row off
+    mix64's fixed point 0.  Counter-based hashing as in Salmon et al.,
+    "Parallel random numbers: as easy as 1, 2, 3" (SC'11).
+    """
+    h = np.full(words.shape[0], key & _MASK64, dtype=np.uint64)
+    for column in words.T:
+        h = mix64((h ^ column) + _GAMMA)
+    return h
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -43,10 +63,24 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def open_unit(bits) -> np.ndarray:
+    """Map 53-bit integers to (bits + 0.5) / 2**53, strictly inside (0, 1).
+
+    The top value's midpoint rounds up to exactly 1.0 in float64; it alone
+    is mapped to the largest double below 1.
+    """
+    u = np.array(bits, dtype=np.float64)  # a fresh copy, so that the steps below go in place
+    u += 0.5
+    u *= 2.0**-53
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
 def uniform_open(rng: np.random.Generator, size=None) -> np.ndarray:
     """Uniforms strictly inside (0, 1), safe to feed to the inverse CDF."""
-    bits = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    return (bits.astype(np.float64) + 0.5) / float(1 << 53)
+    return open_unit(rng.integers(0, 1 << 53, size=size, dtype=np.uint64))
 
 
 def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:

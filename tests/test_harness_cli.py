@@ -4,12 +4,17 @@ import gc
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from lintest import harness
 from lintest.cli import main
 from lintest.harness import (
     CSV_COLUMNS,
@@ -72,6 +77,29 @@ def test_build_oracle_explicit_weights_and_errors():
         build_oracle({"family": "noisy-linear", "dim": 2, "noise": {}})
 
 
+@pytest.mark.parametrize("spec, word", [
+    ({"family": "norm", "dim": 3, "w_seed": 4, "shift": 2.0}, "shift"),
+    ({"family": "linear", "dim": 2, "noise": {"delta": 0.1}}, "noise"),
+    ({"family": "constant-shift-linear", "dim": 2, "corruption": {"mass": 0.3}}, "corruption"),
+    ({"family": "noisy-linear", "dim": 2, "shift": 1.0, "noise": {"delta": 0.1}}, "shift"),
+    ({"family": "linear", "dim": 2, "w_seed": 1, "w_explicit": [1.0, 2.0]}, "not both"),
+])
+def test_build_oracle_rejects_keys_its_family_does_not_read(spec, word):
+    with pytest.raises(SpecError, match=word):
+        build_oracle(spec)
+
+
+@pytest.mark.parametrize("spec, word", [
+    ({"kind": "standard-gaussian", "dim": 2, "mean": [1.0, 2.0]}, "mean"),
+    ({"kind": "shifted-gaussian", "mean": [1.0], "dim": 1}, "dim"),
+    ({"kind": "mixture", "weights": [1.0], "path": "x.csv",
+      "components": [{"kind": "standard-gaussian", "dim": 1}]}, "path"),
+])
+def test_build_distribution_rejects_keys_its_kind_does_not_read(spec, word):
+    with pytest.raises(SpecError, match=word):
+        build_distribution(spec, 0)
+
+
 def test_build_distribution_kinds(tmp_path):
     d = build_distribution({"kind": "standard-gaussian", "dim": 3}, 1)
     assert d.dim == 3
@@ -120,6 +148,14 @@ def test_run_calibrate_deterministic_and_jobs_invariant():
     assert a == b == c
 
 
+@pytest.fixture
+def fresh_pools(monkeypatch):
+    """An empty pool cache for one test, shut down when the test ends."""
+    monkeypatch.setattr(harness, "_pools", {})
+    yield harness._pools
+    harness._shutdown_pools()
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
 
@@ -128,14 +164,11 @@ class _SerialPool:
     def __init__(self, max_workers):
         _SerialPool.started.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, *iterables, chunksize=1):
         return map(fn, *iterables)
+
+    def shutdown(self):
+        pass
 
 
 @pytest.mark.parametrize("jobs, cpus, trials, workers", [
@@ -145,7 +178,7 @@ class _SerialPool:
     (4, None, 4, []),     # unknown core count counts as one
     (0, 8, 4, []),        # nonpositive jobs run in-process
 ])
-def test_run_calibrate_clamps_workers(monkeypatch, jobs, cpus, trials, workers):
+def test_run_calibrate_clamps_workers(monkeypatch, fresh_pools, jobs, cpus, trials, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "started", [])
@@ -155,6 +188,78 @@ def test_run_calibrate_clamps_workers(monkeypatch, jobs, cpus, trials, workers):
     report.pop("wall_clock_s")
     serial.pop("wall_clock_s")
     assert report == serial
+
+
+def _reports_without_wall_clock(*reports):
+    for report in reports:
+        report.pop("wall_clock_s")
+    return reports
+
+
+def test_fan_out_reuses_one_pool_per_worker_count(monkeypatch, fresh_pools):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run_calibrate(_linear_spec(trials=4), jobs=2)
+    pool = fresh_pools[2]
+    run_calibrate(_linear_spec(trials=4), jobs=2)
+    assert fresh_pools == {2: pool}
+    run_calibrate(_linear_spec(trials=4), jobs=3)  # another count replaces the pool
+    assert list(fresh_pools) == [3]
+    with pytest.raises(RuntimeError, match="shutdown"):  # the replaced pool was shut down
+        pool.submit(int)
+
+
+def test_fan_out_drops_a_broken_pool(monkeypatch, fresh_pools):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_calibrate(_linear_spec(trials=4), jobs=2)
+    pool = fresh_pools[2]
+    pid = next(iter(pool._processes))
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not pool._broken and time.monotonic() < deadline:  # until the pool notices
+        time.sleep(0.01)
+    with pytest.raises(concurrent.futures.BrokenExecutor):
+        run_calibrate(_linear_spec(trials=4), jobs=2)
+    assert fresh_pools == {}
+    report = run_calibrate(_linear_spec(trials=4), jobs=2)
+    assert fresh_pools[2] is not pool
+    assert report["aggregates"]["accept_rate"] == 1.0
+
+
+def test_fan_out_reports_match_serial_across_specs(fresh_pools):
+    specs = [_linear_spec(trials=4),
+             _linear_spec(trials=5, seed=9, algorithm="df-linearity"),
+             {**_linear_spec(trials=4), "oracle": {"family": "norm", "dim": 4}}]
+    for spec in specs:
+        fanned, serial = _reports_without_wall_clock(run_calibrate(spec, jobs=2),
+                                                     run_calibrate(spec))
+        assert fanned == serial
+    grid = {"n_list": [4, 6], "C": 0.05, "trials": 10, "seed": 3}
+    fanned, serial = _reports_without_wall_clock(run_lower_bound(grid, jobs=2),
+                                                 run_lower_bound(grid))
+    assert fanned == serial
+
+
+def test_cli_fan_out_leaves_no_worker_behind(tmp_path):
+    path = _write_spec(tmp_path, {**_linear_spec(trials=4), "format": "csv"})
+    script = ("import sys\n"
+              "from lintest import harness\n"
+              "from lintest.cli import main\n"
+              "try:\n"
+              "    main([\"calibrate\", \"--spec\", sys.argv[1], \"--jobs\", \"2\"])\n"
+              "finally:\n"
+              "    print(*[pid for pool in harness._pools.values() for pid in pool._processes],\n"
+              "          file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    done = subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("trials,")
+    assert "Exception ignored" not in done.stderr
+    pids = [int(p) for p in done.stderr.split()]
+    assert len(pids) == (2 if (os.cpu_count() or 1) > 1 else 0)
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_run_calibrate_validation():
@@ -349,6 +454,27 @@ def test_cli_rejects_spec_keys_the_command_does_not_read(tmp_path, command, spec
     assert payload["error"] == "SpecError" and word in payload["message"]
 
 
+@pytest.mark.parametrize("command, spec, word", [
+    ("lower-bound", {"n_list": 5, "trials": 5}, "n_list"),
+    ("calibrate", {"oracle": 5, "epsilon": 0.2}, "oracle"),
+    ("query-scaling", {"epsilons": [0.2], "format": "xml"}, "format"),
+    ("lower-bound", {"n_list": [[4]], "trials": 5}, "n_list"),
+    ("lower-bound", {"n": 4, "trials": "5"}, "trials"),
+    ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "algorithm": ["df-linearity"]},
+     "algorithm"),
+    ("calibrate", {"oracle": {**_LINEAR, "family": "corrupted-linear", "corruption": 5},
+                   "epsilon": 0.2}, "corruption"),
+    ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "trials": True}, "trials"),
+])
+def test_cli_rejects_mistyped_spec_values(tmp_path, command, spec, word):
+    result = CliRunner().invoke(main, [command, "--spec", _write_spec(tmp_path, spec)])
+    assert result.exit_code == 2, result.output
+    err = getattr(result, "stderr", "") or result.output
+    lines = err.strip().splitlines()
+    payload = json.loads(lines[-1])
+    assert len(lines) == 1 and payload["error"] == "SpecError" and word in payload["message"]
+
+
 @pytest.mark.parametrize("args", [["query-scaling", "--jobs", "2"],
                                   ["query-scaling", "--epsilon", "0.1"],
                                   ["query-scaling", "--trials", "3"],
@@ -360,15 +486,13 @@ def test_cli_rejects_flags_the_command_does_not_honour(tmp_path, args):
     assert "No such option" in result.output
 
 
-def test_cli_lower_bound_accepts_the_unused_jobs_flag(tmp_path):
-    # kept because the benchmark passes --jobs to every command
-    path = _write_spec(tmp_path, {"n": 4, "trials": 5, "seed": 1})
-    plain = CliRunner().invoke(main, ["lower-bound", "--spec", path])
+def test_cli_lower_bound_jobs_gives_the_serial_report(tmp_path):
+    path = _write_spec(tmp_path, {"n_list": [4, 6], "trials": 5, "seed": 1})
+    plain = CliRunner().invoke(main, ["lower-bound", "--spec", path, "--jobs", "1"])
     jobs = CliRunner().invoke(main, ["lower-bound", "--spec", path, "--jobs", "2"])
     assert plain.exit_code == jobs.exit_code == 0
-    reports = [json.loads(r.output) for r in (plain, jobs)]
-    for report in reports:
-        report.pop("wall_clock_s")
+    reports = _reports_without_wall_clock(*(json.loads(r.output) for r in (plain, jobs)))
+    assert [(c["n"], c["C"]) for c in reports[0]["cells"]] == [(4, 0.01), (6, 0.01)]
     assert reports[0] == reports[1]
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
+from scipy.stats import kstest
 
 from lintest.distro import StandardGaussian
 from lintest.oracle import (
@@ -173,6 +174,31 @@ def test_noisy_linear_noise_ignores_the_sign_of_zero():
     vals = f.query_batch(pts)
     assert vals[0] == vals[1]
     assert vals[2] == vals[3]
+
+
+def test_noisy_linear_noise_is_a_function_of_the_point_and_the_seed():
+    f = NoisyLinear(np.zeros(3), 1.0, noise_seed=11)
+    xs = np.random.default_rng(5).standard_normal((200, 3))
+    noise = f.query_batch(xs)
+    assert np.array_equal(noise, f.query_batch(xs))
+    assert np.array_equal(noise, [f.query(x) for x in xs])  # batch and single rows agree
+    assert np.all(NoisyLinear(np.zeros(3), 1.0, noise_seed=12).query_batch(xs) != noise)
+    for j in range(3):  # one ulp away in any coordinate
+        ys = xs.copy()
+        ys[:, j] = np.nextafter(ys[:, j], np.inf)
+        assert np.all(f.query_batch(ys) != noise)
+
+
+def test_noisy_linear_noise_is_standard_normal():
+    f = NoisyLinear(np.zeros(4), 1.0, noise_seed=21)
+    xs = np.random.default_rng(6).standard_normal((100_000, 4))
+    assert len(np.unique(xs, axis=0)) == len(xs)
+    assert kstest(f.query_batch(xs), "norm").pvalue > 1e-3
+    # a lattice of small integers, whose words differ in few bits
+    i, j = np.meshgrid(np.arange(317), np.arange(317))
+    lattice = np.zeros((i.size, 4))
+    lattice[:, 0], lattice[:, 1] = i.ravel(), j.ravel()
+    assert kstest(f.query_batch(lattice), "norm").pvalue > 1e-3
 
 
 def test_norm_oracle_is_even():

@@ -2,7 +2,16 @@ import numpy as np
 from scipy.stats import chi as chi_law
 from scipy.stats import kstest
 
-from lintest.rng import chi, derive_seed, make_rng, mix64, standard_normal, uniform_open
+from lintest.rng import (
+    chi,
+    derive_seed,
+    hash_rows,
+    make_rng,
+    mix64,
+    open_unit,
+    standard_normal,
+    uniform_open,
+)
 
 
 def test_mix64_is_deterministic_and_in_range():
@@ -33,6 +42,39 @@ def test_uniform_open_avoids_endpoints():
     assert np.all(u > 0.0)
     assert np.all(u < 1.0)
     assert abs(u.mean() - 0.5) < 0.01
+
+
+class _TopBits:
+    """Stands in for a generator whose every 53-bit draw is the largest one."""
+
+    def integers(self, low, high, size=None, dtype=None):
+        return np.full(size, high - 1, dtype=dtype)
+
+
+def test_uniform_open_maps_the_top_draw_below_one():
+    u = uniform_open(_TopBits(), 4)
+    assert np.all(u < 1.0) and np.all(u == np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(standard_normal(_TopBits(), 4)))
+    # every other value is (bits + 0.5) / 2**53 as before
+    bits = np.array([0, 1, 2**52 - 1, 2**52, 2**53 - 2], dtype=np.uint64)
+    assert np.array_equal(open_unit(bits), (bits.astype(np.float64) + 0.5) / 2.0**53)
+
+
+def test_mix64_of_an_array_matches_the_scalar_mix():
+    xs = [0, 1, 12345, 2**63, 2**64 - 1]
+    assert mix64(np.array(xs, dtype=np.uint64)).tolist() == [mix64(x) for x in xs]
+
+
+def test_hash_rows_is_keyed_and_separates_single_word_changes():
+    words = np.random.default_rng(0).integers(0, 2**63, size=(1000, 3), dtype=np.uint64)
+    h = hash_rows(words, 7)
+    assert np.array_equal(h, hash_rows(words, 7))
+    assert np.all(h != hash_rows(words, 8))
+    for j in range(3):
+        flipped = words.copy()
+        flipped[:, j] ^= np.uint64(1)
+        assert np.all(hash_rows(flipped, 7) != h)
+    assert hash_rows(np.zeros((1, 3), dtype=np.uint64), 0)[0] != 0
 
 
 def test_standard_normal_moments_and_shape():
