@@ -169,12 +169,16 @@ def build_oracle(spec: dict, trial_seed: int = 0) -> FunctionOracle:
     return NoisyLinear(w, float(nz["delta"]), nz.get("seed", derive_seed(trial_seed, 3)))
 
 
-_KIND_KEYS = {  # the keys each distribution kind reads
-    "standard-gaussian": {"kind", "seed", "dim"},
-    "shifted-gaussian": {"kind", "seed", "mean", "cov"},
-    "mixture": {"kind", "seed", "weights", "components"},
-    "empirical": {"kind", "seed", "path"},
+# The keys each distribution kind needs; every kind also reads "kind" and
+# "seed", and shifted-gaussian an optional "cov".
+_KIND_REQUIRED = {
+    "standard-gaussian": ("dim",),
+    "shifted-gaussian": ("mean",),
+    "mixture": ("weights", "components"),
+    "empirical": ("path",),
 }
+_KIND_KEYS = {kind: {"kind", "seed", *keys} for kind, keys in _KIND_REQUIRED.items()}
+_KIND_KEYS["shifted-gaussian"].add("cov")
 _DIST_KEYS = set().union(*_KIND_KEYS.values())
 
 
@@ -184,6 +188,9 @@ def build_distribution(spec: dict, seed: int) -> SampleDistribution:
     if kind not in _KIND_KEYS:
         raise SpecError(f"unknown distribution kind: {kind!r}")
     _check_keys(spec, _KIND_KEYS[kind], f"{kind} distribution spec")
+    missing = [key for key in _KIND_REQUIRED[kind] if key not in spec]
+    if missing:
+        raise SpecError(f"{kind} distribution spec needs {missing}")
     seed = spec.get("seed", seed)
     if kind == "standard-gaussian":
         return StandardGaussian(spec["dim"], seed=seed)
@@ -230,6 +237,12 @@ def _fan_out(fn, items, jobs: int) -> list:
     except concurrent.futures.BrokenExecutor:
         _shutdown_pools()  # a broken pool takes no more work; the next call starts afresh
         raise
+
+
+def _report(spec: dict, command: str, seed: int, **body) -> dict:
+    """A report: the spec and the versions that make it reproducible, then its body."""
+    return {"spec": spec, "command": command, "library_version": __version__,
+            "numpy_version": np.__version__, "seed": seed, **body}
 
 
 def _run_one_trial(raw_spec: dict, trial: int) -> dict:
@@ -279,23 +292,17 @@ def run_calibrate(spec: dict, jobs: int = 1) -> dict:
     for q in queries:
         hist[str(q)] = hist.get(str(q), 0) + 1
     lo, hi = wilson_interval(accepts, trials)
-    return {
-        "spec": spec,
-        "command": "calibrate",
-        "library_version": __version__,
-        "seed": spec.get("seed", 0),
-        "aggregates": {
-            "trials": trials,
-            "accept_rate": accepts / trials,
-            "reject_rate": (trials - accepts) / trials,
-            "accept_wilson95": [lo, hi],
-            "mean_queries": sum(queries) / trials,
-            "max_queries": max(queries),
-            "query_histogram": dict(sorted(hist.items(), key=lambda kv: int(kv[0]))),
-        },
-        "verdicts": results,
-        "wall_clock_s": wall,
+    aggregates = {
+        "trials": trials,
+        "accept_rate": accepts / trials,
+        "reject_rate": (trials - accepts) / trials,
+        "accept_wilson95": [lo, hi],
+        "mean_queries": sum(queries) / trials,
+        "max_queries": max(queries),
+        "query_histogram": dict(sorted(hist.items(), key=lambda kv: int(kv[0]))),
     }
+    return _report(spec, "calibrate", spec.get("seed", 0), aggregates=aggregates,
+                   verdicts=results, wall_clock_s=wall)
 
 
 def run_query_scaling(spec: dict) -> dict:
@@ -335,16 +342,9 @@ def run_query_scaling(spec: dict) -> dict:
         })
     ratios = [r["ratio_main_stage"] for r in rows if r["ratio_main_stage"] is not None]
     band = max(ratios) / min(ratios) if ratios else None
-    return {
-        "spec": spec,
-        "command": "query-scaling",
-        "library_version": __version__,
-        "seed": seed,
-        "rows": rows,
-        "ratio_band": band,
-        "ratio_band_ok": band is not None and band < 4.0,
-        "wall_clock_s": time.perf_counter() - start,
-    }
+    return _report(spec, "query-scaling", seed, rows=rows, ratio_band=band,
+                   ratio_band_ok=band is not None and band < 4.0,
+                   wall_clock_s=time.perf_counter() - start)
 
 
 def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
@@ -364,14 +364,9 @@ def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
     cells = [LowerBoundConfig(n=n, C=float(c), trials=trials, seed=derive_seed(seed, i, j),
                               delta_override=None if override is None else float(override))
              for i, n in enumerate(n_list) for j, c in enumerate(c_list)]
-    return {
-        "spec": spec,
-        "command": "lower-bound",
-        "library_version": __version__,
-        "seed": seed,
-        "cells": [game.to_json() for game in _fan_out(run_distinguish_game, cells, jobs)],
-        "wall_clock_s": time.perf_counter() - start,
-    }
+    games = _fan_out(run_distinguish_game, cells, jobs)
+    return _report(spec, "lower-bound", seed, cells=[game.to_json() for game in games],
+                   wall_clock_s=time.perf_counter() - start)
 
 
 # Fixed CSV column orders, one schema per command.

@@ -1,16 +1,19 @@
-"""Seeded randomness: counter-based PRNG plus inverse-CDF normal draws.
+"""Seeded randomness: counter-based Philox streams and keyed hashes.
 
-Everything random in the package flows through this module so that a
-(seed, call sequence) pair reproduces bit-identical streams on any
-platform.  Philox is counter-based; normals (and chi variates) come from
-the inverse CDF applied to 53-bit uniforms, avoiding the evaluation-order
-sensitivity of Box-Muller style generators.
+A (seed, call sequence) pair reproduces bit-identical streams.  Normals
+come from the generator's ziggurat and chi variates from its chi-square
+sampler (Marsaglia & Tsang, 2000 both), each consumed in draw order, so a
+draw split into consecutive blocks equals the same draw made at once.
+numpy does not promise these streams across its versions (NEP 19): reports
+are reproducible per seed, lintest version and numpy version, and record
+both versions.  Values that must be functions of a point, not of a stream
+(NoisyLinear's noise), go through `hash_rows`, `open_unit` and the inverse
+normal CDF instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import chdtri, ndtri
 
 _MASK64 = (1 << 64) - 1
 
@@ -78,16 +81,11 @@ def open_unit(bits) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def uniform_open(rng: np.random.Generator, size=None) -> np.ndarray:
-    """Uniforms strictly inside (0, 1), safe to feed to the inverse CDF."""
-    return open_unit(rng.integers(0, 1 << 53, size=size, dtype=np.uint64))
-
-
 def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:
-    """Deterministic N(0,1) draws via the inverse-CDF method."""
-    return ndtri(uniform_open(rng, size=size))
+    """N(0,1) draws from the generator's ziggurat sampler."""
+    return rng.standard_normal(size)
 
 
 def chi(rng: np.random.Generator, df) -> np.ndarray:
-    """Deterministic chi(df) draws, one per entry of df, via the inverse chi-square CDF."""
-    return np.sqrt(chdtri(df, uniform_open(rng, size=np.shape(df))))
+    """chi(df) draws, one per entry of df, in order: square roots of chi-square draws."""
+    return np.sqrt(rng.chisquare(df))

@@ -25,7 +25,9 @@ from .rng import derive_seed, make_rng, standard_normal
 
 # Rounds of the identity battery are batched in chunks; a chunk is evaluated
 # in a handful of vectorized oracle calls and rejection reports the first
-# failing round inside it.  Accept-path query counts are unaffected.
+# failing round inside it.  Each round draws its x, y, z as one row of the
+# stream, so the chunk size changes neither the stream nor any verdict, and
+# accept-path query counts are unaffected.
 _CHUNK = 256
 
 # Queries per round of the identity battery: negation (2) + difference (3)
@@ -164,9 +166,7 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
     while remaining > 0:
         m = min(_CHUNK, remaining)
         remaining -= m
-        x = standard_normal(rng, (m, n))
-        y = standard_normal(rng, (m, n))
-        z = standard_normal(rng, (m, n))
+        x, y, z = standard_normal(rng, (m, 3, n)).transpose(1, 0, 2)  # one row per round
 
         f_negx = f.query_batch(-x)
         f_x1 = f.query_batch(x)

@@ -13,6 +13,8 @@ import weakref
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lintest import harness
 from lintest.cli import main
@@ -297,6 +299,26 @@ def test_run_lower_bound_grid():
         run_lower_bound({"C_list": [0.01]})
 
 
+def test_every_report_records_the_numpy_version():
+    reports = (run_calibrate(_linear_spec(trials=1)),
+               run_query_scaling({"epsilons": [0.2]}),
+               run_lower_bound({"n": 4, "trials": 5}))
+    for report in reports:
+        assert report["numpy_version"] == np.__version__
+        assert report["library_version"] == harness.__version__
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2**63 - 1), st.integers(1, 200),
+       st.sampled_from(["gaussian-additivity", "df-additivity", "df-linearity"]))
+def test_run_calibrate_is_deterministic_in_the_seed(seed, n, algorithm):
+    spec = {"oracle": {"family": "linear", "dim": n, "w_seed": seed}, "epsilon": 0.5,
+            "trials": 2, "seed": seed, "algorithm": algorithm}
+    a, b = run_calibrate(spec), run_calibrate(spec)
+    assert a.pop("wall_clock_s") >= 0 and b.pop("wall_clock_s") >= 0
+    assert a == b
+
+
 # --- CSV rendering -----------------------------------------------------------------
 
 
@@ -473,6 +495,25 @@ def test_cli_rejects_mistyped_spec_values(tmp_path, command, spec, word):
     lines = err.strip().splitlines()
     payload = json.loads(lines[-1])
     assert len(lines) == 1 and payload["error"] == "SpecError" and word in payload["message"]
+
+
+_GAUSS2 = {"kind": "standard-gaussian", "dim": 2}
+
+
+@pytest.mark.parametrize("distribution, key", [
+    ({"kind": "standard-gaussian"}, "dim"),
+    ({"kind": "shifted-gaussian", "cov": [[1.0]]}, "mean"),
+    ({"kind": "mixture", "components": [_GAUSS2]}, "weights"),
+    ({"kind": "mixture", "weights": [1.0]}, "components"),
+    ({"kind": "empirical"}, "path"),
+])
+def test_cli_names_the_missing_distribution_key(tmp_path, distribution, key):
+    spec = {"oracle": _LINEAR, "epsilon": 0.2, "distribution": distribution}
+    result = CliRunner().invoke(main, ["calibrate", "--spec", _write_spec(tmp_path, spec)])
+    assert result.exit_code == 2, result.output
+    err = getattr(result, "stderr", "") or result.output
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "SpecError" and f"'{key}'" in payload["message"]
 
 
 @pytest.mark.parametrize("args", [["query-scaling", "--jobs", "2"],

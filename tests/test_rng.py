@@ -1,4 +1,5 @@
 import numpy as np
+from scipy.special import ndtri
 from scipy.stats import chi as chi_law
 from scipy.stats import kstest
 
@@ -10,7 +11,6 @@ from lintest.rng import (
     mix64,
     open_unit,
     standard_normal,
-    uniform_open,
 )
 
 
@@ -37,25 +37,18 @@ def test_make_rng_reproducible_stream():
     assert not np.array_equal(a, make_rng(8).random(5))
 
 
-def test_uniform_open_avoids_endpoints():
-    u = uniform_open(make_rng(0), 100_000)
+def test_open_unit_stays_inside_the_unit_interval():
+    u = open_unit(make_rng(0).integers(0, 1 << 53, size=100_000, dtype=np.uint64))
     assert np.all(u > 0.0)
     assert np.all(u < 1.0)
     assert abs(u.mean() - 0.5) < 0.01
 
 
-class _TopBits:
-    """Stands in for a generator whose every 53-bit draw is the largest one."""
-
-    def integers(self, low, high, size=None, dtype=None):
-        return np.full(size, high - 1, dtype=dtype)
-
-
-def test_uniform_open_maps_the_top_draw_below_one():
-    u = uniform_open(_TopBits(), 4)
-    assert np.all(u < 1.0) and np.all(u == np.nextafter(1.0, 0.0))
-    assert np.all(np.isfinite(standard_normal(_TopBits(), 4)))
-    # every other value is (bits + 0.5) / 2**53 as before
+def test_open_unit_maps_the_top_value_below_one():
+    top = np.full(4, 2**53 - 1, dtype=np.uint64)
+    assert np.all(open_unit(top) == np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(ndtri(open_unit(top))))  # NoisyLinear's noise stays finite
+    # every other value is (bits + 0.5) / 2**53
     bits = np.array([0, 1, 2**52 - 1, 2**52, 2**53 - 2], dtype=np.uint64)
     assert np.array_equal(open_unit(bits), (bits.astype(np.float64) + 0.5) / 2.0**53)
 
@@ -92,3 +85,22 @@ def test_chi_draws_follow_their_laws_one_per_df():
     for df, row in zip((1, 5, 40), draws):
         assert kstest(row, chi_law(df).cdf).pvalue > 1e-3
     assert np.array_equal(draws, chi(make_rng(4), dfs))
+
+
+def test_standard_normal_split_into_blocks_equals_one_draw():
+    # probe_g's batch draws what one probe per row would, and the battery's
+    # chunks what one draw per round would: both rest on this
+    a, b, n = 7, 12, 5
+    rng = make_rng(11)
+    parts = np.concatenate([standard_normal(rng, (a, n)), standard_normal(rng, (b, n))])
+    assert np.array_equal(parts, standard_normal(make_rng(11), (a + b, n)))
+
+
+def test_chi_over_concatenated_df_equals_the_draws_made_in_parts():
+    # build_instance draws the diagonal and the subdiagonal of its
+    # bidiagonal model as one concatenated df vector
+    n = 9
+    diag, sub = np.arange(n, 0, -1), np.arange(n - 1, 0, -1)
+    rng = make_rng(12)
+    parts = np.concatenate([chi(rng, diag), chi(rng, sub)])
+    assert np.array_equal(parts, chi(make_rng(12), np.concatenate([diag, sub])))

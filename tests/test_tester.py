@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lintest import tester
 from lintest.distro import ShiftedGaussian, StandardGaussian
 from lintest.oracle import (
     ConstantShiftLinear,
@@ -137,6 +138,26 @@ def test_additivity_deterministic_in_seed():
     a = test_additivity(random_linear(4, 0), TesterConfig(epsilon=0.1, seed=9))
     b = test_additivity(random_linear(4, 0), TesterConfig(epsilon=0.1, seed=9))
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("make, outcome", [
+    (lambda: CorruptedLinear.with_mass(np.ones(5), 0.3, odd_symmetric=True), "reject"),
+    (lambda: random_linear(5, w_seed=2), "accept"),
+], ids=["odd-symmetric-corrupted", "linear"])
+def test_battery_chunk_size_changes_no_verdict(monkeypatch, make, outcome):
+    # each round draws its x, y, z as one row of the stream, so the chunk
+    # size decides only how many rounds one oracle call evaluates
+    runs = {}
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(tester, "_CHUNK", chunk)
+        runs[chunk] = [run_gaussian_additivity(make(), TesterConfig(epsilon=0.1, seed=seed))
+                       for seed in range(8)]
+    assert {v.outcome for v in runs[256]} == {outcome}
+    for verdicts in runs.values():
+        assert [(v.outcome, v.reject_site, v.transcript) for v in verdicts] == \
+            [(v.outcome, v.reject_site, v.transcript) for v in runs[256]]
+        assert [v.queries_used for v in verdicts if v.accepted] == \
+            [v.queries_used for v in runs[256] if v.accepted]
 
 
 # --- self-corrected probe ---------------------------------------------------------
