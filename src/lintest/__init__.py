@@ -27,7 +27,6 @@ from .oracle import (
     LinearOracle,
     NoisyLinear,
     NormOracle,
-    estimate_distance,
 )
 from .distro import (
     Empirical,
@@ -76,7 +75,6 @@ __all__ = [
     "NormOracle",
     "CustomOracle",
     "EqPolicy",
-    "estimate_distance",
     "SampleDistribution",
     "StandardGaussian",
     "ShiftedGaussian",

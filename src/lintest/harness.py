@@ -232,8 +232,9 @@ def _fan_out(fn, items, jobs: int) -> list:
         _shutdown_pools()
         _pools[workers] = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     try:
-        return list(_pools[workers].map(fn, items,
-                                        chunksize=max(1, len(items) // (workers * 4))))
+        # One contiguous share per worker: shipping short trials one by one
+        # costs more than running them.
+        return list(_pools[workers].map(fn, items, chunksize=max(1, len(items) // workers)))
     except concurrent.futures.BrokenExecutor:
         _shutdown_pools()  # a broken pool takes no more work; the next call starts afresh
         raise

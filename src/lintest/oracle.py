@@ -219,39 +219,3 @@ class CustomOracle(FunctionOracle):
 def random_linear(dim: int, w_seed: int) -> LinearOracle:
     """Linear oracle with w ~ N(0, I) drawn deterministically from w_seed."""
     return LinearOracle(standard_normal(make_rng(w_seed), dim))
-
-
-@dataclass(frozen=True)
-class DistanceEstimate:
-    """Empirical disagreement fraction with a Hoeffding 95% half-width."""
-
-    fraction: float
-    halfwidth: float
-    indeterminate_fraction: float = 0.0
-
-
-def estimate_distance(f: FunctionOracle, g, dist, m: int, policy: EqPolicy) -> DistanceEstimate:
-    """Fraction of m draws x ~ dist with f(x) != g(x) under the policy.
-
-    `g` is either another oracle or a probe callable p -> float | None;
-    probe failures (None) land in a separately reported indeterminate
-    bucket and do not count as disagreements.
-    """
-    if m < 1:
-        raise ValueError("need at least one sample")
-    xs = dist.draw_many(m)
-    fv = f.query_batch(xs)
-    halfwidth = float(np.sqrt(np.log(2.0 / 0.05) / (2.0 * m)))
-    if isinstance(g, FunctionOracle):
-        gv = g.query_batch(xs)
-        frac = float(np.mean(~policy.eq_arr(fv, gv)))
-        return DistanceEstimate(frac, halfwidth)
-    neq = 0
-    indet = 0
-    for i in range(m):
-        gv = g(xs[i])
-        if gv is None:
-            indet += 1
-        elif not policy.eq(float(fv[i]), float(gv)):
-            neq += 1
-    return DistanceEstimate(neq / m, halfwidth, indet / m)

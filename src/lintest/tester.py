@@ -30,6 +30,13 @@ from .rng import derive_seed, make_rng, standard_normal
 # accept-path query counts are unaffected.
 _CHUNK = 256
 
+# The main loop probes g on consecutive blocks of its points, each block
+# drawing about this many doubles, so that a block's probe arrays stay in a
+# core's cache.  Rows take their draws from the stream in order and every
+# block is evaluated, so the block size changes neither the stream, nor any
+# verdict, nor the queries used.
+_PROBE_DOUBLES = 2**15
+
 # Queries per round of the identity battery: negation (2) + difference (3)
 # + three-point split (3), each check querying its operands independently.
 QUERIES_PER_ADDITIVITY_ROUND = 8
@@ -265,7 +272,9 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
     else:
         points = d.draw_many(cfg.rounds_main)
     fp = f.query_batch(points)
-    ks, agree, v1, mag1 = probe_g(f, points, cfg, rng)
+    rows = max(1, _PROBE_DOUBLES // (cfg.rounds_queryg * f.dim))
+    blocks = [probe_g(f, points[i:i + rows], cfg, rng) for i in range(0, len(points), rows)]
+    ks, agree, v1, mag1 = (np.concatenate(parts) for parts in zip(*blocks))
     # Compare at the per-ball scale (f(p)/k vs v_1) rather than after
     # multiplying by k; identical test, better conditioned when f(p) ~ 0.
     bad = ~(agree & cfg.policy.eq_arr(fp / ks, v1, mag1))

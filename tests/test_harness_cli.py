@@ -159,14 +159,16 @@ def fresh_pools(monkeypatch):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+    """Stands in for ProcessPoolExecutor: records max_workers and chunksize, starts nothing."""
 
     started: list = []
+    chunksizes: list = []
 
     def __init__(self, max_workers):
         _SerialPool.started.append(max_workers)
 
     def map(self, fn, *iterables, chunksize=1):
+        _SerialPool.chunksizes.append(chunksize)
         return map(fn, *iterables)
 
     def shutdown(self):
@@ -190,6 +192,16 @@ def test_run_calibrate_clamps_workers(monkeypatch, fresh_pools, jobs, cpus, tria
     report.pop("wall_clock_s")
     serial.pop("wall_clock_s")
     assert report == serial
+
+
+def test_fan_out_gives_each_worker_one_contiguous_share(monkeypatch, fresh_pools):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "started", [])
+    monkeypatch.setattr(_SerialPool, "chunksizes", [])
+    assert harness._fan_out(abs, range(-20, 0), 2) == list(range(20, 0, -1))
+    assert harness._fan_out(abs, range(3), 2) == [0, 1, 2]
+    assert _SerialPool.chunksizes == [10, 1]
 
 
 def _reports_without_wall_clock(*reports):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import kstest
 
-from lintest.distro import StandardGaussian
 from lintest.oracle import (
     ConstantShiftLinear,
     CorruptedLinear,
@@ -16,7 +15,6 @@ from lintest.oracle import (
     NoisyLinear,
     NormOracle,
     OracleError,
-    estimate_distance,
     random_linear,
 )
 
@@ -218,36 +216,3 @@ def test_random_linear_is_seed_deterministic():
     b = random_linear(5, 3)
     assert np.array_equal(a.w, b.w)
     assert not np.array_equal(a.w, random_linear(5, 4).w)
-
-
-# --- distance estimation --------------------------------------------------------
-
-
-def test_estimate_distance_identical_oracles():
-    f = LinearOracle([1.0, 2.0])
-    g = LinearOracle([1.0, 2.0])
-    est = estimate_distance(f, g, StandardGaussian(2, seed=0), 2000, EqPolicy())
-    assert est.fraction == 0.0
-    assert est.indeterminate_fraction == 0.0
-
-
-def test_estimate_distance_matches_corruption_mass():
-    w = np.array([1.0, -1.0, 0.5])
-    f = CorruptedLinear.with_mass(w, 0.2)
-    g = LinearOracle(w)
-    est = estimate_distance(f, g, StandardGaussian(3, seed=1), 20_000, EqPolicy())
-    assert abs(est.fraction - 0.2) < 0.02
-    assert est.halfwidth < 0.02
-
-
-def test_estimate_distance_probe_with_indeterminates():
-    f = LinearOracle([1.0])
-
-    def probe(x):
-        return None if x[0] > 0 else float(x[0])
-
-    est = estimate_distance(f, probe, StandardGaussian(1, seed=2), 4000, EqPolicy())
-    assert est.fraction == 0.0
-    assert abs(est.indeterminate_fraction - 0.5) < 0.05
-    with pytest.raises(ValueError):
-        estimate_distance(f, probe, StandardGaussian(1, seed=2), 0, EqPolicy())

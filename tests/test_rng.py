@@ -35,6 +35,11 @@ def test_make_rng_reproducible_stream():
     b = make_rng(7).random(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, make_rng(8).random(5))
+    # SFC64 seeded through SeedSequence from the seed's low 64 bits
+    assert isinstance(make_rng(7).bit_generator, np.random.SFC64)
+    seeded = np.random.SFC64(np.random.SeedSequence(7))
+    assert np.array_equal(a, np.random.Generator(seeded).random(5))
+    assert np.array_equal(a, make_rng(7 + (1 << 64)).random(5))
 
 
 def test_open_unit_stays_inside_the_unit_interval():

@@ -8,6 +8,7 @@ from lintest.distro import ShiftedGaussian, StandardGaussian
 from lintest.oracle import (
     ConstantShiftLinear,
     CorruptedLinear,
+    CorruptionRegion,
     CustomOracle,
     LinearOracle,
     NormOracle,
@@ -160,6 +161,44 @@ def test_battery_chunk_size_changes_no_verdict(monkeypatch, make, outcome):
             [v.queries_used for v in runs[256] if v.accepted]
 
 
+def _shifted_halfspace_run(seed):
+    # a payload on u.x > 5: invisible under N(0,I), mass 0.69 under D
+    u = np.eye(5)[0]
+    f = CorruptedLinear(u, CorruptionRegion.from_threshold(u, 5.0))
+    return run_df_additivity(f, ShiftedGaussian(5.5 * u, seed=seed),
+                             TesterConfig(epsilon=0.1, seed=seed))
+
+
+@pytest.mark.parametrize("run, main_epsilon, site", [
+    (lambda seed: run_gaussian_additivity(random_linear(5, w_seed=2),
+                                          TesterConfig(epsilon=0.1, seed=seed)), 0.1, None),
+    (lambda seed: run_df_linearity(random_linear(5, w_seed=2), StandardGaussian(5, seed=seed),
+                                   TesterConfig(epsilon=0.1, seed=seed)), 0.05, None),
+    # a one-round battery lets the corruption through to the probe
+    (lambda seed: run_gaussian_additivity(CorruptedLinear.with_mass(np.ones(5), 0.01),
+                                          TesterConfig(epsilon=0.1, n_testadd=1, seed=seed)),
+     0.1, "query-g-disagreement"),
+    (_shifted_halfspace_run, 0.1, "f!=g"),
+], ids=["linear-gaussian", "linear-df-linearity", "query-g-disagreement", "f!=g-shifted"])
+def test_probe_block_size_changes_no_verdict(monkeypatch, run, main_epsilon, site):
+    # main-loop rows take their probe draws from the stream in order and every
+    # block is evaluated, so the block size decides only how many rows one
+    # probe_g call evaluates
+    doubles_per_row = default_n_queryg(main_epsilon) * 5
+    whole = default_n_main(main_epsilon)
+    runs = {}
+    for rows in (1, 7, whole):
+        monkeypatch.setattr(tester, "_PROBE_DOUBLES", rows * doubles_per_row)
+        runs[rows] = [run(seed) for seed in range(8)]
+    if site is None:
+        assert all(v.accepted for v in runs[whole])
+    else:
+        assert site in {v.reject_site for v in runs[whole]}
+    for verdicts in runs.values():
+        assert [(v.outcome, v.reject_site, v.transcript, v.queries_used) for v in verdicts] == \
+            [(v.outcome, v.reject_site, v.transcript, v.queries_used) for v in runs[whole]]
+
+
 # --- self-corrected probe ---------------------------------------------------------
 
 
@@ -297,8 +336,6 @@ def test_df_additivity_dimension_mismatch():
 
 def test_df_additivity_sees_corruption_hidden_from_the_gaussian_tester():
     # corruption on a far halfspace: invisible under N(0,I), heavy under D
-    from lintest.oracle import CorruptionRegion
-
     w = np.zeros(4)
     w[0] = 1.0
     region = CorruptionRegion.from_threshold(np.eye(4)[0], 5.0)
@@ -346,6 +383,21 @@ def test_odd_oracle_is_odd_and_counts_double():
     assert np.array_equal(odd.query_batch(-xs), -odd.query_batch(xs))
     assert odd.query_count == 40
     assert base.query_count == 80
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.floats(-12.0, 12.0), st.integers(1, 500), st.integers(0, 2**32 - 1))
+def test_odd_oracle_is_exactly_odd_at_any_scale(log_scale, n, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n)
+    base = CustomOracle(n, lambda xs: xs @ w + np.linalg.norm(xs, axis=1))  # neither odd nor even
+    odd = OddOracle(base)
+    xs = 10.0**log_scale * rng.standard_normal((7, n))
+    values = odd.query_batch(xs)
+    assert np.all(np.isfinite(values))
+    assert np.array_equal(odd.query_batch(-xs), -values)
+    assert odd.query_count == 14
+    assert base.query_count == 28
 
 
 def test_df_linearity_accepts_linear_with_exact_accounting():
