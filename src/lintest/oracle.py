@@ -80,7 +80,12 @@ class CorruptionRegion:
 
 
 class FunctionOracle:
-    """Base class: dimension, query counter, single and batched evaluation."""
+    """Base class: dimension, query counter, single and batched evaluation.
+
+    `_values` must be row-wise: a row's value may not depend on the other rows
+    of its batch, so callers may stack point sets into one call.  Its last bits
+    may depend on the row's position, so OddOracle queries x and -x apart.
+    """
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -88,10 +93,14 @@ class FunctionOracle:
         self.dim = int(dim)
         self.query_count = 0
 
-    def _check(self, xs: np.ndarray) -> np.ndarray:
+    def _points(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise OracleError(f"expected points of dimension {self.dim}, got shape {xs.shape}")
+        return xs
+
+    def _check(self, xs) -> np.ndarray:
+        xs = self._points(xs)
         if not np.all(np.isfinite(xs)):
             raise OracleError("query point has non-finite entries")
         return xs
@@ -104,8 +113,9 @@ class FunctionOracle:
 
     def query_batch(self, xs) -> np.ndarray:
         xs = self._check(xs)
-        self.query_count += xs.shape[0]
-        return self._values(xs)
+        values = self._values(xs)
+        self.query_count += xs.shape[0]  # a batch that raises costs no query
+        return values
 
     def _values(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError

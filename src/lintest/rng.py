@@ -87,9 +87,9 @@ def open_unit(bits) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:
-    """N(0,1) draws from the generator's ziggurat sampler."""
-    return rng.standard_normal(size)
+def standard_normal(rng: np.random.Generator, size=None, out=None) -> np.ndarray:
+    """N(0,1) draws from the generator's ziggurat sampler, into `out` when given."""
+    return rng.standard_normal(size, out=out)
 
 
 def chi(rng: np.random.Generator, df) -> np.ndarray:

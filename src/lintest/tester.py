@@ -24,7 +24,7 @@ from .oracle import EqPolicy, FunctionOracle
 from .rng import derive_seed, make_rng, standard_normal
 
 # Rounds of the identity battery are batched in chunks; a chunk is evaluated
-# in a handful of vectorized oracle calls and rejection reports the first
+# in one oracle call over its stacked points and rejection reports the first
 # failing round inside it.  Each round draws its x, y, z as one row of the
 # stream, so the chunk size changes neither the stream nor any verdict, and
 # accept-path query counts are unaffected.
@@ -174,19 +174,17 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
         m = min(_CHUNK, remaining)
         remaining -= m
         x, y, z = standard_normal(rng, (m, 3, n)).transpose(1, 0, 2)  # one row per round
-
-        f_negx = f.query_batch(-x)
-        f_x1 = f.query_batch(x)
+        pts = np.empty((8, m, n))  # -x, x | x-y, x, y | (x-y)/2, (x-z)/2, (z-y)/2
+        np.negative(x, out=pts[0])
+        pts[1] = pts[3] = x
+        np.subtract(x, y, out=pts[2])
+        pts[4], pts[5] = y, pts[2]
+        np.subtract(x, z, out=pts[6])
+        np.subtract(z, y, out=pts[7])
+        pts[5:] *= 0.5
+        f_negx, f_x1, f_xy, f_x2, f_y, h1, h2, h3 = f.query_batch(pts.reshape(-1, n)).reshape(8, m)
         neg_ok = eq(f_negx, -f_x1)
-
-        f_xy = f.query_batch(x - y)
-        f_x2 = f.query_batch(x)
-        f_y = f.query_batch(y)
         diff_ok = eq(f_xy, f_x2 - f_y, np.abs(f_x2) + np.abs(f_y))
-
-        h1 = f.query_batch((x - y) / 2.0)
-        h2 = f.query_batch((x - z) / 2.0)
-        h3 = f.query_batch((z - y) / 2.0)
         three_ok = eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))
 
         bad = ~(neg_ok & diff_ok & three_ok)
@@ -235,10 +233,10 @@ def probe_g(f: FunctionOracle, points, cfg: TesterConfig, rng):
     m, n = points.shape
     nq = cfg.rounds_queryg
     ks = scaling_index(points, cfg.r)
-    xs = standard_normal(rng, (m, nq, n))
-    shifted = points[:, None, :] / ks[:, None, None] - xs
-    va = f.query_batch(shifted.reshape(-1, n)).reshape(m, nq)
-    vb = f.query_batch(xs.reshape(-1, n)).reshape(m, nq)
+    pts = np.empty((2, m, nq, n))  # p/k_p - x_i, then x_i: one oracle call for both
+    xs = standard_normal(rng, out=pts[1])
+    np.subtract(points[:, None, :] / ks[:, None, None], xs, out=pts[0])
+    va, vb = f.query_batch(pts.reshape(-1, n)).reshape(2, m, nq)
     v = va + vb
     mag = np.abs(va) + np.abs(vb)
     agree = np.all(cfg.policy.eq_arr(v[:, 1:], v[:, :1], mag[:, 1:] + mag[:, :1]), axis=1)
@@ -313,6 +311,9 @@ class OddOracle(FunctionOracle):
         super().__init__(base.dim)
         self.base = base
 
+    # the shape only: the base checks every point, and -xs is finite exactly when xs is
+    _check = FunctionOracle._points
+
     def _values(self, xs):
         return 0.5 * (self.base.query_batch(xs) - self.base.query_batch(-xs))
 
@@ -326,8 +327,7 @@ def force_negativity(f: FunctionOracle, d: SampleDistribution,
         m = min(_CHUNK, remaining)
         remaining -= m
         xs = d.draw_many(m)
-        a = f.query_batch(xs)
-        b = f.query_batch(-xs)
+        a, b = f.query_batch(np.concatenate([xs, -xs])).reshape(2, m)
         bad = ~cfg.policy.eq_arr(b, -a)
         if np.any(bad):
             i = int(np.argmax(bad))

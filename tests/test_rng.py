@@ -101,6 +101,17 @@ def test_standard_normal_split_into_blocks_equals_one_draw():
     assert np.array_equal(parts, standard_normal(make_rng(11), (a + b, n)))
 
 
+def test_standard_normal_into_out_equals_the_sized_draw():
+    # probe_g draws its x_i straight into its stacked point buffer
+    rng_out, rng_size = make_rng(13), make_rng(13)
+    buf = np.empty((2, 4, 3, 5))
+    drawn = standard_normal(rng_out, out=buf[1])
+    assert drawn.shape == (4, 3, 5) and np.shares_memory(drawn, buf)
+    assert np.array_equal(buf[1], standard_normal(rng_size, (4, 3, 5)))
+    # both streams stand at the same point afterwards
+    assert np.array_equal(standard_normal(rng_out, 9), standard_normal(rng_size, 9))
+
+
 def test_chi_over_concatenated_df_equals_the_draws_made_in_parts():
     # build_instance draws the diagonal and the subdiagonal of its
     # bidiagonal model as one concatenated df vector

@@ -4,12 +4,48 @@ import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lintest").glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
 
 
 def test_library_makes_no_assert_statements():
     # python -O strips assert, so it can neither check input nor guard an invariant
-    found = [f"{path.name}:{node.lineno}" for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-             if isinstance(node, ast.Assert)]
+    found = [f"{name}:{node.lineno}" for name, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert SOURCES
     assert found == []
+
+
+def _name(node) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _defines(cls: ast.ClassDef) -> set:
+    """Names bound in a class body, by def or by assignment."""
+    names = set()
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            names.add(item.name)
+        elif isinstance(item, ast.Assign):
+            names.update(_name(target) for target in item.targets)
+    return names
+
+
+def test_every_oracle_evaluation_passes_through_query_batch():
+    # The benchmark's tracer counts queries by wrapping FunctionOracle.query_batch:
+    # an override would go untraced, and a direct _values call would
+    # evaluate points that no counter sees.
+    classes = [node for tree in TREES.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    oracles, grew = {"FunctionOracle"}, True
+    while grew:  # subclasses of subclasses, across modules
+        found = {c.name for c in classes if any(_name(b) in oracles for b in c.bases)}
+        grew, oracles = not found <= oracles, oracles | found
+    assert {"LinearOracle", "NoisyLinear", "OddOracle"} <= oracles
+    overrides = [c.name for c in classes
+                 if c.name in oracles - {"FunctionOracle"} and "query_batch" in _defines(c)]
+    assert overrides == []
+    calls = [f"{name}:{node.lineno}" for name, tree in TREES.items() if name != "oracle.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "_values"]
+    assert calls == []
