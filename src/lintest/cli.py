@@ -52,7 +52,7 @@ def _errors_as_json():
     """Report bad input as one line of JSON on stderr and exit 2."""
     try:
         yield
-    except (ValueError, OSError, KeyError) as exc:  # SpecError is a ValueError
+    except (ValueError, OSError) as exc:  # SpecError is a ValueError
         click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
         sys.exit(2)
 

@@ -9,6 +9,7 @@ densities are evaluated in log-space so nothing underflows at n >= 50.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ class GaussianError(ValueError):
 
 
 def _as_mean(mean) -> np.ndarray:
-    mu = np.atleast_1d(np.asarray(mean, dtype=float))
+    mu = np.array(mean, dtype=float, ndmin=1)  # a copy: never the caller's array
     if mu.ndim != 1 or mu.size < 1:
         raise GaussianError(f"mean must be a vector of length >= 1, got shape {mu.shape}")
     if not np.all(np.isfinite(mu)):
@@ -48,7 +49,7 @@ def _as_cov(cov, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussianDist:
-    """N(mean, cov) with a validated symmetric covariance."""
+    """N(mean, cov), validated and held as read-only copies, so instances can be shared."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -56,6 +57,7 @@ class GaussianDist:
     def __init__(self, mean, cov):
         mu = _as_mean(mean)
         c = _as_cov(cov, mu.size)
+        mu.flags.writeable = c.flags.writeable = False  # _spectral caches what cov implies
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "cov", c)
 
@@ -64,6 +66,7 @@ class GaussianDist:
         return self.mean.size
 
     @staticmethod
+    @functools.cache
     def standard(n: int) -> "GaussianDist":
         return GaussianDist(np.zeros(n), np.eye(n))
 

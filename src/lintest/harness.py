@@ -1,15 +1,16 @@
-"""Experiment harness: spec checking, trial fan-out, and report assembly.
+"""Experiment harness: spec parsing, trial fan-out, and report assembly.
 
-Specs are JSON dicts; each command rejects every key it does not read and
-every value of the wrong JSON type.  Every trial (and every lower-bound
-grid cell) derives its own seeds from the master seed through the mixing
-hash, so reports are byte-identical across re-runs and across worker
-schedules, wall-clock aside.
+Specs are JSON dicts, and one table fixes each spec context's keys with their
+JSON types and defaults.  Every trial (and every lower-bound grid cell)
+derives its own seeds from the master seed through the mixing hash, so
+reports are byte-identical across re-runs and across worker schedules,
+wall-clock aside.
 """
 
 from __future__ import annotations
 
 import atexit
+import collections
 import concurrent.futures
 import functools
 import math
@@ -51,62 +52,102 @@ class SpecError(ValueError):
     """Invalid experiment specification."""
 
 
-# The JSON type of each spec key's value; a key means the same in every spec.
-# A 1-tuple is a list whose items all have the inner type; a frozenset
-# lists the allowed strings.
-_TYPES = {
-    **dict.fromkeys(("dim", "w_seed", "seed", "trials", "r", "n"), int),
-    **dict.fromkeys(("epsilon", "shift", "mass", "payload", "threshold", "delta", "C",
-                     "delta_override"), float),
-    **dict.fromkeys(("oracle", "distribution", "corruption", "noise"), dict),
-    **dict.fromkeys(("family", "kind", "path"), str),
-    **dict.fromkeys(("w_explicit", "direction", "mean", "weights", "C_list", "epsilons"),
-                    (float,)),
-    "n_list": (int,),
-    "cov": ((float,),),
-    "components": (dict,),
-    "odd_symmetric": bool,
-    "algorithm": frozenset({"gaussian-additivity", "df-additivity", "df-linearity"}),
-    "format": frozenset({"json", "csv"}),
-}
-_TYPE_NAMES = {int: "an integer", float: "a number", dict: "a JSON object", str: "a string",
-               bool: "true or false", (float,): "a list of numbers", (int,): "a list of integers",
-               ((float,),): "a list of lists of numbers", (dict,): "a list of JSON objects"}
-_NULLABLE = {"delta_override", "direction", "cov"}  # null: derived from C / the first axis / I
+# A JSON value type: its name in error messages and a test of a parsed value.
+_Type = collections.namedtuple("_Type", "name test")
+
+
+def _list_of(name: str, item: _Type) -> _Type:
+    return _Type(f"a nonempty list of {name}",
+                 lambda v: type(v) is list and v != [] and all(map(item.test, v)))
+
+
+def _or_null(kind: _Type) -> _Type:
+    return _Type(f"{kind.name} or null", lambda v: v is None or kind.test(v))
+
+
+def _choice(*words: str) -> _Type:
+    return _Type(" or ".join(map(repr, words)), lambda v: v in words)
+
+
 # Exact Python types of parsed JSON, so that true is no number.
-_JSON_TYPES = {int: {int}, float: {int, float}, dict: {dict}, str: {str}, bool: {bool}}
+_INT = _Type("an integer", lambda v: type(v) is int)
+_NUMBER = _Type("a number", lambda v: type(v) in (int, float))
+_OBJECT = _Type("a JSON object", lambda v: type(v) is dict)
+_STRING = _Type("a string", lambda v: type(v) is str)
+_NUMBERS = _Type("a nonempty list of numbers",  # a fast path for the long weight and cov lists
+                 lambda v: type(v) is list and v != [] and {int, float}.issuperset(map(type, v)))
+_REQUIRED = object()  # in place of a default: the spec must give the key
+
+_LINEAR = {"family": (_STRING, _REQUIRED), "dim": (_INT, _REQUIRED), "w_seed": (_INT, 0),
+           "w_explicit": (_NUMBERS, None)}  # None: the weights come from w_seed
+_SAMPLER = {"kind": (_STRING, "standard-gaussian"), "seed": (_INT, None)}  # None: the caller's
+_FORMAT = {"format": (_choice("json", "csv"), "json")}  # read by the CLI
+
+# Each spec context's keys, with the JSON type and default of each (None: derived
+# in code).  The contexts are the commands, the oracle families (by "family"),
+# the nested corruption and noise objects, and the distribution kinds (by "kind").
+_SCHEMAS = {
+    "calibrate": {
+        "algorithm": (_choice("gaussian-additivity", "df-additivity", "df-linearity"),
+                      "df-additivity"),
+        "oracle": (_OBJECT, _REQUIRED), "epsilon": (_NUMBER, _REQUIRED),
+        "distribution": (_OBJECT, None),  # None: N(0, I) in the oracle's dimension
+        "trials": (_INT, 1), "seed": (_INT, 0), "r": (_INT, 50), **_FORMAT},
+    "query-scaling": {
+        "epsilons": (_NUMBERS, _REQUIRED), "seed": (_INT, 0), "r": (_INT, 50),
+        "oracle": (_OBJECT, {"family": "linear", "dim": 10, "w_seed": 1}), **_FORMAT},
+    "lower-bound": {
+        "n": (_INT, None), "n_list": (_list_of("integers", _INT), None),  # one of the two
+        "C": (_NUMBER, 0.01), "C_list": (_NUMBERS, None), "trials": (_INT, 1000),
+        "seed": (_INT, 0), "delta_override": (_or_null(_NUMBER), None), **_FORMAT},
+    "linear": _LINEAR,
+    "constant-shift-linear": {**_LINEAR, "shift": (_NUMBER, 1.0)},
+    "corrupted-linear": {**_LINEAR, "corruption": (_OBJECT, {})},
+    "noisy-linear": {**_LINEAR, "noise": (_OBJECT, {})},
+    "norm": {"family": (_STRING, _REQUIRED), "dim": (_INT, _REQUIRED)},
+    "corruption": {
+        "mass": (_NUMBER, None), "threshold": (_NUMBER, None),  # mass, or threshold
+        "payload": (_NUMBER, 1.0), "direction": (_or_null(_NUMBERS), None),  # the first axis
+        "odd_symmetric": (_Type("true or false", lambda v: type(v) is bool), False)},
+    "noise": {"delta": (_NUMBER, _REQUIRED), "seed": (_INT, None)},  # from the trial seed
+    "standard-gaussian": {**_SAMPLER, "dim": (_INT, _REQUIRED)},
+    "shifted-gaussian": {
+        **_SAMPLER, "mean": (_NUMBERS, _REQUIRED),
+        "cov": (_or_null(_list_of("nonempty lists of numbers", _NUMBERS)), None)},  # null: I
+    "mixture": {**_SAMPLER, "weights": (_NUMBERS, _REQUIRED),
+                "components": (_list_of("JSON objects", _OBJECT), _REQUIRED)},
+    "empirical": {**_SAMPLER, "path": (_STRING, _REQUIRED)},
+}
 
 
-def _has_type(value, kind) -> bool:
-    if isinstance(kind, frozenset):
-        return type(value) is str and value in kind
-    if not isinstance(kind, tuple):
-        return type(value) in _JSON_TYPES[kind]
-    if type(value) is not list:
-        return False
-    if isinstance(kind[0], tuple):
-        return all(_has_type(v, kind[0]) for v in value)
-    return _JSON_TYPES[kind[0]].issuperset(map(type, value))
-
-
-def _check_keys(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _parse(spec, context: str) -> dict:
+    """`spec` checked against its context's schema, with the defaults filled in."""
+    where = f"{context} spec"
+    if type(spec) is not dict:
+        raise SpecError(f"{where} must be a JSON object, got {spec!r}")
+    schema = _SCHEMAS[context]
+    unknown = spec.keys() - schema.keys()
     if unknown:
         raise SpecError(f"unknown field(s) in {where}: {sorted(unknown)}")
+    for key, value in spec.items():
+        kind = schema[key][0]
+        if not kind.test(value):
+            raise SpecError(f"'{key}' in {where} must be {kind.name}, got {value!r}")
+    parsed = {key: default for key, (_, default) in schema.items()} | spec
+    missing = [key for key, value in parsed.items() if value is _REQUIRED]
+    if missing:
+        raise SpecError(f"{where} needs {missing}")
+    return parsed
 
 
-def _check_spec(d, allowed: set, where: str) -> dict:
-    """Reject a spec that is not an object, holds a key outside `allowed`, or a mistyped value."""
-    if type(d) is not dict:
-        raise SpecError(f"{where} must be a JSON object, got {d!r}")
-    _check_keys(d, allowed, where)
-    for key, value in d.items():
-        kind = _TYPES[key]
-        if not (_has_type(value, kind) or value is None and key in _NULLABLE):
-            name = " or ".join(map(repr, sorted(kind))) if isinstance(kind, frozenset) \
-                else _TYPE_NAMES[kind]
-            raise SpecError(f"'{key}' in {where} must be {name}, got {value!r}")
-    return d
+def _variant(spec, group: str, key: str, default=None) -> str:
+    """The oracle family or distribution kind that `spec` names by `key`: its context."""
+    if type(spec) is not dict:
+        raise SpecError(f"{group} spec must be a JSON object, got {spec!r}")
+    name = spec[key] if key in spec else default
+    if type(name) is not str or key not in _SCHEMAS.get(name, ()):
+        raise SpecError(f"unknown {group} {key}: {name!r}")
+    return name
 
 
 def _one_of(spec: dict, one: str, other: str):
@@ -114,100 +155,56 @@ def _one_of(spec: dict, one: str, other: str):
         raise SpecError(f"give '{one}' or '{other}', not both")
 
 
-_LINEAR_KEYS = {"family", "dim", "w_seed", "w_explicit"}
-_FAMILY_KEYS = {  # the keys each oracle family reads
-    "linear": _LINEAR_KEYS,
-    "constant-shift-linear": _LINEAR_KEYS | {"shift"},
-    "corrupted-linear": _LINEAR_KEYS | {"corruption"},
-    "noisy-linear": _LINEAR_KEYS | {"noise"},
-    "norm": {"family", "dim"},
-}
-_ORACLE_KEYS = set().union(*_FAMILY_KEYS.values())
-_CORRUPTION_KEYS = {"mass", "payload", "direction", "threshold", "odd_symmetric"}
-_NOISE_KEYS = {"delta", "seed"}
-
-
 def build_oracle(spec: dict, trial_seed: int = 0) -> FunctionOracle:
     """Instantiate a fresh oracle from its JSON spec."""
-    family = _check_spec(spec, _ORACLE_KEYS, "oracle spec").get("family")
-    if family not in _FAMILY_KEYS:
-        raise SpecError(f"unknown oracle family: {family!r}")
-    _check_keys(spec, _FAMILY_KEYS[family], f"{family} oracle spec")
-    dim = spec.get("dim", 0)
+    family = _variant(spec, "oracle", "family")
+    _one_of(spec, "w_seed", "w_explicit")
+    spec = _parse(spec, family)
+    dim = spec["dim"]
     if dim < 1:
         raise SpecError("oracle spec needs a positive 'dim'")
     if family == "norm":
         return NormOracle(dim)
-    _one_of(spec, "w_seed", "w_explicit")
-    if "w_explicit" in spec:
+    if spec["w_explicit"] is None:
+        w = random_linear(dim, spec["w_seed"]).w
+    else:
         w = np.asarray(spec["w_explicit"], dtype=float)
         if w.size != dim:
             raise SpecError(f"w_explicit has length {w.size}, expected {dim}")
-    else:
-        w = random_linear(dim, spec.get("w_seed", 0)).w
     if family == "linear":
         return LinearOracle(w)
     if family == "constant-shift-linear":
-        return ConstantShiftLinear(w, float(spec.get("shift", 1.0)))
+        return ConstantShiftLinear(w, float(spec["shift"]))
     if family == "corrupted-linear":
-        c = _check_spec(spec.get("corruption", {}), _CORRUPTION_KEYS, "corruption spec")
-        payload = float(c.get("payload", 1.0))
-        odd = c.get("odd_symmetric", False)
-        direction = c.get("direction")
-        if direction is None:
-            direction = np.eye(dim)[0]
-        if "threshold" in c:
-            region = CorruptionRegion.from_threshold(direction, float(c["threshold"]))
-            return CorruptedLinear(w, region, payload, odd)
-        if "mass" not in c:
+        c = _parse(spec["corruption"], "corruption")
+        if c["threshold"] is None and c["mass"] is None:
             raise SpecError("corruption spec needs 'mass' or 'threshold'")
-        return CorruptedLinear.with_mass(w, float(c["mass"]), payload,
-                                         direction=direction, odd_symmetric=odd)
-    nz = _check_spec(spec.get("noise", {}), _NOISE_KEYS, "noise spec")
-    if "delta" not in nz:
-        raise SpecError("noise spec needs 'delta'")
-    return NoisyLinear(w, float(nz["delta"]), nz.get("seed", derive_seed(trial_seed, 3)))
-
-
-# The keys each distribution kind needs; every kind also reads "kind" and
-# "seed", and shifted-gaussian an optional "cov".
-_KIND_REQUIRED = {
-    "standard-gaussian": ("dim",),
-    "shifted-gaussian": ("mean",),
-    "mixture": ("weights", "components"),
-    "empirical": ("path",),
-}
-_KIND_KEYS = {kind: {"kind", "seed", *keys} for kind, keys in _KIND_REQUIRED.items()}
-_KIND_KEYS["shifted-gaussian"].add("cov")
-_DIST_KEYS = set().union(*_KIND_KEYS.values())
+        if c["threshold"] is None:  # with_mass takes a null direction as the first axis
+            return CorruptedLinear.with_mass(w, float(c["mass"]), float(c["payload"]),
+                                             c["direction"], c["odd_symmetric"])
+        direction = np.eye(dim)[0] if c["direction"] is None else c["direction"]
+        region = CorruptionRegion.from_threshold(direction, float(c["threshold"]))
+        return CorruptedLinear(w, region, float(c["payload"]), c["odd_symmetric"])
+    nz = _parse(spec["noise"], "noise")
+    seed = derive_seed(trial_seed, 3) if nz["seed"] is None else nz["seed"]
+    return NoisyLinear(w, float(nz["delta"]), seed)
 
 
 def build_distribution(spec: dict, seed: int) -> SampleDistribution:
     """Instantiate a sampler from its JSON spec; `seed` wins unless the spec pins one."""
-    kind = _check_spec(spec, _DIST_KEYS, "distribution spec").get("kind", "standard-gaussian")
-    if kind not in _KIND_KEYS:
-        raise SpecError(f"unknown distribution kind: {kind!r}")
-    _check_keys(spec, _KIND_KEYS[kind], f"{kind} distribution spec")
-    missing = [key for key in _KIND_REQUIRED[kind] if key not in spec]
-    if missing:
-        raise SpecError(f"{kind} distribution spec needs {missing}")
-    seed = spec.get("seed", seed)
+    kind = _variant(spec, "distribution", "kind", _SAMPLER["kind"][1])
+    spec = _parse(spec, kind)
+    seed = seed if spec["seed"] is None else spec["seed"]
     if kind == "standard-gaussian":
         return StandardGaussian(spec["dim"], seed=seed)
     if kind == "shifted-gaussian":
-        return ShiftedGaussian(spec["mean"], spec.get("cov"), seed=seed)
+        return ShiftedGaussian(spec["mean"], spec["cov"], seed=seed)
     if kind == "mixture":
         comps = [build_distribution(c, derive_seed(seed, i))
                  for i, c in enumerate(spec["components"])]
         return Mixture(spec["weights"], comps, seed=seed)
     return load_empirical(spec["path"], seed=seed)
 
-
-# The keys each command reads; "format" is read by the CLI.
-_CALIBRATE_KEYS = {"algorithm", "oracle", "distribution", "epsilon", "trials", "seed", "r",
-                   "format"}
-_QUERY_SCALING_KEYS = {"epsilons", "oracle", "seed", "r", "format"}
-_LOWER_BOUND_KEYS = {"n", "n_list", "C", "C_list", "trials", "seed", "delta_override", "format"}
 
 # One process pool per interpreter, kept while the worker count holds:
 # forking and joining workers costs more than a short command's trials.
@@ -246,45 +243,33 @@ def _report(spec: dict, command: str, seed: int, **body) -> dict:
             "numpy_version": np.__version__, "seed": seed, **body}
 
 
-def _run_one_trial(raw_spec: dict, trial: int) -> dict:
-    """One seeded tester invocation; pure in (spec, trial)."""
-    seed = raw_spec.get("seed", 0)
-    algorithm = raw_spec.get("algorithm", "df-additivity")
-    epsilon = float(raw_spec["epsilon"])
-    cfg = TesterConfig(epsilon=epsilon, r=raw_spec.get("r", 50),
+def _run_one_trial(spec: dict, trial: int) -> dict:
+    """One seeded tester invocation; pure in (parsed spec, trial)."""
+    seed = spec["seed"]
+    cfg = TesterConfig(epsilon=float(spec["epsilon"]), r=spec["r"],
                        seed=derive_seed(seed, trial, 1))
-    oracle = build_oracle(raw_spec["oracle"], trial_seed=derive_seed(seed, trial, 3))
-    if algorithm == "gaussian-additivity":
-        verdict = run_gaussian_additivity(oracle, cfg)
-    else:
-        dspec = raw_spec.get("distribution") or {"kind": "standard-gaussian",
-                                                 "dim": raw_spec["oracle"]["dim"]}
-        dist = build_distribution(dspec, derive_seed(seed, trial, 2))
-        if algorithm == "df-additivity":
-            verdict = run_df_additivity(oracle, dist, cfg)
-        else:
-            verdict = run_df_linearity(oracle, dist, cfg)
-    out = verdict.to_json()
-    out["trial"] = trial
-    return out
+    oracle = build_oracle(spec["oracle"], trial_seed=derive_seed(seed, trial, 3))
+    if spec["algorithm"] == "gaussian-additivity":
+        return {**run_gaussian_additivity(oracle, cfg).to_json(), "trial": trial}
+    dspec = ({"kind": "standard-gaussian", "dim": oracle.dim} if spec["distribution"] is None
+             else spec["distribution"])
+    dist = build_distribution(dspec, derive_seed(seed, trial, 2))
+    run = run_df_additivity if spec["algorithm"] == "df-additivity" else run_df_linearity
+    return {**run(oracle, dist, cfg).to_json(), "trial": trial}
 
 
 def run_calibrate(spec: dict, jobs: int = 1) -> dict:
     """Run `trials` independent tester invocations and aggregate the verdicts."""
-    _check_spec(spec, _CALIBRATE_KEYS, "calibrate spec")
-    if "oracle" not in spec:
-        raise SpecError("calibrate needs an 'oracle' spec")
-    if "epsilon" not in spec:
-        raise SpecError("calibrate needs 'epsilon'")
-    if spec.get("algorithm") == "gaussian-additivity" and "distribution" in spec:
+    parsed = _parse(spec, "calibrate")
+    if parsed["algorithm"] == "gaussian-additivity" and parsed["distribution"] is not None:
         raise SpecError("gaussian-additivity measures distance under N(0,I) "
                         "and reads no 'distribution'")
-    trials = spec.get("trials", 1)
+    trials = parsed["trials"]
     if trials < 1:
         raise SpecError("trials must be >= 1")
 
     start = time.perf_counter()
-    results = _fan_out(functools.partial(_run_one_trial, spec), range(trials), jobs)
+    results = _fan_out(functools.partial(_run_one_trial, parsed), range(trials), jobs)
     wall = time.perf_counter() - start
 
     accepts = sum(1 for v in results if v["outcome"] == "accept")
@@ -302,27 +287,23 @@ def run_calibrate(spec: dict, jobs: int = 1) -> dict:
         "max_queries": max(queries),
         "query_histogram": dict(sorted(hist.items(), key=lambda kv: int(kv[0]))),
     }
-    return _report(spec, "calibrate", spec.get("seed", 0), aggregates=aggregates,
+    return _report(spec, "calibrate", parsed["seed"], aggregates=aggregates,
                    verdicts=results, wall_clock_s=wall)
 
 
 def run_query_scaling(spec: dict) -> dict:
     """Sweep epsilon and compare measured accept-path queries to the closed form."""
-    _check_spec(spec, _QUERY_SCALING_KEYS, "query-scaling spec")
-    epsilons = spec.get("epsilons")
-    if not epsilons:
-        raise SpecError("query-scaling needs a nonempty 'epsilons' list")
-    epsilons = [float(e) for e in epsilons]
+    parsed = _parse(spec, "query-scaling")
+    epsilons = [float(e) for e in parsed["epsilons"]]
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise SpecError("'epsilons' must be strictly decreasing")
-    oracle_spec = spec.get("oracle") or {"family": "linear", "dim": 10, "w_seed": 1}
-    seed = spec.get("seed", 0)
+    seed = parsed["seed"]
 
     start = time.perf_counter()
     rows = []
     for i, eps in enumerate(epsilons):
-        cfg = TesterConfig(epsilon=eps, r=spec.get("r", 50), seed=derive_seed(seed, i))
-        oracle = build_oracle(oracle_spec, trial_seed=derive_seed(seed, i, 3))
+        cfg = TesterConfig(epsilon=eps, r=parsed["r"], seed=derive_seed(seed, i))
+        oracle = build_oracle(parsed["oracle"], trial_seed=derive_seed(seed, i, 3))
         verdict = run_gaussian_additivity(oracle, cfg)
         formula = cfg.accept_path_queries()
         fixed = QUERIES_PER_ADDITIVITY_ROUND * cfg.rounds_testadd
@@ -350,19 +331,19 @@ def run_query_scaling(spec: dict) -> dict:
 
 def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
     """Run the distinguishing game over an (n, C) grid, one cell per worker task."""
-    _check_spec(spec, _LOWER_BOUND_KEYS, "lower-bound spec")
+    parsed = _parse(spec, "lower-bound")
     _one_of(spec, "n", "n_list")
     _one_of(spec, "C", "C_list")
-    n_list = spec.get("n_list", [spec["n"]] if "n" in spec else [])
-    c_list = spec.get("C_list", [spec.get("C", 0.01)])
-    if not n_list or not c_list:
-        raise SpecError("lower-bound needs a nonempty n / n_list grid")
-    trials = spec.get("trials", 1000)
-    seed = spec.get("seed", 0)
-    override = spec.get("delta_override")
+    if parsed["n"] is None and parsed["n_list"] is None:
+        raise SpecError("lower-bound needs 'n' or 'n_list'")
+    n_list = [parsed["n"]] if parsed["n_list"] is None else parsed["n_list"]
+    c_list = [parsed["C"]] if parsed["C_list"] is None else parsed["C_list"]
+    seed = parsed["seed"]
+    override = parsed["delta_override"]
 
     start = time.perf_counter()
-    cells = [LowerBoundConfig(n=n, C=float(c), trials=trials, seed=derive_seed(seed, i, j),
+    cells = [LowerBoundConfig(n=n, C=float(c), trials=parsed["trials"],
+                              seed=derive_seed(seed, i, j),
                               delta_override=None if override is None else float(override))
              for i, n in enumerate(n_list) for j, c in enumerate(c_list)]
     games = _fan_out(run_distinguish_game, cells, jobs)

@@ -16,7 +16,7 @@ the only coordinates the likelihood-ratio rule reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -145,21 +145,7 @@ class GameReport:
     delta_override: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "C": self.C,
-            "trials": self.trials,
-            "seed": self.seed,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "wilson_interval": list(self.wilson_interval),
-            "mean_tv_bound": self.mean_tv_bound,
-            "max_tv_bound": self.max_tv_bound,
-            "delta_stats": self.delta_stats,
-            "resamples": self.resamples,
-            "bound_respected": self.bound_respected,
-            "delta_override": self.delta_override,
-        }
+        return {**asdict(self), "wilson_interval": list(self.wilson_interval)}
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:

@@ -9,6 +9,7 @@ from lintest.distro import (
     StandardGaussian,
     load_empirical,
 )
+from lintest.gauss_core import GaussianDist
 from lintest.rng import make_rng
 
 
@@ -22,6 +23,16 @@ def test_standard_gaussian_determinism_and_moments():
                           StandardGaussian(3, seed=5).draw_many(10))
     assert not np.array_equal(StandardGaussian(3, seed=5).draw_many(10),
                               StandardGaussian(3, seed=6).draw_many(10))
+
+
+def test_standard_gaussians_of_one_dimension_share_one_factored_dist():
+    GaussianDist.standard.cache_clear()
+    a, b = StandardGaussian(37, seed=1), StandardGaussian(37, seed=2)
+    assert a._dist is b._dist is GaussianDist.standard(37)
+    assert GaussianDist.standard.cache_info().currsize == 1
+    a.draw_many(3)
+    assert "_spectral_cache" in vars(b._dist)  # eigh(I) runs once per dimension
+    assert StandardGaussian(38, seed=1)._dist is not a._dist
 
 
 def test_draw_is_prefix_of_draw_many():

@@ -33,6 +33,18 @@ def test_rejects_asymmetric_covariance():
         GaussianDist(np.zeros(2), cov)
 
 
+def test_mean_and_cov_are_read_only_copies():
+    mean, cov = np.zeros(3), np.eye(3)
+    d = GaussianDist(mean, cov)
+    for held in (d.mean, d.cov):
+        with pytest.raises(ValueError):
+            held[0] = 5.0
+    mean[0] = 5.0  # the caller's arrays stay writable and unlinked
+    cov[:] = 4.0 * np.eye(3)
+    assert np.array_equal(d.mean, np.zeros(3)) and np.array_equal(d.cov, np.eye(3))
+    assert np.var(sample_gaussian(d, 0, size=20000)[:, 0]) < 1.1
+
+
 def test_symmetrizes_tiny_asymmetry():
     cov = np.array([[1.0, 0.3 + 1e-14], [0.3, 1.0]])
     d = GaussianDist(np.zeros(2), cov)

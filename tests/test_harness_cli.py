@@ -4,11 +4,13 @@ import gc
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lintest import harness
+from lintest import cli, harness
 from lintest.cli import main
 from lintest.harness import (
     CSV_COLUMNS,
@@ -47,6 +49,42 @@ def test_unknown_spec_fields_rejected():
         run_calibrate({"oracle": {"family": "linear", "dim": 2, "nope": 3}, "epsilon": 0.1})
     with pytest.raises(SpecError):
         build_distribution({"kind": "standard-gaussian", "dim": 2, "extra": 0}, 0)
+
+
+def test_parse_fills_every_default_and_keeps_the_given_values():
+    assert harness._parse({"n": 4, "trials": 5}, "lower-bound") == {
+        "n": 4, "n_list": None, "C": 0.01, "C_list": None, "trials": 5, "seed": 0,
+        "delta_override": None, "format": "json"}
+    assert harness._parse({"delta": 0.1}, "noise") == {"delta": 0.1, "seed": None}
+    spec = {"n": 4, "trials": 5}
+    assert run_lower_bound(spec)["spec"] == {"n": 4, "trials": 5}  # embedded as given
+    assert spec == {"n": 4, "trials": 5}
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"n_list": [], "trials": 5}, "n_list"),
+    ({"n": 4, "C_list": [], "trials": 5}, "C_list"),
+    ({"C": 0.01, "trials": 5}, "n"),
+])
+def test_lower_bound_names_an_empty_or_missing_grid_key(spec, key):
+    with pytest.raises(SpecError, match=f"'{key}'"):
+        run_lower_bound(spec)
+
+
+def _readme_spec_keys() -> dict:
+    """The README's Spec keys section: each bullet's context and the keys it lists."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Spec keys")[1].split("\n### ")[0]
+    lists = {}
+    for bullet in re.findall(r"^- (.*(?:\n  .*)*)", section, flags=re.M):
+        head, _, body = bullet.partition(":")
+        lists[re.findall(r"`([^`]+)`", head)[0]] = set(re.findall(r"`([A-Za-z_]\w*)`", body))
+    return lists
+
+
+def test_readme_lists_the_keys_of_every_spec_context():
+    assert _readme_spec_keys() == {context: set(keys)
+                                   for context, keys in harness._SCHEMAS.items()}
 
 
 def test_build_oracle_families():
@@ -300,6 +338,8 @@ def test_run_query_scaling_rows_and_band():
         run_query_scaling({"epsilons": [0.1, 0.2]})
     with pytest.raises(SpecError):
         run_query_scaling({"epsilons": []})
+    with pytest.raises(SpecError, match="family"):  # not read as the default oracle
+        run_query_scaling({"epsilons": [0.2], "oracle": {}})
 
 
 def test_run_lower_bound_grid():
@@ -499,6 +539,8 @@ def test_cli_rejects_spec_keys_the_command_does_not_read(tmp_path, command, spec
     ("calibrate", {"oracle": {**_LINEAR, "family": "corrupted-linear", "corruption": 5},
                    "epsilon": 0.2}, "corruption"),
     ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "trials": True}, "trials"),
+    ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2,
+                   "distribution": {"kind": "shifted-gaussian", "mean": []}}, "mean"),
 ])
 def test_cli_rejects_mistyped_spec_values(tmp_path, command, spec, word):
     result = CliRunner().invoke(main, [command, "--spec", _write_spec(tmp_path, spec)])
@@ -518,6 +560,7 @@ _GAUSS2 = {"kind": "standard-gaussian", "dim": 2}
     ({"kind": "mixture", "components": [_GAUSS2]}, "weights"),
     ({"kind": "mixture", "weights": [1.0]}, "components"),
     ({"kind": "empirical"}, "path"),
+    ({}, "dim"),  # an empty object is parsed as given, not read as the default N(0, I)
 ])
 def test_cli_names_the_missing_distribution_key(tmp_path, distribution, key):
     spec = {"oracle": _LINEAR, "epsilon": 0.2, "distribution": distribution}
@@ -526,6 +569,17 @@ def test_cli_names_the_missing_distribution_key(tmp_path, distribution, key):
     err = getattr(result, "stderr", "") or result.output
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "SpecError" and f"'{key}'" in payload["message"]
+
+
+def test_cli_lets_a_library_key_error_through(tmp_path, monkeypatch):
+    # Parsed specs leave no bad input that ends in a KeyError, so one is a bug, not exit 2.
+    def broken(spec, jobs=1):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "run_calibrate", broken)
+    path = _write_spec(tmp_path, {"oracle": _LINEAR, "epsilon": 0.2})
+    result = CliRunner().invoke(main, ["calibrate", "--spec", path])
+    assert isinstance(result.exception, KeyError) and result.exit_code == 1
 
 
 @pytest.mark.parametrize("args", [["query-scaling", "--jobs", "2"],

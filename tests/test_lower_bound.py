@@ -108,9 +108,12 @@ def test_game_hard_cell_stays_near_chance():
 
 def test_game_report_is_deterministic_and_json_complete():
     cfg = LowerBoundConfig(n=6, C=0.05, trials=50, seed=6)
-    a = run_distinguish_game(cfg).to_json()
+    report = run_distinguish_game(cfg)
+    a = report.to_json()
     b = run_distinguish_game(cfg).to_json()
     assert a == b
+    assert a["wilson_interval"] == list(report.wilson_interval)
+    assert type(a["wilson_interval"]) is list
     assert set(a) == {"n", "C", "trials", "seed", "successes", "success_rate",
                       "wilson_interval", "mean_tv_bound", "max_tv_bound",
                       "delta_stats", "resamples", "bound_respected", "delta_override"}
