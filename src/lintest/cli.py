@@ -11,6 +11,7 @@ import click
 
 from .harness import (
     SpecError,
+    report_format,
     report_to_csv,
     run_calibrate,
     run_lower_bound,
@@ -33,11 +34,12 @@ def _load_spec(spec_path, overrides: dict) -> dict:
     return raw
 
 
-def _emit(report: dict, output, fmt: str):
-    if fmt == "csv":
+def _emit(report: dict, output, fmt: str | None):
+    """Write the report in `fmt`, or else in the format its spec asks for."""
+    if (fmt or report_format(report)) == "csv":
         text = report_to_csv(report)
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, sort_keys=True) + "\n"  # one line, by the C encoder
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -63,7 +65,7 @@ _EPSILON = click.option("--epsilon", type=float, default=None)
 _TRIALS = click.option("--trials", type=int, default=None)
 _SEED = click.option("--seed", type=int, default=None)
 _JOBS = click.option("--jobs", type=int, default=1, show_default=True,
-                     help="Worker processes for the fan-out over trials or grid cells.")
+                     help="Worker processes for the fan-out over trials.")
 _OUTPUT = click.option("--output", type=click.Path(), default=None,
                        help="Write the report here instead of stdout.")
 _FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None)
@@ -92,7 +94,7 @@ def _calibrate_command(name: str, algorithm: str | None, doc: str):
             spec = _load_spec(spec_path, {"epsilon": epsilon, "trials": trials, "seed": seed})
             if algorithm is not None and spec.setdefault("algorithm", algorithm) != algorithm:
                 raise SpecError(f"{name} runs {algorithm}, not the spec's {spec['algorithm']!r}")
-            _emit(run_calibrate(spec, jobs=jobs), output, fmt or spec.get("format", "json"))
+            _emit(run_calibrate(spec, jobs=jobs), output, fmt)
 
     return command
 
@@ -111,7 +113,7 @@ def cmd_query_scaling(spec_path, seed, output, fmt):
     """Sweep epsilon and compare measured query counts against the closed form."""
     with _errors_as_json():
         spec = _load_spec(spec_path, {"seed": seed})
-        _emit(run_query_scaling(spec), output, fmt or spec.get("format", "json"))
+        _emit(run_query_scaling(spec), output, fmt)
 
 
 @main.command("lower-bound")
@@ -120,7 +122,7 @@ def cmd_lower_bound(spec_path, trials, seed, jobs, output, fmt):
     """Play the likelihood-ratio distinguishing game over an (n, C) grid."""
     with _errors_as_json():
         spec = _load_spec(spec_path, {"trials": trials, "seed": seed})
-        _emit(run_lower_bound(spec, jobs=jobs), output, fmt or spec.get("format", "json"))
+        _emit(run_lower_bound(spec, jobs=jobs), output, fmt)
 
 
 if __name__ == "__main__":

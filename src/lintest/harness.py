@@ -1,10 +1,10 @@
 """Experiment harness: spec parsing, trial fan-out, and report assembly.
 
 Specs are JSON dicts, and one table fixes each spec context's keys with their
-JSON types and defaults.  Every trial (and every lower-bound grid cell)
-derives its own seeds from the master seed through the mixing hash, so
-reports are byte-identical across re-runs and across worker schedules,
-wall-clock aside.
+JSON types and defaults.  Every trial (a tester run, or one game trial of a
+lower-bound grid cell) derives its own seeds from the master seed through the
+mixing hash, so reports are byte-identical across re-runs and across worker
+schedules, wall-clock aside.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .distro import (
     StandardGaussian,
     load_empirical,
 )
-from .lower_bound import LowerBoundConfig, run_distinguish_game, wilson_interval
+from .lower_bound import LowerBoundConfig, game_report, play_trial, wilson_interval
 from .oracle import (
     ConstantShiftLinear,
     CorruptedLinear,
@@ -81,7 +81,7 @@ _REQUIRED = object()  # in place of a default: the spec must give the key
 _LINEAR = {"family": (_STRING, _REQUIRED), "dim": (_INT, _REQUIRED), "w_seed": (_INT, 0),
            "w_explicit": (_NUMBERS, None)}  # None: the weights come from w_seed
 _SAMPLER = {"kind": (_STRING, "standard-gaussian"), "seed": (_INT, None)}  # None: the caller's
-_FORMAT = {"format": (_choice("json", "csv"), "json")}  # read by the CLI
+_FORMAT = {"format": (_choice("json", "csv"), "json")}  # read through report_format
 
 # Each spec context's keys, with the JSON type and default of each (None: derived
 # in code).  The contexts are the commands, the oracle families (by "family"),
@@ -177,6 +177,7 @@ def build_oracle(spec: dict, trial_seed: int = 0) -> FunctionOracle:
         return ConstantShiftLinear(w, float(spec["shift"]))
     if family == "corrupted-linear":
         c = _parse(spec["corruption"], "corruption")
+        _one_of(spec["corruption"], "mass", "threshold")
         if c["threshold"] is None and c["mass"] is None:
             raise SpecError("corruption spec needs 'mass' or 'threshold'")
         if c["threshold"] is None:  # with_mass takes a null direction as the first axis
@@ -235,6 +236,11 @@ def _fan_out(fn, items, jobs: int) -> list:
     except concurrent.futures.BrokenExecutor:
         _shutdown_pools()  # a broken pool takes no more work; the next call starts afresh
         raise
+
+
+def report_format(report: dict) -> str:
+    """The format that a report's spec asks for: its `format`, or the default."""
+    return report["spec"].get("format", _FORMAT["format"][1])
 
 
 def _report(spec: dict, command: str, seed: int, **body) -> dict:
@@ -329,8 +335,13 @@ def run_query_scaling(spec: dict) -> dict:
                    wall_clock_s=time.perf_counter() - start)
 
 
+def _play(cells: list, item: tuple[int, int]):
+    """Trial item[1] of cells[item[0]]: the unit of the lower-bound fan-out."""
+    return play_trial(cells[item[0]], item[1])
+
+
 def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
-    """Run the distinguishing game over an (n, C) grid, one cell per worker task."""
+    """Run the distinguishing game over an (n, C) grid, fanned out by trial."""
     parsed = _parse(spec, "lower-bound")
     _one_of(spec, "n", "n_list")
     _one_of(spec, "C", "C_list")
@@ -346,7 +357,11 @@ def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
                               seed=derive_seed(seed, i, j),
                               delta_override=None if override is None else float(override))
              for i, n in enumerate(n_list) for j, c in enumerate(c_list)]
-    games = _fan_out(run_distinguish_game, cells, jobs)
+    # Trial-major, so that each worker's contiguous share holds a slice of
+    # every cell, whatever the cells cost; only (cell, trial) pairs are shipped.
+    items = [(cell, trial) for trial in range(parsed["trials"]) for cell in range(len(cells))]
+    outcomes = _fan_out(functools.partial(_play, cells), items, jobs)
+    games = [game_report(cfg, outcomes[cell::len(cells)]) for cell, cfg in enumerate(cells)]
     return _report(spec, "lower-bound", seed, cells=[game.to_json() for game in games],
                    wall_clock_s=time.perf_counter() - start)
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .rng import chi, make_rng, standard_normal
+from .rng import chi, derive_seed, make_rng, standard_normal
 
 _DEGENERACY_FLOOR = 1e-10
 _MAX_RESAMPLES = 10
@@ -80,7 +80,9 @@ def build_instance(cfg: LowerBoundConfig, rng=None) -> tuple[SampleMatrix, float
     can surface it.  Degeneracy has measure zero, so the cap never binds in
     practice.
     """
-    from scipy.linalg import eigvalsh_tridiagonal  # imported here: only the game pays for it
+    # Imported here: only the game pays for scipy.linalg.  dsterf is the
+    # routine eigvalsh_tridiagonal ends in, without its per-call checks.
+    from scipy.linalg.lapack import dsterf
 
     rng = rng if rng is not None else make_rng(cfg.seed)
     n = cfg.n
@@ -91,7 +93,10 @@ def build_instance(cfg: LowerBoundConfig, rng=None) -> tuple[SampleMatrix, float
         a, b = c[:n], c[n:]
         diag = a * a
         diag[1:] += b * b
-        sm = SampleMatrix(eigvalsh_tridiagonal(diag, a[:-1] * b))
+        eigvals, info = dsterf(diag, a[:-1] * b)
+        if info != 0:
+            raise LowerBoundError(f"tridiagonal eigenvalue solve failed (dsterf info {info})")
+        sm = SampleMatrix(eigvals)
         if sm.eigvals[0] > _DEGENERACY_FLOOR:
             break
         resamples += 1
@@ -159,46 +164,42 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (max(0.0, centre - half), min(1.0, centre + half))
 
 
-def run_distinguish_game(cfg: LowerBoundConfig) -> GameReport:
-    """Play the yes/no distinguishing game with the likelihood-ratio rule.
+def play_trial(cfg: LowerBoundConfig, t: int) -> tuple[bool, float, float, int]:
+    """Play trial t of the yes/no game with the likelihood-ratio rule.
 
-    Per trial: draw the Gram spectrum lambda, flip a fair coin, and draw the
-    observation v = Xw (yes) or v = Xw + eps, eps ~ N(0, delta I) (no), as
-    its coordinates y = U^T v in the Gram eigenbasis: given lambda, y is
+    The trial has its own stream, make_rng(derive_seed(cfg.seed, t)), so its
+    outcome is pure in (cfg, t): trials may run in any order and any process.
+    Draw the Gram spectrum lambda, flip a fair coin, and draw the observation
+    v = Xw (yes) or v = Xw + eps, eps ~ N(0, delta I) (no), as its
+    coordinates y = U^T v in the Gram eigenbasis: given lambda, y is
     N(0, diag(lambda)) or N(0, diag(lambda + delta)).  Classify y by the sign
     of the log-likelihood ratio of no over yes (twice it is
     sum(delta y^2 / (lambda (lambda + delta)) - log1p(delta / lambda)));
-    a ratio of exactly 0, as at delta = 0, goes to a coin flip.  The LR rule
-    is the TV-optimal distinguisher, so its empirical success rate certifies
-    that no algorithm beats 1/2 + TV/2.
+    a ratio of exactly 0, as at delta = 0, goes to a coin flip.
+
+    Returns (success, TV bound, delta, resamples).
     """
-    rng = make_rng(cfg.seed)
-    successes = 0
-    total_resamples = 0
-    tv_sum = 0.0
-    tv_max = 0.0
-    deltas = []
-    for _ in range(cfg.trials):
-        sm, delta, resamples = build_instance(cfg, rng)
-        total_resamples += resamples
-        deltas.append(delta)
-        tv = tv_bound(sm, delta)
-        tv_sum += tv
-        tv_max = max(tv_max, tv)
+    rng = make_rng(derive_seed(cfg.seed, t))
+    sm, delta, resamples = build_instance(cfg, rng)
+    lam = sm.eigvals
+    truth_yes = bool(rng.random() < 0.5)
+    y2 = (lam if truth_yes else lam + delta) * standard_normal(rng, cfg.n) ** 2
+    llr = float(np.sum(delta * y2 / (lam * (lam + delta)) - np.log1p(delta / lam)))
+    guess_yes = bool(rng.random() < 0.5) if llr == 0.0 else llr < 0.0
+    return guess_yes == truth_yes, tv_bound(sm, delta), delta, resamples
 
-        lam = sm.eigvals
-        truth_yes = bool(rng.random() < 0.5)
-        y2 = (lam if truth_yes else lam + delta) * standard_normal(rng, cfg.n) ** 2
-        llr = float(np.sum(delta * y2 / (lam * (lam + delta)) - np.log1p(delta / lam)))
-        guess_yes = bool(rng.random() < 0.5) if llr == 0.0 else llr < 0.0
-        if guess_yes == truth_yes:
-            successes += 1
 
+def game_report(cfg: LowerBoundConfig, outcomes) -> GameReport:
+    """Aggregate a cell's `play_trial` outcomes, in trial order, into its report.
+
+    The LR rule is the TV-optimal distinguisher, so the empirical success rate
+    certifies that no algorithm beats 1/2 + TV/2.
+    """
+    wins, tvs, deltas, resamples = zip(*outcomes)
+    successes = sum(wins)
     rate = successes / cfg.trials
-    mean_tv = tv_sum / cfg.trials
+    mean_tv = sum(tvs) / cfg.trials
     stderr = math.sqrt(max(rate * (1 - rate), 1e-12) / cfg.trials)
-    respected = rate <= 0.5 + 0.5 * mean_tv + 3 * stderr
-    deltas_arr = np.asarray(deltas)
     return GameReport(
         n=cfg.n,
         C=cfg.C,
@@ -208,13 +209,14 @@ def run_distinguish_game(cfg: LowerBoundConfig) -> GameReport:
         success_rate=rate,
         wilson_interval=wilson_interval(successes, cfg.trials),
         mean_tv_bound=mean_tv,
-        max_tv_bound=tv_max,
-        delta_stats={
-            "min": float(deltas_arr.min()),
-            "mean": float(deltas_arr.mean()),
-            "max": float(deltas_arr.max()),
-        },
-        resamples=total_resamples,
-        bound_respected=respected,
+        max_tv_bound=max(tvs),
+        delta_stats={"min": min(deltas), "mean": float(np.mean(deltas)), "max": max(deltas)},
+        resamples=sum(resamples),
+        bound_respected=rate <= 0.5 + 0.5 * mean_tv + 3 * stderr,
         delta_override=cfg.delta_override,
     )
+
+
+def run_distinguish_game(cfg: LowerBoundConfig) -> GameReport:
+    """Play the cell's trials in order, in-process, and aggregate them."""
+    return game_report(cfg, [play_trial(cfg, t) for t in range(cfg.trials)])

@@ -197,17 +197,22 @@ def fresh_pools(monkeypatch):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and chunksize, starts nothing."""
+    """Stands in for ProcessPoolExecutor: records max_workers, chunksize and the items
+    of each contiguous share, starts nothing."""
 
     started: list = []
     chunksizes: list = []
+    shares: list = []
 
     def __init__(self, max_workers):
         _SerialPool.started.append(max_workers)
 
-    def map(self, fn, *iterables, chunksize=1):
+    def map(self, fn, items, chunksize=1):
         _SerialPool.chunksizes.append(chunksize)
-        return map(fn, *iterables)
+        items = list(items)
+        _SerialPool.shares.append([items[i:i + chunksize]
+                                   for i in range(0, len(items), chunksize)])
+        return map(fn, items)
 
     def shutdown(self):
         pass
@@ -240,6 +245,25 @@ def test_fan_out_gives_each_worker_one_contiguous_share(monkeypatch, fresh_pools
     assert harness._fan_out(abs, range(-20, 0), 2) == list(range(20, 0, -1))
     assert harness._fan_out(abs, range(3), 2) == [0, 1, 2]
     assert _SerialPool.chunksizes == [10, 1]
+
+
+def test_lower_bound_fans_out_trials_not_cells(monkeypatch, fresh_pools):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "shares", [])
+    one_cell = run_lower_bound({"n": 4, "trials": 20, "seed": 1}, jobs=2)
+    (shares,) = _SerialPool.shares
+    assert shares == [[(0, t) for t in range(10)], [(0, t) for t in range(10, 20)]]
+    _SerialPool.shares.clear()
+    grid = run_lower_bound({"n_list": [4, 6], "trials": 20, "seed": 1}, jobs=2)
+    (shares,) = _SerialPool.shares
+    assert [len(share) for share in shares] == [20, 20]
+    for share in shares:  # trial-major: every share holds a slice of both cells
+        assert {cell for cell, _ in share} == {0, 1}
+    for report, spec in ((one_cell, {"n": 4}), (grid, {"n_list": [4, 6]})):
+        fanned, serial = _reports_without_wall_clock(
+            report, run_lower_bound({**spec, "trials": 20, "seed": 1}))
+        assert fanned == serial
 
 
 def _reports_without_wall_clock(*reports):
@@ -285,10 +309,12 @@ def test_fan_out_reports_match_serial_across_specs(fresh_pools):
         fanned, serial = _reports_without_wall_clock(run_calibrate(spec, jobs=2),
                                                      run_calibrate(spec))
         assert fanned == serial
-    grid = {"n_list": [4, 6], "C": 0.05, "trials": 10, "seed": 3}
-    fanned, serial = _reports_without_wall_clock(run_lower_bound(grid, jobs=2),
-                                                 run_lower_bound(grid))
-    assert fanned == serial
+    for grid in ({"n_list": [4, 6], "C": 0.05, "trials": 10, "seed": 3},
+                 {"n": 5, "trials": 7, "seed": 4},  # one cell
+                 {"n_list": [3, 5], "C_list": [0.01, 0.2], "trials": 6, "seed": 8}):
+        fanned, serial = _reports_without_wall_clock(run_lower_bound(grid, jobs=2),
+                                                     run_lower_bound(grid))
+        assert fanned == serial
 
 
 def test_cli_fan_out_leaves_no_worker_behind(tmp_path):
@@ -601,6 +627,44 @@ def test_cli_lower_bound_jobs_gives_the_serial_report(tmp_path):
     reports = _reports_without_wall_clock(*(json.loads(r.output) for r in (plain, jobs)))
     assert [(c["n"], c["C"]) for c in reports[0]["cells"]] == [(4, 0.01), (6, 0.01)]
     assert reports[0] == reports[1]
+
+
+def test_cli_rejects_mass_with_threshold(tmp_path):
+    oracle = {**_LINEAR, "family": "corrupted-linear",
+              "corruption": {"mass": 0.3, "threshold": 5.0}}
+    path = _write_spec(tmp_path, {"oracle": oracle, "epsilon": 0.2})
+    result = CliRunner().invoke(main, ["calibrate", "--spec", path])
+    assert result.exit_code == 2, result.output
+    err = getattr(result, "stderr", "") or result.output
+    lines = err.strip().splitlines()
+    payload = json.loads(lines[-1])
+    assert len(lines) == 1 and payload["error"] == "SpecError"
+    assert "mass" in payload["message"] and "threshold" in payload["message"]
+
+
+@pytest.mark.parametrize("spec_format, flag, csv", [
+    (None, [], False),               # the schema's default
+    ("csv", [], True),               # the spec's format
+    ("csv", ["--format", "json"], False),  # the flag wins over the spec
+])
+def test_cli_format_comes_from_the_flag_then_the_spec(tmp_path, spec_format, flag, csv):
+    spec = {"epsilons": [0.2]} if spec_format is None else \
+        {"epsilons": [0.2], "format": spec_format}
+    path = _write_spec(tmp_path, spec)
+    result = CliRunner().invoke(main, ["query-scaling", "--spec", path, *flag])
+    assert result.exit_code == 0, result.output
+    if csv:
+        assert result.output.startswith(",".join(CSV_COLUMNS["query-scaling"]) + "\n")
+    else:
+        assert json.loads(result.output)["command"] == "query-scaling"
+
+
+def test_cli_json_report_is_one_line(tmp_path):
+    path = _write_spec(tmp_path, {"n": 4, "trials": 5, "seed": 2})
+    result = CliRunner().invoke(main, ["lower-bound", "--spec", path])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert result.output == json.dumps(report, sort_keys=True) + "\n"
 
 
 def test_cli_lower_bound_tiny_delta_override_exits_cleanly(tmp_path):

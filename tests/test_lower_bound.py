@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -12,6 +15,8 @@ from lintest.lower_bound import (
     SampleMatrix,
     build_instance,
     derive_delta,
+    game_report,
+    play_trial,
     run_distinguish_game,
     tv_bound,
     wilson_interval,
@@ -119,6 +124,21 @@ def test_game_report_is_deterministic_and_json_complete():
                       "delta_stats", "resamples", "bound_respected", "delta_override"}
 
 
+def test_game_is_the_aggregate_of_its_trials():
+    cfg = LowerBoundConfig(n=6, C=0.05, trials=12, seed=6)
+    outcomes = [play_trial(cfg, t) for t in range(cfg.trials)]
+    assert run_distinguish_game(cfg) == game_report(cfg, outcomes)
+
+
+def test_play_trial_does_not_depend_on_the_other_trials():
+    cfg = LowerBoundConfig(n=7, C=0.1, trials=10, seed=11)
+    in_order = [play_trial(cfg, t) for t in range(10)]
+    backwards = [play_trial(cfg, t) for t in reversed(range(10))][::-1]
+    assert backwards == in_order
+    assert play_trial(cfg, 6) == in_order[6]  # alone, after no other trial
+    assert play_trial(LowerBoundConfig(n=7, C=0.1, trials=500, seed=11), 6) == in_order[6]
+
+
 # --- the spectrum-only path against the dense reference ------------------------------
 
 
@@ -152,6 +172,38 @@ def test_tridiagonal_solve_matches_dense_eigvalsh_on_one_bidiagonal():
     # delta is proportional to lambda_min, so it needs relative accuracy
     assert tri[0] == pytest.approx(dense[0], rel=1e-10)
     assert np.allclose(tri, dense, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 200])
+def test_build_instance_spectrum_equals_eigvalsh_tridiagonal_bit_for_bit(n):
+    cfg = LowerBoundConfig(n=n, trials=1, seed=0)
+    dfs = np.concatenate([np.arange(n, 0, -1), np.arange(n - 1, 0, -1)])
+    ours, ref = make_rng(40 + n), make_rng(40 + n)  # the same stream, drawn twice
+    for _ in range(20):
+        c = chi(ref, dfs)
+        a, b = c[:n], c[n:]
+        expected = eigvalsh_tridiagonal(a * a + np.concatenate([[0.0], b * b]), a[:-1] * b)
+        assert np.array_equal(build_instance(cfg, ours)[0].eigvals, expected)
+
+
+def test_importing_the_library_leaves_scipy_linalg_unloaded():
+    import lintest
+
+    src = os.path.dirname(os.path.dirname(lintest.__file__))
+    script = ("import sys, lintest, lintest.cli\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_build_instance_raises_on_a_failed_tridiagonal_solve(monkeypatch):
+    import scipy.linalg.lapack
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e, **_: (d, 1))
+    with pytest.raises(LowerBoundError, match="info 1"):
+        build_instance(LowerBoundConfig(n=4, trials=1, seed=0), make_rng(0))
 
 
 def _dense_route_successes(n, delta, trials, seed):
