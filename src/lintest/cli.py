@@ -39,7 +39,8 @@ def _emit(report: dict, output, fmt: str | None):
     if (fmt or report_format(report)) == "csv":
         text = report_to_csv(report)
     else:
-        text = json.dumps(report, sort_keys=True) + "\n"  # one line, by the C encoder
+        # One line, by the C encoder; NaN and infinities are no JSON.
+        text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -65,7 +66,7 @@ _EPSILON = click.option("--epsilon", type=float, default=None)
 _TRIALS = click.option("--trials", type=int, default=None)
 _SEED = click.option("--seed", type=int, default=None)
 _JOBS = click.option("--jobs", type=int, default=1, show_default=True,
-                     help="Worker processes for the fan-out over trials.")
+                     help="Processes that share the trials, the calling one included.")
 _OUTPUT = click.option("--output", type=click.Path(), default=None,
                        help="Write the report here instead of stdout.")
 _FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None)

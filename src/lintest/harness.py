@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import atexit
 import collections
-import concurrent.futures
+import contextlib
 import functools
 import math
+import multiprocessing.connection
 import os
+import sys
 import time
 
 import numpy as np
@@ -69,13 +71,15 @@ def _choice(*words: str) -> _Type:
     return _Type(" or ".join(map(repr, words)), lambda v: v in words)
 
 
-# Exact Python types of parsed JSON, so that true is no number.
+# Exact Python types of parsed JSON, so that true is no number, and exact
+# comparisons, so that NaN, infinities and ints beyond the double range fail.
 _INT = _Type("an integer", lambda v: type(v) is int)
-_NUMBER = _Type("a number", lambda v: type(v) in (int, float))
+_NUMBER = _Type("a finite number", lambda v: _NUMBERS.test([v]))
 _OBJECT = _Type("a JSON object", lambda v: type(v) is dict)
 _STRING = _Type("a string", lambda v: type(v) is str)
-_NUMBERS = _Type("a nonempty list of numbers",  # a fast path for the long weight and cov lists
-                 lambda v: type(v) is list and v != [] and {int, float}.issuperset(map(type, v)))
+_NUMBERS = _Type("a nonempty list of finite numbers",  # builtins only, for long weight/cov lists
+                 lambda v: type(v) is list and v != [] and {int, float}.issuperset(map(type, v))
+                 and all(map(sys.float_info.max.__ge__, map(abs, v))))
 _REQUIRED = object()  # in place of a default: the spec must give the key
 
 _LINEAR = {"family": (_STRING, _REQUIRED), "dim": (_INT, _REQUIRED), "w_seed": (_INT, 0),
@@ -113,7 +117,8 @@ _SCHEMAS = {
     "standard-gaussian": {**_SAMPLER, "dim": (_INT, _REQUIRED)},
     "shifted-gaussian": {
         **_SAMPLER, "mean": (_NUMBERS, _REQUIRED),
-        "cov": (_or_null(_list_of("nonempty lists of numbers", _NUMBERS)), None)},  # null: I
+        "cov": (_or_null(_list_of("nonempty lists of finite numbers", _NUMBERS)),
+                None)},  # null: I
     "mixture": {**_SAMPLER, "weights": (_NUMBERS, _REQUIRED),
                 "components": (_list_of("JSON objects", _OBJECT), _REQUIRED)},
     "empirical": {**_SAMPLER, "path": (_STRING, _REQUIRED)},
@@ -207,35 +212,73 @@ def build_distribution(spec: dict, seed: int) -> SampleDistribution:
     return load_empirical(spec["path"], seed=seed)
 
 
-# One process pool per interpreter, kept while the worker count holds:
-# forking and joining workers costs more than a short command's trials.
-_pools: dict = {}  # at most one pool, keyed by its worker count
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _shutdown_pools():
-    while _pools:
-        _pools.popitem()[1].shutdown()
+_workers: list = []  # (process, pipe end) of each worker, kept while the worker count holds
 
 
-atexit.register(_shutdown_pools)
+def _run_share(fn, share):
+    """[fn(item) for item in share], or the exception that one of the calls raised."""
+    try:
+        return [fn(item) for item in share]
+    except Exception as exc:
+        return exc
+
+
+def _serve(conn):
+    """A worker: send back `_run_share` of each (fn, share) sent, until the stop message
+    (EOF would not come: workers forked later hold copies of the parent's pipe end)."""
+    while (task := conn.recv()) is not None:
+        conn.send(_run_share(*task))
+
+
+def _stop_workers():
+    """Send each worker the stop message, and join it."""
+    while _workers:
+        process, conn = _workers.pop()
+        with contextlib.suppress(OSError):  # a dead worker takes no message
+            conn.send(None)
+        conn.close()
+        process.join()
+
+
+# Runs before multiprocessing's exit hook, registered earlier, which SIGTERMs daemonic workers.
+atexit.register(_stop_workers)
 
 
 def _fan_out(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], on up to `jobs` worker processes when that pays."""
-    # More workers than cores or items only adds process start-up.
-    workers = max(1, min(jobs, os.cpu_count() or 1, len(items)))
-    if workers == 1:
+    """[fn(item) for item in items], over up to `jobs` processes, the calling one included."""
+    n = max(1, min(jobs, _usable_cores(), len(items)))  # more would only add start-up
+    if n == 1:
         return [fn(item) for item in items]
-    if workers not in _pools:
-        _shutdown_pools()
-        _pools[workers] = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    if len(_workers) != n - 1:  # forking costs more than a short command's trials
+        _stop_workers()
+        for conn, child in (multiprocessing.connection.Pipe() for _ in range(n - 1)):
+            _workers.append((multiprocessing.Process(target=_serve, args=(child,), daemon=True),
+                             conn))
+            _workers[-1][0].start()
+            child.close()  # so that the worker's death reads as EOF here
+    # One contiguous share per process, the first and smallest for this one:
+    # shipping short trials one by one costs more than running them.
+    shares = [items[len(items) * k // n:len(items) * (k + 1) // n] for k in range(n)]
     try:
-        # One contiguous share per worker: shipping short trials one by one
-        # costs more than running them.
-        return list(_pools[workers].map(fn, items, chunksize=max(1, len(items) // workers)))
-    except concurrent.futures.BrokenExecutor:
-        _shutdown_pools()  # a broken pool takes no more work; the next call starts afresh
+        for (_, conn), share in zip(_workers, shares[1:]):
+            conn.send((fn, share))
+        replies = [_run_share(fn, shares[0])] + [conn.recv() for _, conn in _workers]
+    except BaseException as exc:
+        for process, _ in _workers:  # a reply may be pending: let none reach a later call
+            process.terminate()
+        _stop_workers()
+        if isinstance(exc, (EOFError, OSError)):  # here only the pipes raise these
+            raise multiprocessing.ProcessError("a fan-out worker died") from exc
         raise
+    for reply in replies:
+        if isinstance(reply, Exception):
+            raise reply
+    return [result for reply in replies for result in reply]
 
 
 def report_format(report: dict) -> str:
@@ -280,9 +323,6 @@ def run_calibrate(spec: dict, jobs: int = 1) -> dict:
 
     accepts = sum(1 for v in results if v["outcome"] == "accept")
     queries = [v["queries_used"] for v in results]
-    hist: dict[str, int] = {}
-    for q in queries:
-        hist[str(q)] = hist.get(str(q), 0) + 1
     lo, hi = wilson_interval(accepts, trials)
     aggregates = {
         "trials": trials,
@@ -291,7 +331,7 @@ def run_calibrate(spec: dict, jobs: int = 1) -> dict:
         "accept_wilson95": [lo, hi],
         "mean_queries": sum(queries) / trials,
         "max_queries": max(queries),
-        "query_histogram": dict(sorted(hist.items(), key=lambda kv: int(kv[0]))),
+        "query_histogram": {str(q): k for q, k in sorted(collections.Counter(queries).items())},
     }
     return _report(spec, "calibrate", parsed["seed"], aggregates=aggregates,
                    verdicts=results, wall_clock_s=wall)
@@ -382,11 +422,7 @@ CSV_COLUMNS = {
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)  # shortest round-trip
-    if v is None:
-        return ""
-    return str(v)
+    return "" if v is None else str(v)  # a float's str is its shortest round-trip repr
 
 
 def report_to_csv(report: dict) -> str:

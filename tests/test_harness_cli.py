@@ -1,14 +1,15 @@
-import concurrent.futures
 import contextlib
+import functools
 import gc
 import io
+import itertools
 import json
+import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
-import time
 import weakref
 from pathlib import Path
 
@@ -189,77 +190,95 @@ def test_run_calibrate_deterministic_and_jobs_invariant():
 
 
 @pytest.fixture
-def fresh_pools(monkeypatch):
-    """An empty pool cache for one test, shut down when the test ends."""
-    monkeypatch.setattr(harness, "_pools", {})
-    yield harness._pools
-    harness._shutdown_pools()
+def fresh_workers():
+    """The harness's workers, none at the start of the test and stopped at its end."""
+    harness._stop_workers()
+    yield harness._workers
+    harness._stop_workers()
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, chunksize and the items
-    of each contiguous share, starts nothing."""
+def _where(fn, item):
+    """fn(item), with the id of the process that ran it."""
+    return os.getpid(), fn(item)
 
-    started: list = []
-    chunksizes: list = []
-    shares: list = []
 
-    def __init__(self, max_workers):
-        _SerialPool.started.append(max_workers)
+@pytest.fixture
+def shares(monkeypatch):
+    """Records, for each `_fan_out` call, the items that each process ran, as
+    (pid, contiguous run of items) pairs in item order."""
+    calls = []
+    fan_out = harness._fan_out
 
-    def map(self, fn, items, chunksize=1):
-        _SerialPool.chunksizes.append(chunksize)
-        items = list(items)
-        _SerialPool.shares.append([items[i:i + chunksize]
-                                   for i in range(0, len(items), chunksize)])
-        return map(fn, items)
+    def spy(fn, items, jobs):
+        tagged = fan_out(functools.partial(_where, fn), items, jobs)
+        runs = itertools.groupby(zip(tagged, items), key=lambda pair: pair[0][0])
+        calls.append([(pid, [item for _, item in run]) for pid, run in runs])
+        return [result for _, result in tagged]
 
-    def shutdown(self):
-        pass
+    monkeypatch.setattr(harness, "_fan_out", spy)
+    return calls
+
+
+def _one_share_each(call, processes):
+    """The shares of one call: one contiguous run per process, the caller's first."""
+    pids = [pid for pid, _ in call]
+    assert len(pids) == len(set(pids)) == processes
+    assert pids[0] == os.getpid()
+    return [run for _, run in call]
 
 
 @pytest.mark.parametrize("jobs, cpus, trials, workers", [
     (64, 2, 4, [2]),      # clamped to the cores
     (8, 16, 3, [3]),      # clamped to the trials
     (4, 8, 1, []),        # one trial runs in-process
-    (4, None, 4, []),     # unknown core count counts as one
+    (4, None, 4, []),     # no affinity and an unknown core count count as one core
     (0, 8, 4, []),        # nonpositive jobs run in-process
 ])
-def test_run_calibrate_clamps_workers(monkeypatch, fresh_pools, jobs, cpus, trials, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "started", [])
+def test_run_calibrate_clamps_workers(monkeypatch, fresh_workers, shares, jobs, cpus, trials,
+                                      workers):
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cpus)
     report = run_calibrate(_linear_spec(trials=trials), jobs=jobs)
-    assert _SerialPool.started == workers
+    (call,) = shares
+    processes = workers[0] if workers else 1  # the calling process included
+    _one_share_each(call, processes)
+    assert len(fresh_workers) == processes - 1
     serial = run_calibrate(_linear_spec(trials=trials))
-    report.pop("wall_clock_s")
-    serial.pop("wall_clock_s")
-    assert report == serial
+    assert _reports_without_wall_clock(report, serial)[0] == serial
 
 
-def test_fan_out_gives_each_worker_one_contiguous_share(monkeypatch, fresh_pools):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "started", [])
-    monkeypatch.setattr(_SerialPool, "chunksizes", [])
+def test_usable_cores_reads_the_affinity_then_the_core_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert harness._usable_cores() == 2  # pinned to 2 of 8 cores, as under taskset
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness._usable_cores() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._usable_cores() == 1  # an unknown core count counts as one
+
+
+def test_fan_out_gives_each_worker_one_contiguous_share(monkeypatch, fresh_workers, shares):
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
     assert harness._fan_out(abs, range(-20, 0), 2) == list(range(20, 0, -1))
     assert harness._fan_out(abs, range(3), 2) == [0, 1, 2]
-    assert _SerialPool.chunksizes == [10, 1]
+    assert harness._fan_out(abs, range(7), 3) == list(range(7))
+    assert [_one_share_each(call, n) for call, n in zip(shares, (2, 2, 3))] == [
+        [list(range(-20, -10)), list(range(-10, 0))],
+        [[0], [1, 2]],  # the calling process takes the smaller share
+        [[0, 1], [2, 3], [4, 5, 6]]]
 
 
-def test_lower_bound_fans_out_trials_not_cells(monkeypatch, fresh_pools):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "shares", [])
+def test_lower_bound_fans_out_trials_not_cells(monkeypatch, fresh_workers, shares):
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     one_cell = run_lower_bound({"n": 4, "trials": 20, "seed": 1}, jobs=2)
-    (shares,) = _SerialPool.shares
-    assert shares == [[(0, t) for t in range(10)], [(0, t) for t in range(10, 20)]]
-    _SerialPool.shares.clear()
     grid = run_lower_bound({"n_list": [4, 6], "trials": 20, "seed": 1}, jobs=2)
-    (shares,) = _SerialPool.shares
-    assert [len(share) for share in shares] == [20, 20]
-    for share in shares:  # trial-major: every share holds a slice of both cells
-        assert {cell for cell, _ in share} == {0, 1}
+    assert _one_share_each(shares[0], 2) == [[(0, t) for t in range(10)],
+                                             [(0, t) for t in range(10, 20)]]
+    for share in _one_share_each(shares[1], 2):  # trial-major: a slice of both cells each
+        assert len(share) == 20 and {cell for cell, _ in share} == {0, 1}
     for report, spec in ((one_cell, {"n": 4}), (grid, {"n_list": [4, 6]})):
         fanned, serial = _reports_without_wall_clock(
             report, run_lower_bound({**spec, "trials": 20, "seed": 1}))
@@ -272,36 +291,68 @@ def _reports_without_wall_clock(*reports):
     return reports
 
 
-def test_fan_out_reuses_one_pool_per_worker_count(monkeypatch, fresh_pools):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+def test_fan_out_reuses_one_pool_per_worker_count(monkeypatch, fresh_workers):
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
     run_calibrate(_linear_spec(trials=4), jobs=2)
-    pool = fresh_pools[2]
+    first = list(fresh_workers)
     run_calibrate(_linear_spec(trials=4), jobs=2)
-    assert fresh_pools == {2: pool}
-    run_calibrate(_linear_spec(trials=4), jobs=3)  # another count replaces the pool
-    assert list(fresh_pools) == [3]
-    with pytest.raises(RuntimeError, match="shutdown"):  # the replaced pool was shut down
-        pool.submit(int)
+    assert fresh_workers == first
+    run_calibrate(_linear_spec(trials=4), jobs=3)  # another count replaces the workers
+    assert len(fresh_workers) == 2
+    assert not {p for p, _ in first} & {p for p, _ in fresh_workers}
+    (process, _), = first
+    assert process.exitcode == 0  # stopped by the stop message, not by a signal
 
 
-def test_fan_out_drops_a_broken_pool(monkeypatch, fresh_pools):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_fan_out_drops_a_broken_pool(monkeypatch, fresh_workers):
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     run_calibrate(_linear_spec(trials=4), jobs=2)
-    pool = fresh_pools[2]
-    pid = next(iter(pool._processes))
-    os.kill(pid, signal.SIGKILL)
-    deadline = time.monotonic() + 30
-    while not pool._broken and time.monotonic() < deadline:  # until the pool notices
-        time.sleep(0.01)
-    with pytest.raises(concurrent.futures.BrokenExecutor):
+    (process, _), = fresh_workers
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(30)
+    assert not process.is_alive()
+    with pytest.raises(multiprocessing.ProcessError):
         run_calibrate(_linear_spec(trials=4), jobs=2)
-    assert fresh_pools == {}
+    assert fresh_workers == []
     report = run_calibrate(_linear_spec(trials=4), jobs=2)
-    assert fresh_pools[2] is not pool
+    assert fresh_workers[0][0] is not process
     assert report["aggregates"]["accept_rate"] == 1.0
 
 
-def test_fan_out_reports_match_serial_across_specs(fresh_pools):
+def _kill_self_at(last, item):
+    """item, but SIGKILL the running process at `last`."""
+    if item == last:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
+
+
+def test_fan_out_raises_when_a_worker_is_killed_mid_call(monkeypatch, fresh_workers):
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    with pytest.raises(multiprocessing.ProcessError):  # the worker's share holds item 5
+        harness._fan_out(functools.partial(_kill_self_at, 5), range(6), 2)
+    assert fresh_workers == []
+    fanned, serial = _reports_without_wall_clock(run_calibrate(_linear_spec(trials=4), jobs=2),
+                                                 run_calibrate(_linear_spec(trials=4)))
+    assert fanned == serial
+
+
+def _fail_at(bad, item):
+    if item == bad:
+        raise SpecError(f"item {item} is bad")
+    return item
+
+
+@pytest.mark.parametrize("bad", [0, 5])  # in the caller's share, in the worker's
+def test_fan_out_raises_a_failed_trial_as_itself(monkeypatch, fresh_workers, bad):
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    with pytest.raises(SpecError, match=f"item {bad} is bad"):
+        harness._fan_out(functools.partial(_fail_at, bad), range(6), 2)
+    fanned, serial = _reports_without_wall_clock(run_calibrate(_linear_spec(trials=4), jobs=2),
+                                                 run_calibrate(_linear_spec(trials=4)))
+    assert fanned == serial
+
+
+def test_fan_out_reports_match_serial_across_specs(fresh_workers):
     specs = [_linear_spec(trials=4),
              _linear_spec(trials=5, seed=9, algorithm="df-linearity"),
              {**_linear_spec(trials=4), "oracle": {"family": "norm", "dim": 4}}]
@@ -317,27 +368,52 @@ def test_fan_out_reports_match_serial_across_specs(fresh_pools):
         assert fanned == serial
 
 
-def test_cli_fan_out_leaves_no_worker_behind(tmp_path):
-    path = _write_spec(tmp_path, {**_linear_spec(trials=4), "format": "csv"})
+def _run_cli_and_list_workers(*paths):
+    """Run `calibrate --jobs 2` on each spec in turn in one fresh interpreter, the last
+    as the command line does; returns (the finished process, the pids of its workers)."""
     script = ("import sys\n"
               "from lintest import harness\n"
               "from lintest.cli import main\n"
+              "pids = set()\n"
               "try:\n"
-              "    main([\"calibrate\", \"--spec\", sys.argv[1], \"--jobs\", \"2\"])\n"
+              "    for path in sys.argv[1:-1]:\n"
+              "        main([\"calibrate\", \"--spec\", path, \"--jobs\", \"2\"],\n"
+              "             standalone_mode=False)\n"
+              "        pids.update(process.pid for process, _ in harness._workers)\n"
+              "    main([\"calibrate\", \"--spec\", sys.argv[-1], \"--jobs\", \"2\"])\n"
               "finally:\n"
-              "    print(*[pid for pool in harness._pools.values() for pid in pool._processes],\n"
-              "          file=sys.stderr)\n")
+              "    pids.update(process.pid for process, _ in harness._workers)\n"
+              "    print(*sorted(pids), file=sys.stderr)\n")
     src = os.path.dirname(os.path.dirname(harness.__file__))
-    done = subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("trials,")
+    done = subprocess.run([sys.executable, "-c", script, *paths], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    pids = [int(p) for p in done.stderr.strip().splitlines()[-1].split()]
     assert "Exception ignored" not in done.stderr
-    pids = [int(p) for p in done.stderr.split()]
-    assert len(pids) == (2 if (os.cpu_count() or 1) > 1 else 0)
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+    return done, pids
+
+
+def test_cli_fan_out_leaves_no_worker_behind(tmp_path):
+    path = _write_spec(tmp_path, {**_linear_spec(trials=4), "format": "csv"})
+    done, pids = _run_cli_and_list_workers(path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("trials,")
+    assert len(pids) == (1 if harness._usable_cores() > 1 else 0)
+
+
+def test_cli_fan_out_leaves_no_worker_behind_a_failed_trial(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_linear_spec(trials=4)))
+    # Every trial builds the oracle, and fails on the weights' length.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**_linear_spec(trials=4),
+                               "oracle": {"family": "linear", "dim": 4, "w_explicit": [1.0]}}))
+    done, pids = _run_cli_and_list_workers(str(good), str(bad))  # the failure reuses a worker
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stderr.splitlines()[0])["error"] == "SpecError"
+    assert len(pids) == (1 if harness._usable_cores() > 1 else 0)
 
 
 def test_run_calibrate_validation():
@@ -578,6 +654,61 @@ def test_cli_rejects_mistyped_spec_values(tmp_path, command, spec, word):
 
 
 _GAUSS2 = {"kind": "standard-gaussian", "dim": 2}
+
+
+def _oracle_with(**keys):
+    return {"oracle": {**_LINEAR, **keys}, "epsilon": 0.2}
+
+
+def _distribution_with(**keys):
+    return {"oracle": _LINEAR, "epsilon": 0.2, "distribution": keys}
+
+
+# Each key that takes a number or a list of numbers, with a spec that puts v there.
+_NUMBER_KEYS = {
+    "epsilon": ("calibrate", lambda v: {"oracle": _LINEAR, "epsilon": v}),
+    "epsilons": ("query-scaling", lambda v: {"epsilons": [0.2, v]}),
+    "C": ("lower-bound", lambda v: {"n": 4, "trials": 5, "C": v}),
+    "C_list": ("lower-bound", lambda v: {"n": 4, "trials": 5, "C_list": [0.01, v]}),
+    "delta_override": ("lower-bound", lambda v: {"n": 4, "trials": 5, "delta_override": v}),
+    "w_explicit": ("calibrate", lambda v: _oracle_with(w_explicit=[v, 1.0])),
+    "shift": ("calibrate", lambda v: _oracle_with(family="constant-shift-linear", shift=v)),
+    "mass": ("calibrate", lambda v: _oracle_with(family="corrupted-linear",
+                                                 corruption={"mass": v})),
+    "threshold": ("calibrate", lambda v: _oracle_with(family="corrupted-linear",
+                                                      corruption={"threshold": v})),
+    "payload": ("calibrate", lambda v: _oracle_with(family="corrupted-linear",
+                                                    corruption={"mass": 0.3, "payload": v})),
+    "direction": ("calibrate", lambda v: _oracle_with(
+        family="corrupted-linear", corruption={"mass": 0.3, "direction": [1.0, v]})),
+    "delta": ("calibrate", lambda v: _oracle_with(family="noisy-linear", noise={"delta": v})),
+    "mean": ("calibrate", lambda v: _distribution_with(kind="shifted-gaussian", mean=[v, 0.0])),
+    "cov": ("calibrate", lambda v: _distribution_with(
+        kind="shifted-gaussian", mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, v]])),
+    "weights": ("calibrate", lambda v: _distribution_with(kind="mixture", weights=[v],
+                                                          components=[_GAUSS2])),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["NaN", "Infinity", "-Infinity", "int-beyond-double"])
+@pytest.mark.parametrize("key", sorted(_NUMBER_KEYS))
+def test_cli_rejects_non_finite_numbers(tmp_path, key, value):
+    command, spec = _NUMBER_KEYS[key]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec(value)))  # json writes the NaN and Infinity tokens
+    result = CliRunner().invoke(main, [command, "--spec", str(path)])
+    assert result.exit_code == 2, result.output
+    err = getattr(result, "stderr", "") or result.output
+    lines = err.strip().splitlines()
+    payload = json.loads(lines[-1])
+    assert len(lines) == 1 and payload["error"] == "SpecError"
+    assert f"'{key}'" in payload["message"] and "finite" in payload["message"]
+
+
+def test_cli_writes_no_non_json_number(tmp_path):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli._emit({"spec": {}, "value": float("nan")}, str(tmp_path / "report.json"), "json")
 
 
 @pytest.mark.parametrize("distribution, key", [
