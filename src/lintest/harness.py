@@ -42,7 +42,6 @@ from .oracle import (
 )
 from .rng import derive_seed
 from .tester import (
-    QUERIES_PER_ADDITIVITY_ROUND,
     TesterConfig,
     run_df_additivity,
     run_df_linearity,
@@ -352,8 +351,7 @@ def run_query_scaling(spec: dict) -> dict:
         oracle = build_oracle(parsed["oracle"], trial_seed=derive_seed(seed, i, 3))
         verdict = run_gaussian_additivity(oracle, cfg)
         formula = cfg.accept_path_queries()
-        fixed = QUERIES_PER_ADDITIVITY_ROUND * cfg.rounds_testadd
-        measured_main = verdict.queries_used - fixed if verdict.accepted else None
+        measured_main = verdict.queries_used - cfg.battery_queries() if verdict.accepted else None
         base = (1.0 / eps) * math.log2(1.0 / eps) if eps < 1 else 1.0
         rows.append({
             "epsilon": eps,

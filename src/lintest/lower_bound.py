@@ -23,6 +23,9 @@ import numpy as np
 from .rng import chi, derive_seed, make_rng, standard_normal
 
 _DEGENERACY_FLOOR = 1e-10
+# Draws keep lambda > _DEGENERACY_FLOOR, so a delta up to this cap keeps delta/lambda,
+# its square, lambda(lambda + delta) and delta y^2 = delta (lambda + delta) z^2 finite.
+_MAX_DELTA = _DEGENERACY_FLOOR * math.sqrt(np.finfo(float).max)  # ~1.3e144
 _MAX_RESAMPLES = 10
 
 
@@ -45,8 +48,8 @@ class LowerBoundConfig:
             raise LowerBoundError(f"C must lie in (0, (2/3)^2), got {self.C}")
         if self.trials < 1:
             raise LowerBoundError("need at least one trial")
-        if self.delta_override is not None and not self.delta_override >= 0:
-            raise LowerBoundError("delta override must be nonnegative")
+        if self.delta_override is not None and not 0 <= self.delta_override <= _MAX_DELTA:
+            raise LowerBoundError(f"delta_override must lie in [0, {_MAX_DELTA:.3g}]")
 
 
 @dataclass
@@ -128,7 +131,8 @@ def tv_bound(sm: SampleMatrix, delta: float) -> float:
     if not delta >= 0:
         raise LowerBoundError("delta must be nonnegative")
     r = delta / lam
-    series = r * r * (1 / 2 - r * (1 / 3 - r * (1 / 4 - r * (1 / 5 - r * (1 / 6 - r / 7)))))
+    s = np.minimum(r, 1e-3)  # capped where the series goes unused, so it cannot overflow
+    series = s * s * (1 / 2 - s * (1 / 3 - s * (1 / 4 - s * (1 / 5 - s * (1 / 6 - s / 7)))))
     terms = np.where(r < 1e-3, series, r - np.log1p(r))
     return float(math.sqrt(float(np.sum(terms)) / 4.0))
 

@@ -14,6 +14,7 @@ tolerance absorbs that.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -44,13 +45,7 @@ QUERIES_PER_ADDITIVITY_ROUND = 8
 
 def default_n_testadd() -> int:
     """Smallest N with (99/100)^N < 1/10."""
-    n = 1
-    while 0.99**n >= 0.1:
-        n += 1
-    return n
-
-
-_N_TESTADD = default_n_testadd()  # == 230
+    return math.ceil(math.log(0.1) / math.log(0.99))
 
 
 def default_n_queryg(epsilon: float) -> int:
@@ -93,7 +88,7 @@ class TesterConfig:
 
     @property
     def rounds_testadd(self) -> int:
-        return self.n_testadd if self.n_testadd is not None else _N_TESTADD
+        return self.n_testadd if self.n_testadd is not None else default_n_testadd()
 
     @property
     def rounds_queryg(self) -> int:
@@ -109,8 +104,11 @@ class TesterConfig:
 
     def accept_path_queries(self) -> int:
         """Oracle evaluations consumed by the Gaussian tester when it accepts."""
-        return (QUERIES_PER_ADDITIVITY_ROUND * self.rounds_testadd
-                + self.rounds_main * (1 + 2 * self.rounds_queryg))
+        return self.battery_queries() + self.main_stage_queries()
+
+    def battery_queries(self) -> int:
+        """The identity battery's part of the accept-path count."""
+        return QUERIES_PER_ADDITIVITY_ROUND * self.rounds_testadd
 
     def main_stage_queries(self) -> int:
         """The epsilon-dependent part of the accept-path count."""
@@ -140,11 +138,26 @@ class Verdict:
         }
 
 
-def _verdict(f: FunctionOracle, start: int, cfg: TesterConfig, site: str | None = None,
-             transcript: list | None = None) -> Verdict:
-    """The verdict of a run that began at query count `start`, as cfg's caller sees it."""
+def _stage(f: FunctionOracle, start: int, cfg: TesterConfig, rounds: int, chunk: int,
+           step) -> Verdict:
+    """Run a stage's rounds in chunks of `chunk`, rejecting at the first failing round.
+
+    step(m) evaluates the next m rounds and returns a dict from each reject
+    site, in the order a round runs its checks, to the rounds that passed it,
+    and a function from (site, round) to the witness.  No chunk after a
+    failing one is evaluated.  The verdict counts queries since `start`.
+    """
+    site, transcript = None, []
+    for done in range(0, rounds, chunk):
+        checks, witness = step(min(chunk, rounds - done))
+        passed = functools.reduce(np.logical_and, checks.values())
+        i = int(np.argmin(passed))
+        if not passed[i]:
+            site = next(s for s, ok in checks.items() if not ok[i])
+            transcript = [witness(site, i)]
+            break
     return Verdict("accept" if site is None else "reject", site, f.query_count - start,
-                   cfg.epsilon, cfg.seed, transcript or [])
+                   cfg.epsilon, cfg.seed, transcript)
 
 
 def scaling_index(points, r: int = 50) -> np.ndarray:
@@ -166,13 +179,10 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
     f(x-y) = f(x) - f(y), and f((x-y)/2) = f((x-z)/2) + f((z-y)/2).
     """
     rng = rng if rng is not None else make_rng(cfg.seed)
-    start = f.query_count
     eq = cfg.policy.eq_arr
     n = f.dim
-    remaining = cfg.rounds_testadd
-    while remaining > 0:
-        m = min(_CHUNK, remaining)
-        remaining -= m
+
+    def step(m):
         x, y, z = standard_normal(rng, (m, 3, n)).transpose(1, 0, 2)  # one row per round
         pts = np.empty((8, m, n))  # -x, x | x-y, x, y | (x-y)/2, (x-z)/2, (z-y)/2
         np.negative(x, out=pts[0])
@@ -183,22 +193,12 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
         np.subtract(z, y, out=pts[7])
         pts[5:] *= 0.5
         f_negx, f_x1, f_xy, f_x2, f_y, h1, h2, h3 = f.query_batch(pts.reshape(-1, n)).reshape(8, m)
-        neg_ok = eq(f_negx, -f_x1)
-        diff_ok = eq(f_xy, f_x2 - f_y, np.abs(f_x2) + np.abs(f_y))
-        three_ok = eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))
+        checks = {"negation": eq(f_negx, -f_x1),
+                  "difference": eq(f_xy, f_x2 - f_y, np.abs(f_x2) + np.abs(f_y)),
+                  "three-point": eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))}
+        return checks, lambda site, i: (site, x[i].tolist(), y[i].tolist(), z[i].tolist())
 
-        bad = ~(neg_ok & diff_ok & three_ok)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            if not neg_ok[i]:
-                site = "negation"
-            elif not diff_ok[i]:
-                site = "difference"
-            else:
-                site = "three-point"
-            return _verdict(f, start, cfg, site,
-                            [(site, x[i].tolist(), y[i].tolist(), z[i].tolist())])
-    return _verdict(f, start, cfg)
+    return _stage(f, f.query_count, cfg, cfg.rounds_testadd, _CHUNK, step)
 
 
 # the algorithm name collides with test-collection heuristics
@@ -258,31 +258,31 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
     """The identity battery, then the main loop comparing f(p) with the g-probe at p.
 
     The main-loop points come from d, or from N(0,I) on the tester's own
-    stream when d is None.  Rejection reports the first failing round.
+    stream when d is None.  The main loop is one step of all its rounds.
     """
     rng = make_rng(cfg.seed)
     start = f.query_count
     battery = test_additivity(f, cfg, rng)
     if not battery.accepted:
         return battery
-    if d is None:
-        points = standard_normal(rng, (cfg.rounds_main, f.dim))
-    else:
-        points = d.draw_many(cfg.rounds_main)
-    fp = f.query_batch(points)
-    rows = max(1, _PROBE_DOUBLES // (cfg.rounds_queryg * f.dim))
-    blocks = [probe_g(f, points[i:i + rows], cfg, rng) for i in range(0, len(points), rows)]
-    ks, agree, v1, mag1 = (np.concatenate(parts) for parts in zip(*blocks))
-    # Compare at the per-ball scale (f(p)/k vs v_1) rather than after
-    # multiplying by k; identical test, better conditioned when f(p) ~ 0.
-    bad = ~(agree & cfg.policy.eq_arr(fp / ks, v1, mag1))
-    if not np.any(bad):
-        return _verdict(f, start, cfg)
-    i = int(np.argmax(bad))
-    if not agree[i]:
-        return _verdict(f, start, cfg, "query-g-disagreement", [("query-g", points[i].tolist())])
-    return _verdict(f, start, cfg, "f!=g",
-                    [("f!=g", points[i].tolist(), float(fp[i]), float(ks[i] * v1[i]))])
+
+    def step(m):
+        points = standard_normal(rng, (m, f.dim)) if d is None else d.draw_many(m)
+        fp = f.query_batch(points)
+        rows = max(1, _PROBE_DOUBLES // (cfg.rounds_queryg * f.dim))
+        blocks = [probe_g(f, points[i:i + rows], cfg, rng) for i in range(0, m, rows)]
+        ks, agree, v1, mag1 = (np.concatenate(parts) for parts in zip(*blocks))
+
+        def witness(site, i):
+            if site == "query-g-disagreement":
+                return "query-g", points[i].tolist()
+            return site, points[i].tolist(), float(fp[i]), float(ks[i] * v1[i])
+        # Compare at the per-ball scale (f(p)/k vs v_1) rather than after
+        # multiplying by k; identical test, better conditioned when f(p) ~ 0.
+        return {"query-g-disagreement": agree,
+                "f!=g": cfg.policy.eq_arr(fp / ks, v1, mag1)}, witness
+
+    return _stage(f, start, cfg, cfg.rounds_main, cfg.rounds_main, step)
 
 
 def run_gaussian_additivity(f: FunctionOracle, cfg: TesterConfig) -> Verdict:
@@ -321,19 +321,14 @@ class OddOracle(FunctionOracle):
 def force_negativity(f: FunctionOracle, d: SampleDistribution,
                      cfg: TesterConfig) -> tuple[OddOracle | None, Verdict]:
     """Check f(-x) = -f(x) on draws from d; on success return the odd wrapper."""
-    start = f.query_count
-    remaining = cfg.rounds_forceneg
-    while remaining > 0:
-        m = min(_CHUNK, remaining)
-        remaining -= m
+    def step(m):
         xs = d.draw_many(m)
         a, b = f.query_batch(np.concatenate([xs, -xs])).reshape(2, m)
-        bad = ~cfg.policy.eq_arr(b, -a)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            return None, _verdict(f, start, cfg, "force-negativity",
-                                  [("force-negativity", xs[i].tolist(), float(a[i]), float(b[i]))])
-    return OddOracle(f), _verdict(f, start, cfg)
+        return ({"force-negativity": cfg.policy.eq_arr(b, -a)},
+                lambda site, i: (site, xs[i].tolist(), float(a[i]), float(b[i])))
+
+    verdict = _stage(f, f.query_count, cfg, cfg.rounds_forceneg, _CHUNK, step)
+    return (OddOracle(f) if verdict.accepted else None), verdict
 
 
 def run_df_linearity(f: FunctionOracle, d: SampleDistribution, cfg: TesterConfig) -> Verdict:
@@ -346,7 +341,9 @@ def run_df_linearity(f: FunctionOracle, d: SampleDistribution, cfg: TesterConfig
     """
     start = f.query_count
     wrapped, verdict = force_negativity(f, d, cfg)
-    if wrapped is not None:
-        inner = replace(cfg, epsilon=cfg.epsilon / 2.0, seed=derive_seed(cfg.seed, 1))
-        verdict = run_df_additivity(wrapped, d, inner)
-    return _verdict(f, start, cfg, verdict.reject_site, verdict.transcript)
+    if wrapped is None:
+        return verdict
+    inner = replace(cfg, epsilon=cfg.epsilon / 2.0, seed=derive_seed(cfg.seed, 1))
+    verdict = run_df_additivity(wrapped, d, inner)
+    return replace(verdict, epsilon=cfg.epsilon, seed=cfg.seed,
+                   queries_used=f.query_count - start)

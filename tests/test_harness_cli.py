@@ -19,7 +19,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lintest import cli, harness
+from lintest import cli, harness, lower_bound
 from lintest.cli import main
 from lintest.harness import (
     CSV_COLUMNS,
@@ -804,3 +804,26 @@ def test_cli_lower_bound_tiny_delta_override_exits_cleanly(tmp_path):
     assert result.exit_code == 0, result.output
     cell = json.loads(result.output)["cells"][0]
     assert 0.0 < cell["max_tv_bound"] < 1e-9
+
+
+@pytest.mark.parametrize("delta", [1e300, 1e308])
+def test_cli_lower_bound_rejects_a_delta_override_beyond_its_cap(tmp_path, delta):
+    path = _write_spec(tmp_path, {"n": 5, "trials": 20, "seed": 1, "delta_override": delta})
+    result = CliRunner().invoke(main, ["lower-bound", "--spec", path])
+    assert result.exit_code == 2, result.output
+    err = getattr(result, "stderr", "") or result.output
+    lines = err.strip().splitlines()
+    payload = json.loads(lines[-1])
+    assert len(lines) == 1 and payload["error"] == "LowerBoundError"
+    assert "delta_override" in payload["message"]
+
+
+def test_cli_lower_bound_largest_delta_override_gives_a_finite_report(tmp_path):
+    # runs under the suite's error::RuntimeWarning filter: no overflow on the way
+    path = _write_spec(tmp_path, {"n": 5, "trials": 20, "seed": 1,
+                                  "delta_override": lower_bound._MAX_DELTA})
+    result = CliRunner().invoke(main, ["lower-bound", "--spec", path])
+    assert result.exit_code == 0, result.output
+    cell = json.loads(result.output)["cells"][0]
+    assert cell["delta_stats"]["max"] == lower_bound._MAX_DELTA
+    assert 1.0 < cell["max_tv_bound"] < float("inf")

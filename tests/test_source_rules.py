@@ -49,3 +49,15 @@ def test_every_oracle_evaluation_passes_through_query_batch():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "_values"]
     assert calls == []
+
+
+def test_tester_builds_every_verdict_in_its_stage_runner():
+    # One first-failure search and one Verdict construction: every stage feeds _stage.
+    tree = TREES["tester.py"]
+    stage = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_stage")
+
+    def verdicts(root):
+        return [node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Call) and _name(node.func) == "Verdict"]
+    assert len(verdicts(tree)) == len(verdicts(stage)) == 1

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ def test_repetition_schedule():
     cfg = TesterConfig(epsilon=0.1)
     assert cfg.accept_path_queries() == QUERIES_PER_ADDITIVITY_ROUND * 230 + 47 * 11 == 2357
     assert cfg.main_stage_queries() == 517
+    assert cfg.battery_queries() == 8 * 230
 
 
 def test_config_validation_and_overrides():
@@ -246,6 +248,45 @@ def test_each_negativity_chunk_is_one_oracle_call():
                                         TesterConfig(epsilon=0.1, n_forceneg=300, seed=5))
     assert wrapped is not None and verdict.accepted
     assert calls == [2 * 256, 2 * 44]
+
+
+def _round_of(rows, witness):
+    """The index of the one round whose drawn point is the witness point."""
+    found = [i for i, row in enumerate(rows) if row.tolist() == witness]
+    assert len(found) == 1
+    return found[0]
+
+
+def test_a_stage_stops_at_its_first_failing_chunk(monkeypatch):
+    # Chunks of 7 rounds: a reject at round i has evaluated ceil((i+1)/7)
+    # whole chunks and nothing after them.
+    monkeypatch.setattr(tester, "_CHUNK", 7)
+    n = 5
+    battery_rounds = []
+    for seed in range(6):
+        cfg = TesterConfig(epsilon=0.1, seed=seed)
+        f = CorruptedLinear.with_mass(np.ones(n), 0.002, odd_symmetric=True)
+        verdict = test_additivity(f, cfg)
+        assert not verdict.accepted
+        # each round draws its x, y, z as one row of the battery's stream
+        rows = standard_normal(make_rng(seed), (cfg.rounds_testadd, 3, n))[:, 0]
+        i = _round_of(rows, verdict.transcript[0][1])
+        chunks = math.ceil((i + 1) / 7)
+        assert verdict.queries_used == f.query_count == QUERIES_PER_ADDITIVITY_ROUND * 7 * chunks
+        battery_rounds.append(i)
+    negativity_rounds = []
+    for seed in range(6):
+        cfg = TesterConfig(epsilon=0.01, seed=seed)
+        f = CorruptedLinear.with_mass(np.ones(n), 0.02)
+        wrapped, verdict = force_negativity(f, StandardGaussian(n, seed=seed), cfg)
+        assert wrapped is None and not verdict.accepted
+        rows = StandardGaussian(n, seed=seed).draw_many(cfg.rounds_forceneg)
+        i = _round_of(rows, verdict.transcript[0][1])
+        chunks = math.ceil((i + 1) / 7)
+        assert verdict.queries_used == f.query_count == 2 * 7 * chunks
+        negativity_rounds.append(i)
+    # in both stages some reject comes after the first chunk
+    assert max(battery_rounds) >= 7 and max(negativity_rounds) >= 7
 
 
 def _far_families(n):
@@ -559,6 +600,9 @@ def test_df_linearity_rejects_odd_symmetric_corruption():
                                    TesterConfig(epsilon=0.1, seed=400 + seed))
         if verdict.outcome == "reject":
             assert verdict.reject_site != "force-negativity"
+            # the inner run's reject, as the caller's run sees it
+            assert (verdict.epsilon, verdict.seed) == (0.1, 400 + seed)
+            assert verdict.queries_used == f.query_count
             rejected += 1
     assert rejected >= 8
 
