@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import sys
 
 import click
@@ -29,8 +28,6 @@ def _load_spec(spec_path, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value
-    if "seed" not in raw and os.environ.get("LINTEST_SEED"):
-        raw["seed"] = int(os.environ["LINTEST_SEED"])
     return raw
 
 

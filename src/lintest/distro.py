@@ -51,11 +51,7 @@ class ShiftedGaussian(SampleDistribution):
 
 
 class Mixture(SampleDistribution):
-    """Weighted mixture of component samplers.
-
-    A single-component mixture delegates without consuming selection
-    randomness, so it is sample-for-sample identical to its component.
-    """
+    """Weighted mixture of component samplers."""
 
     def __init__(self, weights, components, seed: int = 0):
         weights = np.asarray(weights, dtype=float)
@@ -74,8 +70,6 @@ class Mixture(SampleDistribution):
         super().__init__(dims.pop(), seed)
 
     def draw_many(self, m: int) -> np.ndarray:
-        if len(self.components) == 1:
-            return self.components[0].draw_many(m)
         u = self._rng.random(m)
         idx = np.searchsorted(self._cum, u, side="right")
         idx = np.minimum(idx, len(self.components) - 1)

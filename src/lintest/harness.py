@@ -352,7 +352,7 @@ def run_query_scaling(spec: dict) -> dict:
         verdict = run_gaussian_additivity(oracle, cfg)
         formula = cfg.accept_path_queries()
         measured_main = verdict.queries_used - cfg.battery_queries() if verdict.accepted else None
-        base = (1.0 / eps) * math.log2(1.0 / eps) if eps < 1 else 1.0
+        base = (1.0 / eps) * math.log2(1.0 / eps)
         rows.append({
             "epsilon": eps,
             "outcome": verdict.outcome,

@@ -25,8 +25,10 @@ from .rng import chi, derive_seed, make_rng, standard_normal
 _DEGENERACY_FLOOR = 1e-10
 # Draws keep lambda > _DEGENERACY_FLOOR, so a delta up to this cap keeps delta/lambda,
 # its square, lambda(lambda + delta) and delta y^2 = delta (lambda + delta) z^2 finite.
-_MAX_DELTA = _DEGENERACY_FLOOR * math.sqrt(np.finfo(float).max)  # ~1.3e144
+_MAX_RATIO = math.sqrt(np.finfo(float).max)  # largest delta/lambda whose square is finite
+_MAX_DELTA = _DEGENERACY_FLOOR * _MAX_RATIO  # ~1.3e144
 _MAX_RESAMPLES = 10
+_WILSON_Z = 1.959963984540054  # the standard normal's 97.5% quantile
 
 
 class LowerBoundError(ValueError):
@@ -128,8 +130,8 @@ def tv_bound(sm: SampleMatrix, delta: float) -> float:
     lam = np.asarray(sm.eigvals, dtype=float)
     if lam[0] <= 0:
         raise LowerBoundError("Gram matrix is singular")
-    if not delta >= 0:
-        raise LowerBoundError("delta must be nonnegative")
+    if not 0 <= delta <= float(lam[0]) * _MAX_RATIO:  # in Python floats: cannot overflow
+        raise LowerBoundError("delta must lie in [0, min Gram eigenvalue * sqrt(float max)]")
     r = delta / lam
     s = np.minimum(r, 1e-3)  # capped where the series goes unused, so it cannot overflow
     series = s * s * (1 / 2 - s * (1 / 3 - s * (1 / 4 - s * (1 / 5 - s * (1 / 6 - s / 7)))))
@@ -157,10 +159,11 @@ class GameReport:
         return {**asdict(self), "wilson_interval": list(self.wilson_interval)}
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    z = _WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom

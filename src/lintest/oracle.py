@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .rng import hash_rows, make_rng, open_unit, standard_normal
 
@@ -73,8 +73,6 @@ class CorruptionRegion:
 
     @staticmethod
     def from_threshold(direction, threshold: float) -> "CorruptionRegion":
-        from scipy.special import ndtr
-
         return CorruptionRegion(_unit(direction), float(threshold),
                                 float(1.0 - ndtr(threshold)))
 
@@ -207,9 +205,6 @@ class NoisyLinear(FunctionOracle):
 
 class NormOracle(FunctionOracle):
     """f(x) = ||x||_2 (even, so certain to fail negativity checks)."""
-
-    def __init__(self, dim: int):
-        super().__init__(dim)
 
     def _values(self, xs):
         return np.linalg.norm(xs, axis=1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,64 +44,40 @@ _PROBE_DOUBLES = 2**15
 QUERIES_PER_ADDITIVITY_ROUND = 8
 
 
-def default_n_testadd() -> int:
-    """Smallest N with (99/100)^N < 1/10."""
-    return math.ceil(math.log(0.1) / math.log(0.99))
-
-
-def default_n_queryg(epsilon: float) -> int:
-    """Smallest N with 2^-N <= epsilon/2."""
-    return max(1, math.ceil(math.log2(2.0 / epsilon)))
-
-
-def default_n_main(epsilon: float) -> int:
-    """N = ceil(2 ln(10) / epsilon), forcing (1 - eps/2)^N < 1/10."""
-    return math.ceil(2.0 * math.log(10.0) / epsilon)
-
-
-def default_n_forceneg(epsilon: float) -> int:
-    """N = ceil(ln(10) / epsilon), forcing (1 - eps)^N <= 1/10."""
-    return math.ceil(math.log(10.0) / epsilon)
-
-
 @dataclass(frozen=True)
 class TesterConfig:
-    """Tester parameters; repetition counts default to the derived schedule."""
+    """Tester parameters; every repetition count is derived from epsilon alone."""
 
     epsilon: float
     r: int = 50
-    n_testadd: int | None = None
-    n_queryg: int | None = None
-    n_main: int | None = None
-    n_forceneg: int | None = None
-    policy: EqPolicy = field(default_factory=EqPolicy)
     seed: int = 0
+    policy: ClassVar[EqPolicy] = EqPolicy()
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.r < 1:
             raise ValueError("r must be a positive integer")
-        for name in ("n_testadd", "n_queryg", "n_main", "n_forceneg"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be >= 1")
 
     @property
     def rounds_testadd(self) -> int:
-        return self.n_testadd if self.n_testadd is not None else default_n_testadd()
+        """Smallest N with (99/100)^N < 1/10."""
+        return math.ceil(math.log(0.1) / math.log(0.99))
 
     @property
     def rounds_queryg(self) -> int:
-        return self.n_queryg if self.n_queryg is not None else default_n_queryg(self.epsilon)
+        """Smallest N with 2^-N <= epsilon/2."""
+        return max(1, math.ceil(math.log2(2.0 / self.epsilon)))
 
     @property
     def rounds_main(self) -> int:
-        return self.n_main if self.n_main is not None else default_n_main(self.epsilon)
+        """N = ceil(2 ln(10) / epsilon), forcing (1 - eps/2)^N < 1/10."""
+        return math.ceil(2.0 * math.log(10.0) / self.epsilon)
 
     @property
     def rounds_forceneg(self) -> int:
-        return self.n_forceneg if self.n_forceneg is not None else default_n_forceneg(self.epsilon)
+        """N = ceil(ln(10) / epsilon), forcing (1 - eps)^N <= 1/10."""
+        return math.ceil(math.log(10.0) / self.epsilon)
 
     def accept_path_queries(self) -> int:
         """Oracle evaluations consumed by the Gaussian tester when it accepts."""

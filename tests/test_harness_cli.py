@@ -580,7 +580,8 @@ def test_cli_query_scaling_rejects_bad_sweep(tmp_path):
     assert result.exit_code == 2
 
 
-def test_cli_env_seed_fallback(tmp_path):
+def test_cli_seed_ignores_the_environment(tmp_path):
+    # the spec and --seed are the only ways to set the seed; without either it is 0
     path = _write_spec(tmp_path, {"oracle": {"family": "linear", "dim": 2, "w_seed": 0},
                                   "epsilon": 0.2, "trials": 1,
                                   "algorithm": "gaussian-additivity"})
@@ -588,7 +589,7 @@ def test_cli_env_seed_fallback(tmp_path):
     result = runner.invoke(main, ["calibrate", "--spec", path],
                            env={"LINTEST_SEED": "99"})
     assert result.exit_code == 0
-    assert json.loads(result.output)["seed"] == 99
+    assert json.loads(result.output)["seed"] == 0
 
 
 @pytest.mark.parametrize("command", ["lower-bound", "calibrate"])

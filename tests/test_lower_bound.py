@@ -269,6 +269,13 @@ def test_tv_bound_covers_both_sides_of_the_series_switch():
         tv_bound(sm, float("nan"))
 
 
+def test_tv_bound_rejects_a_delta_whose_ratio_would_overflow():
+    # delta / lambda_min beyond sqrt(float max): r^2 is not finite, so the bound
+    # is refused, not computed with an overflow
+    with pytest.raises(LowerBoundError):
+        tv_bound(SampleMatrix(np.array([1e-9, 1.0, 5.0])), 1e300)
+
+
 @pytest.mark.parametrize("delta", [1e-20, 0.0])
 def test_game_runs_at_vanishing_delta(delta):
     report = run_distinguish_game(LowerBoundConfig(n=8, trials=400, seed=9,

@@ -1,6 +1,7 @@
 """Rules every library module keeps, checked on its syntax tree."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lintest").glob("*.py"))
@@ -61,3 +62,20 @@ def test_tester_builds_every_verdict_in_its_stage_runner():
         return [node.lineno for node in ast.walk(root)
                 if isinstance(node, ast.Call) and _name(node.func) == "Verdict"]
     assert len(verdicts(tree)) == len(verdicts(stage)) == 1
+
+
+def test_tester_config_holds_only_epsilon_r_and_seed():
+    # The paper fixes every repetition count as a function of epsilon alone,
+    # so no field may override the round schedule.
+    from lintest.tester import TesterConfig
+
+    assert [f.name for f in dataclasses.fields(TesterConfig)] == ["epsilon", "r", "seed"]
+
+
+def test_library_reads_no_environment_variable():
+    # A seed alone must fix a report: nothing in the environment may change it.
+    found = [f"{name}:{node.lineno}" for name, tree in TREES.items() for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in {"environ", "environb", "getenv"})
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and {a.name for a in node.names} & {"environ", "environb", "getenv"})]
+    assert found == []

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,10 +26,6 @@ from lintest.tester import (
     QUERIES_PER_ADDITIVITY_ROUND,
     OddOracle,
     TesterConfig,
-    default_n_forceneg,
-    default_n_main,
-    default_n_queryg,
-    default_n_testadd,
     force_negativity,
     probe_g,
     query_g,
@@ -44,12 +41,12 @@ from lintest.tester import (
 
 
 def test_repetition_schedule():
-    assert default_n_testadd() == 230
-    assert 0.99**230 < 0.1 < 0.99**229
-    assert default_n_queryg(0.1) == 5
-    assert default_n_main(0.1) == 47
-    assert default_n_forceneg(0.1) == 24
     cfg = TesterConfig(epsilon=0.1)
+    assert cfg.rounds_testadd == 230
+    assert 0.99**230 < 0.1 < 0.99**229
+    assert cfg.rounds_queryg == 5
+    assert cfg.rounds_main == 47
+    assert cfg.rounds_forceneg == 24
     assert cfg.accept_path_queries() == QUERIES_PER_ADDITIVITY_ROUND * 230 + 47 * 11 == 2357
     assert cfg.main_stage_queries() == 517
     assert cfg.battery_queries() == 8 * 230
@@ -62,10 +59,10 @@ def test_config_validation_and_overrides():
         TesterConfig(epsilon=1.0)
     with pytest.raises(ValueError):
         TesterConfig(epsilon=0.1, r=0)
-    with pytest.raises(ValueError):
-        TesterConfig(epsilon=0.1, n_main=0)
-    cfg = TesterConfig(epsilon=0.1, n_testadd=3, n_queryg=2, n_main=4)
-    assert cfg.accept_path_queries() == 8 * 3 + 4 * 5
+    # the repetition counts derive from epsilon alone: no keyword overrides them
+    for name in ("n_testadd", "n_queryg", "n_main", "n_forceneg", "policy"):
+        with pytest.raises(TypeError):
+            TesterConfig(epsilon=0.1, **{name: 4})
 
 
 def test_halving_epsilon_never_cheapens_the_main_stage():
@@ -176,23 +173,28 @@ def _shifted_halfspace_run(seed):
                              TesterConfig(epsilon=0.1, seed=seed))
 
 
+def _one_round_battery_run(seed):
+    # a one-round battery lets the corruption through to the probe
+    with mock.patch.object(TesterConfig, "rounds_testadd", property(lambda cfg: 1)):
+        return run_gaussian_additivity(CorruptedLinear.with_mass(np.ones(5), 0.01),
+                                       TesterConfig(epsilon=0.1, seed=seed))
+
+
 @pytest.mark.parametrize("run, main_epsilon, site", [
     (lambda seed: run_gaussian_additivity(random_linear(5, w_seed=2),
                                           TesterConfig(epsilon=0.1, seed=seed)), 0.1, None),
     (lambda seed: run_df_linearity(random_linear(5, w_seed=2), StandardGaussian(5, seed=seed),
                                    TesterConfig(epsilon=0.1, seed=seed)), 0.05, None),
-    # a one-round battery lets the corruption through to the probe
-    (lambda seed: run_gaussian_additivity(CorruptedLinear.with_mass(np.ones(5), 0.01),
-                                          TesterConfig(epsilon=0.1, n_testadd=1, seed=seed)),
-     0.1, "query-g-disagreement"),
+    (_one_round_battery_run, 0.1, "query-g-disagreement"),
     (_shifted_halfspace_run, 0.1, "f!=g"),
 ], ids=["linear-gaussian", "linear-df-linearity", "query-g-disagreement", "f!=g-shifted"])
 def test_probe_block_size_changes_no_verdict(monkeypatch, run, main_epsilon, site):
     # main-loop rows take their probe draws from the stream in order and every
     # block is evaluated, so the block size decides only how many rows one
     # probe_g call evaluates
-    doubles_per_row = default_n_queryg(main_epsilon) * 5
-    whole = default_n_main(main_epsilon)
+    main = TesterConfig(epsilon=main_epsilon)
+    doubles_per_row = main.rounds_queryg * 5
+    whole = main.rounds_main
     runs = {}
     for rows in (1, 7, whole):
         monkeypatch.setattr(tester, "_PROBE_DOUBLES", rows * doubles_per_row)
@@ -220,34 +222,37 @@ def _counting_linear(n):
     return CustomOracle(n, fn), calls
 
 
-def test_each_battery_chunk_is_one_oracle_call():
+def test_each_battery_chunk_is_one_oracle_call(monkeypatch):
+    monkeypatch.setattr(tester, "_CHUNK", 100)
     f, calls = _counting_linear(4)
-    verdict = test_additivity(f, TesterConfig(epsilon=0.1, n_testadd=300, seed=1))
+    verdict = test_additivity(f, TesterConfig(epsilon=0.1, seed=1))
     assert verdict.accepted
-    assert calls == [8 * 256, 8 * 44]
+    assert calls == [8 * 100, 8 * 100, 8 * 30]
 
 
 def test_each_probe_block_is_one_oracle_call(monkeypatch):
     n, eps = 4, 0.1
-    nq, rounds = default_n_queryg(eps), default_n_main(eps)
+    cfg = TesterConfig(epsilon=eps, seed=2)
+    nq, rounds = cfg.rounds_queryg, cfg.rounds_main
     monkeypatch.setattr(tester, "_PROBE_DOUBLES", 7 * nq * n)  # blocks of 7 rows
     f, calls = _counting_linear(n)
-    verdict = run_gaussian_additivity(f, TesterConfig(epsilon=eps, seed=2))
+    verdict = run_gaussian_additivity(f, cfg)
     assert verdict.accepted
     blocks = [min(7, rounds - i) for i in range(0, rounds, 7)]
     # the battery's one chunk, f at the main-loop points, then one call per block
-    assert calls == [8 * 230, rounds] + [2 * nq * rows for rows in blocks]
+    assert calls == [8 * cfg.rounds_testadd, rounds] + [2 * nq * rows for rows in blocks]
     f, calls = _counting_linear(n)
     probe_g(f, np.ones((5, n)), TesterConfig(epsilon=eps), make_rng(3))
     assert calls == [2 * nq * 5]
 
 
-def test_each_negativity_chunk_is_one_oracle_call():
+def test_each_negativity_chunk_is_one_oracle_call(monkeypatch):
+    monkeypatch.setattr(tester, "_CHUNK", 10)
     f, calls = _counting_linear(3)
     wrapped, verdict = force_negativity(f, StandardGaussian(3, seed=4),
-                                        TesterConfig(epsilon=0.1, n_forceneg=300, seed=5))
+                                        TesterConfig(epsilon=0.1, seed=5))
     assert wrapped is not None and verdict.accepted
-    assert calls == [2 * 256, 2 * 44]
+    assert calls == [2 * 10, 2 * 10, 2 * 4]
 
 
 def _round_of(rows, witness):
