@@ -51,7 +51,6 @@ from .tester import (
 from .lower_bound import (
     GameReport,
     LowerBoundConfig,
-    SampleMatrix,
     build_instance,
     derive_delta,
     run_distinguish_game,
@@ -92,7 +91,6 @@ __all__ = [
     "run_df_linearity",
     "force_negativity",
     "LowerBoundConfig",
-    "SampleMatrix",
     "GameReport",
     "build_instance",
     "derive_delta",

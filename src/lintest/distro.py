@@ -57,10 +57,10 @@ class Mixture(SampleDistribution):
         weights = np.asarray(weights, dtype=float)
         if len(components) == 0 or weights.size != len(components):
             raise DistributionError("weights and components must be nonempty and matched")
+        if not np.all(weights >= 0):  # before the sum check, which a NaN weight passes
+            raise DistributionError("mixture weights must be nonnegative")
         if abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise DistributionError(f"mixture weights must sum to 1, got {np.sum(weights)}")
-        if np.any(weights < 0):
-            raise DistributionError("mixture weights must be nonnegative")
         dims = {c.dim for c in components}
         if len(dims) != 1:
             raise DistributionError("mixture components must share a dimension")
@@ -91,6 +91,9 @@ class Empirical(SampleDistribution):
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[0] < 1:
             raise DistributionError("empirical dataset must be a nonempty 2-D array")
+        bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
+        if bad.size:
+            raise DistributionError(f"empirical data row {bad[0] + 1} has non-finite entries")
         self.data = data
         super().__init__(data.shape[1], seed)
 
@@ -121,4 +124,7 @@ def load_empirical(path, seed: int = 0) -> Empirical:
             rows.append(row)
     if not rows:
         raise DistributionError(f"{path}: empty dataset")
-    return Empirical(np.asarray(rows, dtype=float), seed=seed)
+    try:
+        return Empirical(np.asarray(rows, dtype=float), seed=seed)
+    except DistributionError as exc:
+        raise DistributionError(f"{path}: {exc}") from None

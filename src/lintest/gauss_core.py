@@ -53,13 +53,16 @@ class GaussianDist:
 
     mean: np.ndarray
     cov: np.ndarray
+    w: np.ndarray  # cov's ascending eigenvalues, from the one eigh at construction
+    v: np.ndarray  # their eigenvectors: cov == v diag(w) v^T
 
     def __init__(self, mean, cov):
         mu = _as_mean(mean)
         c = _as_cov(cov, mu.size)
-        mu.flags.writeable = c.flags.writeable = False  # _spectral caches what cov implies
-        object.__setattr__(self, "mean", mu)
-        object.__setattr__(self, "cov", c)
+        w, v = np.linalg.eigh(c)
+        for name, arr in (("mean", mu), ("cov", c), ("w", w), ("v", v)):
+            arr.flags.writeable = False  # w and v stay what cov implies
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -71,39 +74,19 @@ class GaussianDist:
         return GaussianDist(np.zeros(n), np.eye(n))
 
 
-class _Spectral:
-    """Cached eigendecomposition of a covariance matrix."""
-
-    def __init__(self, cov: np.ndarray):
-        self.w, self.v = np.linalg.eigh(cov)
-        self.scale = max(float(self.w[-1]), 0.0)
-
-    def require_psd(self):
-        if self.w[0] < -_PSD_TOL * max(1.0, self.scale):
-            raise GaussianError(
-                f"covariance is not positive semidefinite (min eigenvalue {self.w[0]:g})"
-            )
-
-    def require_pd(self):
-        if self.w[0] <= _PSD_TOL * max(1.0, self.scale):
-            raise GaussianError(
-                f"covariance is singular (min eigenvalue {self.w[0]:g}); inversion needed"
-            )
-
-    def factor(self) -> np.ndarray:
-        """L with L @ L.T == cov (eigenvector square root; PSD allowed)."""
-        self.require_psd()
-        return self.v * np.sqrt(np.clip(self.w, 0.0, None))
+def _require(dist: GaussianDist, definite: bool):
+    """Raise unless cov is PSD, or PD when `definite`; only the operations that need it check."""
+    w0, floor = dist.w[0], _PSD_TOL * max(1.0, float(dist.w[-1]))
+    if definite and w0 <= floor:
+        raise GaussianError(f"covariance is singular (min eigenvalue {w0:g}); inversion needed")
+    if w0 < -floor:
+        raise GaussianError(f"covariance is not positive semidefinite (min eigenvalue {w0:g})")
 
 
-def _spectral(dist: GaussianDist) -> _Spectral:
-    # Covariances are immutable, so the eigendecomposition is computed once
-    # per distribution and cached on the instance.
-    sp = dist.__dict__.get("_spectral_cache")
-    if sp is None:
-        sp = _Spectral(dist.cov)
-        object.__setattr__(dist, "_spectral_cache", sp)
-    return sp
+def _factor(dist: GaussianDist) -> np.ndarray:
+    """L with L @ L.T == cov (eigenvector square root; PSD allowed)."""
+    _require(dist, definite=False)
+    return dist.v * np.sqrt(np.clip(dist.w, 0.0, None))
 
 
 def sample_gaussian(dist: GaussianDist, seed, size: int | None = None) -> np.ndarray:
@@ -114,7 +97,7 @@ def sample_gaussian(dist: GaussianDist, seed, size: int | None = None) -> np.nda
     None) or a (size, n) array.
     """
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(int(seed))
-    L = _spectral(dist).factor()
+    L = _factor(dist)
     m = 1 if size is None else int(size)
     z = standard_normal(rng, (m, dist.dim))
     x = dist.mean + z @ L.T
@@ -123,12 +106,11 @@ def sample_gaussian(dist: GaussianDist, seed, size: int | None = None) -> np.nda
 
 def log_density(dist: GaussianDist, x) -> np.ndarray:
     """Log pdf of N(mean, cov) at one point or a batch of rows."""
-    sp = _spectral(dist)
-    sp.require_pd()
+    _require(dist, definite=True)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    y = (pts - dist.mean) @ sp.v
-    quad = np.sum(y * y / sp.w, axis=1)
-    logdet = float(np.sum(np.log(sp.w)))
+    y = (pts - dist.mean) @ dist.v
+    quad = np.sum(y * y / dist.w, axis=1)
+    logdet = float(np.sum(np.log(dist.w)))
     out = -0.5 * (dist.dim * np.log(2.0 * np.pi) + logdet + quad)
     return out[0] if np.asarray(x).ndim == 1 else out
 
@@ -140,16 +122,14 @@ def kl_gaussians(d1: GaussianDist, d2: GaussianDist) -> float:
     """
     if d1.dim != d2.dim:
         raise GaussianError(f"dimension mismatch: {d1.dim} vs {d2.dim}")
-    s1 = _spectral(d1)
-    s2 = _spectral(d2)
-    s1.require_pd()
-    s2.require_pd()
-    inv2 = (s2.v / s2.w) @ s2.v.T
+    _require(d1, definite=True)
+    _require(d2, definite=True)
+    inv2 = (d2.v / d2.w) @ d2.v.T
     if np.array_equal(d1.cov, d2.cov):
         # Shared covariance: the log-det ratio is 0 and the trace is n exactly.
         logdet_ratio, tr = 0.0, float(d1.dim)
     else:
-        logdet_ratio = float(np.sum(np.log(s2.w)) - np.sum(np.log(s1.w)))
+        logdet_ratio = float(np.sum(np.log(d2.w)) - np.sum(np.log(d1.w)))
         tr = float(np.sum(inv2 * d1.cov))
     dm = d2.mean - d1.mean
     quad = float(dm @ inv2 @ dm)
@@ -176,10 +156,10 @@ def shared_cov_tv_bound(mu1, mu2, cov) -> float:
     m2 = _as_mean(mu2)
     if m1.size != m2.size:
         raise GaussianError("mean dimension mismatch")
-    sp = _Spectral(_as_cov(cov, m1.size))
-    sp.require_pd()
+    d = GaussianDist(m1, cov)
+    _require(d, definite=True)
     # ||S^-1||_2 == 1 / lambda_min(S)
-    return float(0.5 * np.linalg.norm(m1 - m2) / np.sqrt(sp.w[0]))
+    return float(0.5 * np.linalg.norm(m1 - m2) / np.sqrt(d.w[0]))
 
 
 def empirical_tv(d1: GaussianDist, d2: GaussianDist, m: int, seed) -> tuple[float, float]:

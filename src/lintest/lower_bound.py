@@ -54,25 +54,7 @@ class LowerBoundConfig:
             raise LowerBoundError(f"delta_override must lie in [0, {_MAX_DELTA:.3g}]")
 
 
-@dataclass
-class SampleMatrix:
-    """The Gram spectrum of an n x n sample matrix X with standard-normal rows."""
-
-    eigvals: np.ndarray  # ascending eigenvalues of XX^T
-
-    @property
-    def lambda_min(self) -> float:
-        """Smallest singular value of X (sqrt of the smallest Gram eigenvalue)."""
-        return float(math.sqrt(max(self.eigvals[0], 0.0)))
-
-    @staticmethod
-    def from_matrix(X: np.ndarray) -> "SampleMatrix":
-        """Dense reference: the spectrum of XX^T for an explicit X."""
-        X = np.asarray(X, dtype=float)
-        return SampleMatrix(np.linalg.eigvalsh(X @ X.T))
-
-
-def build_instance(cfg: LowerBoundConfig, rng=None) -> tuple[SampleMatrix, float, int]:
+def build_instance(cfg: LowerBoundConfig, rng=None) -> tuple[np.ndarray, float, int]:
     """Draw the Gram spectrum of an n x n X ~ N(0, I) and delta = C lambda_min(X)^2 / n^2.
 
     XX^T has the spectrum of T = BB^T, with B lower bidiagonal: diagonal
@@ -101,24 +83,22 @@ def build_instance(cfg: LowerBoundConfig, rng=None) -> tuple[SampleMatrix, float
         eigvals, info = dsterf(diag, a[:-1] * b)
         if info != 0:
             raise LowerBoundError(f"tridiagonal eigenvalue solve failed (dsterf info {info})")
-        sm = SampleMatrix(eigvals)
-        if sm.eigvals[0] > _DEGENERACY_FLOOR:
+        if eigvals[0] > _DEGENERACY_FLOOR:
             break
         resamples += 1
         if resamples > _MAX_RESAMPLES:
             raise LowerBoundError("persistent degenerate sample matrix")
     override = cfg.delta_override
-    delta = derive_delta(sm, cfg.C) if override is None else float(override)
-    return sm, delta, resamples
+    delta = derive_delta(eigvals, cfg.C) if override is None else float(override)
+    return eigvals, delta, resamples
 
 
-def derive_delta(sm: SampleMatrix, C: float) -> float:
-    """delta = C * lambda_min(X)^2 / n^2 (lambda_min(X)^2 = min Gram eigenvalue)."""
-    n = sm.eigvals.size
-    return float(C) * float(sm.eigvals[0]) / float(n**2)
+def derive_delta(eigvals: np.ndarray, C: float) -> float:
+    """delta = C * lambda_min(X)^2 / n^2; lambda_min(X)^2 = eigvals[0], the min Gram eigenvalue."""
+    return float(C) * float(eigvals[0]) / float(eigvals.size**2)
 
 
-def tv_bound(sm: SampleMatrix, delta: float) -> float:
+def tv_bound(eigvals: np.ndarray, delta: float) -> float:
     """Closed-form TV bound between N(0, XX^T) and N(0, XX^T + delta I).
 
     sqrt( (log det(S_yes)/det(S_no) + tr(S_yes^-1 S_no) - n) / 4 ), which
@@ -127,7 +107,7 @@ def tv_bound(sm: SampleMatrix, delta: float) -> float:
     r - log1p(r) ~ r^2/2 would lose its digits to cancellation, each comes
     from the Taylor series r^2/2 - r^3/3 + ... - r^7/7.
     """
-    lam = np.asarray(sm.eigvals, dtype=float)
+    lam = np.asarray(eigvals, dtype=float)
     if lam[0] <= 0:
         raise LowerBoundError("Gram matrix is singular")
     if not 0 <= delta <= float(lam[0]) * _MAX_RATIO:  # in Python floats: cannot overflow
@@ -187,13 +167,12 @@ def play_trial(cfg: LowerBoundConfig, t: int) -> tuple[bool, float, float, int]:
     Returns (success, TV bound, delta, resamples).
     """
     rng = make_rng(derive_seed(cfg.seed, t))
-    sm, delta, resamples = build_instance(cfg, rng)
-    lam = sm.eigvals
+    lam, delta, resamples = build_instance(cfg, rng)
     truth_yes = bool(rng.random() < 0.5)
     y2 = (lam if truth_yes else lam + delta) * standard_normal(rng, cfg.n) ** 2
     llr = float(np.sum(delta * y2 / (lam * (lam + delta)) - np.log1p(delta / lam)))
     guess_yes = bool(rng.random() < 0.5) if llr == 0.0 else llr < 0.0
-    return guess_yes == truth_yes, tv_bound(sm, delta), delta, resamples
+    return guess_yes == truth_yes, tv_bound(lam, delta), delta, resamples
 
 
 def game_report(cfg: LowerBoundConfig, outcomes) -> GameReport:

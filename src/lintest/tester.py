@@ -137,7 +137,7 @@ def _stage(f: FunctionOracle, start: int, cfg: TesterConfig, rounds: int, chunk:
                    cfg.epsilon, cfg.seed, transcript)
 
 
-def scaling_index(points, r: int = 50) -> np.ndarray:
+def scaling_index(points, r: int) -> np.ndarray:
     """k_p per point (rows on the last axis): 1 inside the radius-1/r ball, else ceil(r * ||p||).
 
     The indices are integral floats, so p / k_p is the same division for

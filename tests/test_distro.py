@@ -25,14 +25,18 @@ def test_standard_gaussian_determinism_and_moments():
                               StandardGaussian(3, seed=6).draw_many(10))
 
 
-def test_standard_gaussians_of_one_dimension_share_one_factored_dist():
+def test_standard_gaussians_of_one_dimension_share_one_factored_dist(monkeypatch):
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda c: calls.append(c.shape) or eigh(c))
     GaussianDist.standard.cache_clear()
     a, b = StandardGaussian(37, seed=1), StandardGaussian(37, seed=2)
     assert a._dist is b._dist is GaussianDist.standard(37)
     assert GaussianDist.standard.cache_info().currsize == 1
     a.draw_many(3)
-    assert "_spectral_cache" in vars(b._dist)  # eigh(I) runs once per dimension
+    b.draw_many(3)
+    assert calls == [(37, 37)]  # eigh(I) runs once per dimension
     assert StandardGaussian(38, seed=1)._dist is not a._dist
+    assert calls == [(37, 37), (38, 38)]
 
 
 def test_draw_is_prefix_of_draw_many():
@@ -61,6 +65,10 @@ def test_mixture_validation():
         Mixture([0.5, 0.5], [c, StandardGaussian(3, seed=1)])
     with pytest.raises(DistributionError):
         Mixture([1.5, -0.5], [c, StandardGaussian(2, seed=1)])
+    # a NaN weight passes both the sum check and an any(w < 0) test
+    for weights in ([np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf]):
+        with pytest.raises(DistributionError, match="nonnegative"):
+            Mixture(weights, [c, StandardGaussian(2, seed=1)])
 
 
 def test_single_component_mixture_is_transparent():
@@ -135,6 +143,17 @@ def test_empirical_draws_rows_from_dataset():
     assert min(counts) > 230
     with pytest.raises(DistributionError):
         Empirical(np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_empirical_rejects_non_finite_rows(tmp_path, bad):
+    data = np.array([[1.0, 2.0], [3.0, bad], [5.0, 6.0]])
+    with pytest.raises(DistributionError, match="row 2 has non-finite"):
+        Empirical(data)
+    p = tmp_path / "data.csv"
+    p.write_text("".join(",".join(map(str, row)) + "\n" for row in data))
+    with pytest.raises(DistributionError, match="data.csv: .*row 2 has non-finite"):
+        load_empirical(p)
 
 
 def test_load_empirical_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ from scipy import integrate, stats
 from lintest.gauss_core import (
     GaussianDist,
     GaussianError,
-    _Spectral,
+    _factor,
     empirical_tv,
     kl_gaussians,
     log_density,
@@ -108,11 +108,11 @@ def test_spectral_core_matches_jacobi_reference(n, rank):
     else:
         b = rng.standard_normal((n, n - 1))
         a = b @ b.T
-    sp = _Spectral(a)
+    d = GaussianDist(np.zeros(n), a)
     w_ref, _ = jacobi_eigh(a)
-    assert np.allclose(sp.w, w_ref, rtol=0.0, atol=1e-10)
-    assert np.allclose(sp.v @ np.diag(sp.w) @ sp.v.T, a, rtol=0.0, atol=1e-10)
-    L = sp.factor()
+    assert np.allclose(d.w, w_ref, rtol=0.0, atol=1e-10)
+    assert np.allclose(d.v @ np.diag(d.w) @ d.v.T, a, rtol=0.0, atol=1e-10)
+    L = _factor(d)
     assert np.allclose(L @ L.T, a, rtol=0.0, atol=1e-10)
 
 

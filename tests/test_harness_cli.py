@@ -574,6 +574,20 @@ def test_cli_bad_spec_is_machine_readable_error(tmp_path):
     assert "bogus" in payload["message"]
 
 
+def test_cli_empirical_with_a_non_finite_row_is_a_distribution_error(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,2.0\nnan,0.0\n3.0,4.0\n")
+    path = _write_spec(tmp_path, {"oracle": {"family": "linear", "dim": 2, "w_seed": 0},
+                                  "epsilon": 0.5, "trials": 1, "algorithm": "df-additivity",
+                                  "distribution": {"kind": "empirical", "path": str(data)}})
+    result = CliRunner().invoke(main, ["calibrate", "--spec", path])
+    assert result.exit_code == 2
+    err = getattr(result, "stderr", "") or result.output
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "DistributionError"
+    assert "data.csv" in payload["message"] and "non-finite" in payload["message"]
+
+
 def test_cli_query_scaling_rejects_bad_sweep(tmp_path):
     path = _write_spec(tmp_path, {"epsilons": [0.05, 0.1]})
     result = CliRunner().invoke(main, ["query-scaling", "--spec", path])

@@ -12,7 +12,6 @@ from scipy.stats import ks_2samp
 from lintest.lower_bound import (
     LowerBoundConfig,
     LowerBoundError,
-    SampleMatrix,
     build_instance,
     derive_delta,
     game_report,
@@ -40,32 +39,31 @@ def test_config_validation():
 
 
 def test_sample_matrix_identity_fixture():
-    sm = SampleMatrix.from_matrix(np.eye(2))
-    assert np.allclose(sm.eigvals, [1.0, 1.0])
-    assert sm.lambda_min == 1.0
-    assert derive_delta(sm, 0.01) == pytest.approx(0.01 / 4.0)
+    eigvals = np.linalg.eigvalsh(np.eye(2) @ np.eye(2).T)
+    assert np.allclose(eigvals, [1.0, 1.0])
+    assert derive_delta(eigvals, 0.01) == pytest.approx(0.01 / 4.0)
 
 
 def test_tv_bound_identity_fixture():
     # X = I_2, delta = 1: the closed form evaluates to sqrt((2 - 2 ln 2) / 4)
-    sm = SampleMatrix.from_matrix(np.eye(2))
-    assert tv_bound(sm, 1.0) == pytest.approx(math.sqrt((2.0 - 2.0 * math.log(2.0)) / 4.0),
+    eigvals = np.linalg.eigvalsh(np.eye(2) @ np.eye(2).T)
+    assert tv_bound(eigvals, 1.0) == pytest.approx(math.sqrt((2.0 - 2.0 * math.log(2.0)) / 4.0),
                                               abs=1e-12)
-    assert tv_bound(sm, 0.0) == 0.0
+    assert tv_bound(eigvals, 0.0) == 0.0
     with pytest.raises(LowerBoundError):
-        tv_bound(sm, -0.1)
+        tv_bound(eigvals, -0.1)
     with pytest.raises(LowerBoundError):
-        tv_bound(SampleMatrix.from_matrix(np.zeros((2, 2))), 0.5)
+        tv_bound(np.linalg.eigvalsh(np.zeros((2, 2))), 0.5)
 
 
 def test_build_instance_full_rank_and_delta_formula():
     cfg = LowerBoundConfig(n=30, C=0.01, trials=1, seed=0)
     rng = make_rng(1)
     for _ in range(100):
-        sm, delta, resamples = build_instance(cfg, rng)
-        assert sm.eigvals[0] > 0.0
+        eigvals, delta, resamples = build_instance(cfg, rng)
+        assert eigvals[0] > 0.0
         assert resamples == 0
-        assert delta == pytest.approx(0.01 * sm.eigvals[0] / 30**2)
+        assert delta == pytest.approx(0.01 * eigvals[0] / 30**2)
 
 
 def test_tv_bound_never_exceeds_half_sqrt_c():
@@ -74,8 +72,8 @@ def test_tv_bound_never_exceeds_half_sqrt_c():
         for c in (0.01, 0.1, 0.4):
             cfg = LowerBoundConfig(n=n, C=c, trials=1, seed=0)
             for _ in range(25):
-                sm, delta, _ = build_instance(cfg, rng)
-                assert tv_bound(sm, delta) <= 0.5 * math.sqrt(c) + 1e-12
+                eigvals, delta, _ = build_instance(cfg, rng)
+                assert tv_bound(eigvals, delta) <= 0.5 * math.sqrt(c) + 1e-12
 
 
 def test_wilson_interval_values():
@@ -144,14 +142,14 @@ def test_play_trial_does_not_depend_on_the_other_trials():
 
 def _dense_spectra(n, draws, seed):
     rng = make_rng(seed)
-    return np.array([SampleMatrix.from_matrix(standard_normal(rng, (n, n))).eigvals
-                     for _ in range(draws)])
+    return np.array([np.linalg.eigvalsh(X @ X.T)
+                     for X in (standard_normal(rng, (n, n)) for _ in range(draws))])
 
 
 def _bidiagonal_spectra(n, draws, seed):
     cfg = LowerBoundConfig(n=n, trials=1, seed=0)
     rng = make_rng(seed)
-    return np.array([build_instance(cfg, rng)[0].eigvals for _ in range(draws)])
+    return np.array([build_instance(cfg, rng)[0] for _ in range(draws)])
 
 
 @pytest.mark.parametrize("n", [2, 10, 50])
@@ -183,7 +181,7 @@ def test_build_instance_spectrum_equals_eigvalsh_tridiagonal_bit_for_bit(n):
         c = chi(ref, dfs)
         a, b = c[:n], c[n:]
         expected = eigvalsh_tridiagonal(a * a + np.concatenate([[0.0], b * b]), a[:-1] * b)
-        assert np.array_equal(build_instance(cfg, ours)[0].eigvals, expected)
+        assert np.array_equal(build_instance(cfg, ours)[0], expected)
 
 
 def test_importing_the_library_leaves_scipy_linalg_unloaded():
@@ -255,25 +253,25 @@ def test_tv_bound_matches_a_decimal_reference(n):
     cfg = LowerBoundConfig(n=n, C=0.01, trials=1, seed=0)
     rng = make_rng(30 + n)
     for _ in range(5):
-        sm, delta, _ = build_instance(cfg, rng)
-        assert tv_bound(sm, delta) == pytest.approx(_tv_bound_decimal(sm.eigvals, delta),
-                                                    rel=1e-12)
+        eigvals, delta, _ = build_instance(cfg, rng)
+        assert tv_bound(eigvals, delta) == pytest.approx(_tv_bound_decimal(eigvals, delta),
+                                                         rel=1e-12)
 
 
 def test_tv_bound_covers_both_sides_of_the_series_switch():
-    sm = SampleMatrix(np.array([1.0, 10.0, 1e3]))
+    eigvals = np.array([1.0, 10.0, 1e3])
     for delta in (0.5, 1e-3, 0.999e-3, 1.001e-3):
-        assert tv_bound(sm, delta) == pytest.approx(_tv_bound_decimal(sm.eigvals, delta),
-                                                    rel=1e-12)
+        assert tv_bound(eigvals, delta) == pytest.approx(_tv_bound_decimal(eigvals, delta),
+                                                         rel=1e-12)
     with pytest.raises(LowerBoundError):
-        tv_bound(sm, float("nan"))
+        tv_bound(eigvals, float("nan"))
 
 
 def test_tv_bound_rejects_a_delta_whose_ratio_would_overflow():
     # delta / lambda_min beyond sqrt(float max): r^2 is not finite, so the bound
     # is refused, not computed with an overflow
     with pytest.raises(LowerBoundError):
-        tv_bound(SampleMatrix(np.array([1e-9, 1.0, 5.0])), 1e300)
+        tv_bound(np.array([1e-9, 1.0, 5.0]), 1e300)
 
 
 @pytest.mark.parametrize("delta", [1e-20, 0.0])

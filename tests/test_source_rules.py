@@ -79,3 +79,15 @@ def test_library_reads_no_environment_variable():
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and {a.name for a in node.names} & {"environ", "environb", "getenv"})]
     assert found == []
+
+
+def test_package_exports_are_exactly_its_public_imports():
+    # Every name in __all__ resolves, and every public name __init__ imports is listed.
+    import lintest
+
+    imported = {alias.asname or alias.name for node in ast.walk(TREES["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    assert [name for name in lintest.__all__ if not hasattr(lintest, name)] == []
+    assert len(set(lintest.__all__)) == len(lintest.__all__)
+    assert public and public == set(lintest.__all__)

@@ -79,15 +79,15 @@ def test_halving_epsilon_never_cheapens_the_main_stage():
 
 
 def test_scaling_index_examples():
-    assert scaling_index(np.zeros(3)) == 1
-    assert scaling_index(np.array([0.01, 0.0])) == 1
-    assert scaling_index(np.array([0.02])) == 1  # exactly on the 1/50 boundary
-    assert scaling_index(np.array([2.03, 0.0])) == 102
-    assert list(scaling_index(np.array([[0.01, 0.0], [2.03, 0.0]]))) == [1, 102]
+    assert scaling_index(np.zeros(3), 50) == 1
+    assert scaling_index(np.array([0.01, 0.0]), 50) == 1
+    assert scaling_index(np.array([0.02]), 50) == 1  # exactly on the 1/50 boundary
+    assert scaling_index(np.array([2.03, 0.0]), 50) == 102
+    assert list(scaling_index(np.array([[0.01, 0.0], [2.03, 0.0]]), 50)) == [1, 102]
     with pytest.raises(ValueError):
-        scaling_index(np.array([np.nan]))
+        scaling_index(np.array([np.nan]), 50)
     with pytest.raises(ValueError):
-        scaling_index(np.array([[1.0, 0.0], [np.nan, 0.0]]))
+        scaling_index(np.array([[1.0, 0.0], [np.nan, 0.0]]), 50)
 
 
 _rows = st.integers(1, 8).flatmap(lambda n: st.lists(
@@ -369,7 +369,7 @@ def test_query_g_recovers_linear_values_at_all_scales():
         res = query_g(f, p, cfg)
         assert not res.rejected
         assert res.queries_used == 2 * cfg.rounds_queryg
-        assert res.k == scaling_index(p)
+        assert res.k == scaling_index(p, 50)
         assert abs(res.value - float(f.w @ p)) <= 1e-9 * max(1.0, abs(f.w @ p))
 
 
