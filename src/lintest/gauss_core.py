@@ -100,7 +100,8 @@ def sample_gaussian(dist: GaussianDist, seed, size: int | None = None) -> np.nda
     L = _factor(dist)
     m = 1 if size is None else int(size)
     z = standard_normal(rng, (m, dist.dim))
-    x = dist.mean + z @ L.T
+    x = z @ L.T
+    x += dist.mean  # in place: addition commutes, so this is mean + z @ L.T bit for bit
     return x[0] if size is None else x
 
 

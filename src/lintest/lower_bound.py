@@ -94,8 +94,8 @@ def build_instance(cfg: LowerBoundConfig, rng=None) -> tuple[np.ndarray, float, 
 
 
 def derive_delta(eigvals: np.ndarray, C: float) -> float:
-    """delta = C * lambda_min(X)^2 / n^2; lambda_min(X)^2 = eigvals[0], the min Gram eigenvalue."""
-    return float(C) * float(eigvals[0]) / float(eigvals.size**2)
+    """delta = C * lambda_min(X)^2 / n^2, with lambda_min(X)^2 the smallest Gram eigenvalue."""
+    return float(C) * float(np.min(eigvals)) / float(eigvals.size**2)
 
 
 def tv_bound(eigvals: np.ndarray, delta: float) -> float:
@@ -108,9 +108,10 @@ def tv_bound(eigvals: np.ndarray, delta: float) -> float:
     from the Taylor series r^2/2 - r^3/3 + ... - r^7/7.
     """
     lam = np.asarray(eigvals, dtype=float)
-    if lam[0] <= 0:
-        raise LowerBoundError("Gram matrix is singular")
-    if not 0 <= delta <= float(lam[0]) * _MAX_RATIO:  # in Python floats: cannot overflow
+    lam_min = float(np.min(lam))  # in any entry order
+    if not 0 < lam_min < math.inf:
+        raise LowerBoundError(f"Gram matrix is singular or not finite (min {lam_min:g})")
+    if not 0 <= delta <= lam_min * _MAX_RATIO:  # in Python floats: cannot overflow
         raise LowerBoundError("delta must lie in [0, min Gram eigenvalue * sqrt(float max)]")
     r = delta / lam
     s = np.minimum(r, 1e-3)  # capped where the series goes unused, so it cannot overflow

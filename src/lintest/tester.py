@@ -25,19 +25,19 @@ from .distro import SampleDistribution
 from .oracle import EqPolicy, FunctionOracle
 from .rng import derive_seed, make_rng, standard_normal
 
-# Rounds of the identity battery are batched in chunks; a chunk is evaluated
-# in one oracle call over its stacked points and rejection reports the first
-# failing round inside it.  Each round draws its x, y, z as one row of the
-# stream, so the chunk size changes neither the stream nor any verdict, and
-# accept-path query counts are unaffected.
+# Rounds of the identity battery and of negativity forcing are checked in
+# chunks; rejection reports the first failing round inside a chunk, and no
+# chunk after it is evaluated.  A round draws its x, y, z (or its point of D)
+# as one row of the stream, so the chunk size changes neither the stream nor
+# any verdict, and accept-path query counts are unaffected.
 _CHUNK = 256
 
-# The main loop probes g on consecutive blocks of its points, each block
-# drawing about this many doubles, so that a block's probe arrays stay in a
-# core's cache.  Rows take their draws from the stream in order and every
-# block is evaluated, so the block size changes neither the stream, nor any
-# verdict, nor the queries used.
-_PROBE_DOUBLES = 2**15
+# Every oracle call of a tester step holds at most this many doubles of points
+# (or one row; rows are never split), so that a batch and the odd wrapper's
+# negated copy stay well below the size at which glibc's malloc trims the freed
+# heap top back to the kernel, whose pages the next batch would fault in again.
+# Rows draw in stream order and a step checks after all its blocks: no count moves.
+_BATCH_DOUBLES = 2**15
 
 # Queries per round of the identity battery: negation (2) + difference (3)
 # + three-point split (3), each check querying its operands independently.
@@ -106,13 +106,7 @@ class Verdict:
         return self.outcome == "accept"
 
     def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "reject_site": self.reject_site,
-            "queries_used": self.queries_used,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-        }
+        return {k: v for k, v in vars(self).items() if k != "transcript"}
 
 
 def _stage(f: FunctionOracle, start: int, cfg: TesterConfig, rounds: int, chunk: int,
@@ -135,6 +129,14 @@ def _stage(f: FunctionOracle, start: int, cfg: TesterConfig, rounds: int, chunk:
             break
     return Verdict("accept" if site is None else "reject", site, f.query_count - start,
                    cfg.epsilon, cfg.seed, transcript)
+
+
+def _query_blocks(f: FunctionOracle, m: int, per_row: int, build) -> np.ndarray:
+    """f at m rows that build(lo, hi) lays out on axis 1, one oracle call per block of rows."""
+    rows = max(1, _BATCH_DOUBLES // (per_row * f.dim))
+    blocks = (build(lo, min(lo + rows, m)) for lo in range(0, m, rows))
+    vals = [f.query_batch(p.reshape(-1, p.shape[-1])).reshape(p.shape[:-1]) for p in blocks]
+    return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=1)
 
 
 def scaling_index(points, r: int) -> np.ndarray:
@@ -160,20 +162,24 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
     n = f.dim
 
     def step(m):
-        x, y, z = standard_normal(rng, (m, 3, n)).transpose(1, 0, 2)  # one row per round
-        pts = np.empty((8, m, n))  # -x, x | x-y, x, y | (x-y)/2, (x-z)/2, (z-y)/2
-        np.negative(x, out=pts[0])
-        pts[1] = pts[3] = x
-        np.subtract(x, y, out=pts[2])
-        pts[4], pts[5] = y, pts[2]
-        np.subtract(x, z, out=pts[6])
-        np.subtract(z, y, out=pts[7])
-        pts[5:] *= 0.5
-        f_negx, f_x1, f_xy, f_x2, f_y, h1, h2, h3 = f.query_batch(pts.reshape(-1, n)).reshape(8, m)
+        xyz = standard_normal(rng, (m, 3, n)).transpose(1, 0, 2)  # one row per round
+
+        def build(lo, hi):
+            x, y, z = xyz[:, lo:hi]
+            pts = np.empty((8, hi - lo, n))  # -x, x | x-y, x, y | (x-y)/2, (x-z)/2, (z-y)/2
+            np.negative(x, out=pts[0])
+            pts[1] = pts[3] = x
+            np.subtract(x, y, out=pts[2])
+            pts[4], pts[5] = y, pts[2]
+            np.subtract(x, z, out=pts[6])
+            np.subtract(z, y, out=pts[7])
+            pts[5:] *= 0.5
+            return pts
+        f_negx, f_x1, f_xy, f_x2, f_y, h1, h2, h3 = _query_blocks(f, m, 8, build)
         checks = {"negation": eq(f_negx, -f_x1),
                   "difference": eq(f_xy, f_x2 - f_y, np.abs(f_x2) + np.abs(f_y)),
                   "three-point": eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))}
-        return checks, lambda site, i: (site, x[i].tolist(), y[i].tolist(), z[i].tolist())
+        return checks, lambda site, i: (site, *xyz[:, i].tolist())
 
     return _stage(f, f.query_count, cfg, cfg.rounds_testadd, _CHUNK, step)
 
@@ -200,8 +206,8 @@ def probe_g(f: FunctionOracle, points, cfg: TesterConfig, rng):
     Maps p into the 1/r ball via k_p, samples x_1..x_N ~ N(0,I), and
     demands that all v_i = f(p/k_p - x_i) + f(x_i) agree with v_1, each
     comparison tolerant to the rounding of the operands it was summed
-    from.  Rows take their x_i from the stream in order, so a batch draws
-    exactly what one probe per row would.
+    from.  Rows take their x_i from the stream in order, in blocks of one
+    oracle call each, so a batch draws what one probe per row would.
 
     Returns per row: k_p, whether all v_i agree, v_1 = g(p) / k_p, and
     |f(p/k_p - x_1)| + |f(x_1)|, the magnitude of the operands of v_1.
@@ -210,10 +216,13 @@ def probe_g(f: FunctionOracle, points, cfg: TesterConfig, rng):
     m, n = points.shape
     nq = cfg.rounds_queryg
     ks = scaling_index(points, cfg.r)
-    pts = np.empty((2, m, nq, n))  # p/k_p - x_i, then x_i: one oracle call for both
-    xs = standard_normal(rng, out=pts[1])
-    np.subtract(points[:, None, :] / ks[:, None, None], xs, out=pts[0])
-    va, vb = f.query_batch(pts.reshape(-1, n)).reshape(2, m, nq)
+
+    def build(lo, hi):
+        pts = np.empty((2, hi - lo, nq, n))  # p/k_p - x_i, then x_i: one oracle call for both
+        xs = standard_normal(rng, out=pts[1])
+        np.subtract(points[lo:hi, None, :] / ks[lo:hi, None, None], xs, out=pts[0])
+        return pts
+    va, vb = _query_blocks(f, m, 2 * nq, build)
     v = va + vb
     mag = np.abs(va) + np.abs(vb)
     agree = np.all(cfg.policy.eq_arr(v[:, 1:], v[:, :1], mag[:, 1:] + mag[:, :1]), axis=1)
@@ -245,10 +254,8 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
 
     def step(m):
         points = standard_normal(rng, (m, f.dim)) if d is None else d.draw_many(m)
-        fp = f.query_batch(points)
-        rows = max(1, _PROBE_DOUBLES // (cfg.rounds_queryg * f.dim))
-        blocks = [probe_g(f, points[i:i + rows], cfg, rng) for i in range(0, m, rows)]
-        ks, agree, v1, mag1 = (np.concatenate(parts) for parts in zip(*blocks))
+        fp = _query_blocks(f, m, 1, lambda lo, hi: points[None, lo:hi])[0]
+        ks, agree, v1, mag1 = probe_g(f, points, cfg, rng)
 
         def witness(site, i):
             if site == "query-g-disagreement":
@@ -300,7 +307,7 @@ def force_negativity(f: FunctionOracle, d: SampleDistribution,
     """Check f(-x) = -f(x) on draws from d; on success return the odd wrapper."""
     def step(m):
         xs = d.draw_many(m)
-        a, b = f.query_batch(np.concatenate([xs, -xs])).reshape(2, m)
+        a, b = _query_blocks(f, m, 2, lambda lo, hi: np.array([xs[lo:hi], -xs[lo:hi]]))
         return ({"force-negativity": cfg.policy.eq_arr(b, -a)},
                 lambda site, i: (site, xs[i].tolist(), float(a[i]), float(b[i])))
 

@@ -124,6 +124,16 @@ def test_sample_moments_match():
     assert np.allclose(np.cov(x.T), cov, atol=0.02)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 922])
+def test_sample_gaussian_is_mean_plus_factored_normals_bit_for_bit(rows):
+    # the draw is built in one array, z @ L.T then += mean; addition commutes,
+    # so every bit is that of mean + z @ L.T
+    dist = GaussianDist(np.linspace(-2.0, 3.0, 6), _random_pd(make_rng(4), 6))
+    expected = dist.mean + standard_normal(make_rng(8), (rows, 6)) @ _factor(dist).T
+    x = sample_gaussian(dist, 8, size=rows)
+    assert x.shape == (rows, 6) and np.array_equal(x, expected)
+
+
 def test_generator_argument_continues_stream():
     from lintest.rng import make_rng
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -272,6 +273,28 @@ def test_tv_bound_rejects_a_delta_whose_ratio_would_overflow():
     # is refused, not computed with an overflow
     with pytest.raises(LowerBoundError):
         tv_bound(np.array([1e-9, 1.0, 5.0]), 1e300)
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("bad", [0.0, -1.0, -np.inf, np.nan, 1e-320])
+def test_a_bad_eigenvalue_at_any_position_is_refused(bad, position):
+    # the smallest entry is found wherever it sits, not read off the front
+    eigvals = np.array([5.0, 2.0, 7.0, 3.0, 4.0])
+    eigvals[position] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LowerBoundError):
+            tv_bound(eigvals, 1.0)
+
+
+def test_a_shuffled_spectrum_gives_the_same_delta_and_bound():
+    rng = make_rng(12)
+    eigvals, delta, _ = build_instance(LowerBoundConfig(n=40, seed=3), rng)
+    shuffled = rng.permutation(eigvals)
+    assert shuffled[0] != eigvals[0]
+    assert derive_delta(shuffled, 0.01) == derive_delta(eigvals, 0.01) == delta
+    for d in (delta, 0.5 * float(np.median(eigvals))):  # the series and the log1p branch
+        assert tv_bound(shuffled, d) == pytest.approx(tv_bound(eigvals, d), rel=1e-15)
 
 
 @pytest.mark.parametrize("delta", [1e-20, 0.0])

@@ -145,24 +145,48 @@ def test_additivity_deterministic_in_seed():
     assert a.to_json() == b.to_json()
 
 
-@pytest.mark.parametrize("make, outcome", [
-    (lambda: CorruptedLinear.with_mass(np.ones(5), 0.3, odd_symmetric=True), "reject"),
-    (lambda: random_linear(5, w_seed=2), "accept"),
-], ids=["odd-symmetric-corrupted", "linear"])
-def test_battery_chunk_size_changes_no_verdict(monkeypatch, make, outcome):
-    # each round draws its x, y, z as one row of the stream, so the chunk
-    # size decides only how many rounds one oracle call evaluates
-    runs = {}
-    for chunk in (1, 7, 256):
+def _df_linearity_run(f, seed):
+    return run_df_linearity(f, StandardGaussian(5, seed=seed),
+                            TesterConfig(epsilon=0.1, seed=seed))
+
+
+_BATTERY_SITES = {"negation", "difference", "three-point"}
+
+
+@pytest.mark.parametrize("run, per_row, sites", [
+    (lambda seed: run_gaussian_additivity(
+        CorruptedLinear.with_mass(np.ones(5), 0.3, odd_symmetric=True),
+        TesterConfig(epsilon=0.1, seed=seed)), QUERIES_PER_ADDITIVITY_ROUND, _BATTERY_SITES),
+    (lambda seed: run_gaussian_additivity(random_linear(5, w_seed=2),
+                                          TesterConfig(epsilon=0.1, seed=seed)),
+     QUERIES_PER_ADDITIVITY_ROUND, {None}),
+    (lambda seed: _df_linearity_run(CorruptedLinear.with_mass(np.ones(5), 0.3), seed), 2,
+     {"force-negativity"}),
+    (lambda seed: _df_linearity_run(random_linear(5, w_seed=2), seed), 2, {None}),
+], ids=["odd-symmetric-corrupted", "linear", "negativity-corrupted", "negativity-linear"])
+def test_battery_chunk_size_changes_no_verdict(monkeypatch, run, per_row, sites):
+    # each round draws its x, y, z (or its point of D) as one row of the
+    # stream, so the chunk size decides only how many rounds are checked at
+    # once, and the batch budget how many rows of a chunk one oracle call
+    # evaluates; every row of a chunk is evaluated before its check runs
+    def verdicts(chunk, rows):
         monkeypatch.setattr(tester, "_CHUNK", chunk)
-        runs[chunk] = [run_gaussian_additivity(make(), TesterConfig(epsilon=0.1, seed=seed))
-                       for seed in range(8)]
-    assert {v.outcome for v in runs[256]} == {outcome}
-    for verdicts in runs.values():
-        assert [(v.outcome, v.reject_site, v.transcript) for v in verdicts] == \
-            [(v.outcome, v.reject_site, v.transcript) for v in runs[256]]
-        assert [v.queries_used for v in verdicts if v.accepted] == \
-            [v.queries_used for v in runs[256] if v.accepted]
+        monkeypatch.setattr(tester, "_BATCH_DOUBLES", rows * per_row * 5)
+        return [run(seed) for seed in range(8)]
+
+    whole = verdicts(256, 256)  # every chunk is one oracle call
+    assert {v.reject_site for v in whole} <= sites
+    assert all(v.accepted == (sites == {None}) for v in whole)
+    for chunk in (1, 7):
+        runs = verdicts(chunk, 256)
+        assert [(v.outcome, v.reject_site, v.transcript) for v in runs] == \
+            [(v.outcome, v.reject_site, v.transcript) for v in whole]
+        assert [v.queries_used for v in runs if v.accepted] == \
+            [v.queries_used for v in whole if v.accepted]
+    for rows in (1, 7):  # blocks inside each chunk: the queries of one call per chunk
+        assert [(v.outcome, v.reject_site, v.transcript, v.queries_used)
+                for v in verdicts(256, rows)] == \
+            [(v.outcome, v.reject_site, v.transcript, v.queries_used) for v in whole]
 
 
 def _shifted_halfspace_run(seed):
@@ -190,14 +214,14 @@ def _one_round_battery_run(seed):
 ], ids=["linear-gaussian", "linear-df-linearity", "query-g-disagreement", "f!=g-shifted"])
 def test_probe_block_size_changes_no_verdict(monkeypatch, run, main_epsilon, site):
     # main-loop rows take their probe draws from the stream in order and every
-    # block is evaluated, so the block size decides only how many rows one
-    # probe_g call evaluates
+    # block is evaluated, so the batch budget decides only how many rows one
+    # oracle call of probe_g evaluates
     main = TesterConfig(epsilon=main_epsilon)
-    doubles_per_row = main.rounds_queryg * 5
+    doubles_per_row = 2 * main.rounds_queryg * 5  # p/k_p - x_i and x_i
     whole = main.rounds_main
     runs = {}
     for rows in (1, 7, whole):
-        monkeypatch.setattr(tester, "_PROBE_DOUBLES", rows * doubles_per_row)
+        monkeypatch.setattr(tester, "_BATCH_DOUBLES", rows * doubles_per_row)
         runs[rows] = [run(seed) for seed in range(8)]
     if site is None:
         assert all(v.accepted for v in runs[whole])
@@ -208,7 +232,7 @@ def test_probe_block_size_changes_no_verdict(monkeypatch, run, main_epsilon, sit
             [(v.outcome, v.reject_site, v.transcript, v.queries_used) for v in runs[whole]]
 
 
-# --- one oracle call per step ----------------------------------------------------
+# --- one oracle call per block of a step ----------------------------------------
 
 
 def _counting_linear(n):
@@ -222,37 +246,67 @@ def _counting_linear(n):
     return CustomOracle(n, fn), calls
 
 
+def _blocks(total, rows):
+    """Row counts of consecutive blocks of at most `rows` covering `total` rows."""
+    return [min(rows, total - i) for i in range(0, total, rows)]
+
+
 def test_each_battery_chunk_is_one_oracle_call(monkeypatch):
+    # 230 rounds in chunks of 100, each chunk split into blocks of 30 rounds
     monkeypatch.setattr(tester, "_CHUNK", 100)
+    monkeypatch.setattr(tester, "_BATCH_DOUBLES", 30 * QUERIES_PER_ADDITIVITY_ROUND * 4)
     f, calls = _counting_linear(4)
     verdict = test_additivity(f, TesterConfig(epsilon=0.1, seed=1))
     assert verdict.accepted
-    assert calls == [8 * 100, 8 * 100, 8 * 30]
+    assert calls == [8 * rows for chunk in (100, 100, 30) for rows in _blocks(chunk, 30)]
+    assert calls == [240, 240, 240, 80, 240, 240, 240, 80, 240]
 
 
 def test_each_probe_block_is_one_oracle_call(monkeypatch):
     n, eps = 4, 0.1
     cfg = TesterConfig(epsilon=eps, seed=2)
     nq, rounds = cfg.rounds_queryg, cfg.rounds_main
-    monkeypatch.setattr(tester, "_PROBE_DOUBLES", 7 * nq * n)  # blocks of 7 rows
+    monkeypatch.setattr(tester, "_BATCH_DOUBLES", 7 * 2 * nq * n)  # probe blocks of 7 rows
     f, calls = _counting_linear(n)
     verdict = run_gaussian_additivity(f, cfg)
     assert verdict.accepted
-    blocks = [min(7, rounds - i) for i in range(0, rounds, 7)]
-    # the battery's one chunk, f at the main-loop points, then one call per block
-    assert calls == [8 * cfg.rounds_testadd, rounds] + [2 * nq * rows for rows in blocks]
+    # the battery's blocks of 70 // 8 = 8 rounds, f at the main-loop points in
+    # blocks of 70 rows (one here), then one call per probe block
+    battery = [8 * rows for rows in _blocks(cfg.rounds_testadd, 7 * 2 * nq // 8)]
+    assert calls == battery + [rounds] + [2 * nq * rows for rows in _blocks(rounds, 7)]
     f, calls = _counting_linear(n)
     probe_g(f, np.ones((5, n)), TesterConfig(epsilon=eps), make_rng(3))
     assert calls == [2 * nq * 5]
 
 
 def test_each_negativity_chunk_is_one_oracle_call(monkeypatch):
+    # 24 rounds in chunks of 10, each chunk split into blocks of 4 rounds
     monkeypatch.setattr(tester, "_CHUNK", 10)
+    monkeypatch.setattr(tester, "_BATCH_DOUBLES", 4 * 2 * 3)
     f, calls = _counting_linear(3)
     wrapped, verdict = force_negativity(f, StandardGaussian(3, seed=4),
                                         TesterConfig(epsilon=0.1, seed=5))
     assert wrapped is not None and verdict.accepted
-    assert calls == [2 * 10, 2 * 10, 2 * 4]
+    assert calls == [2 * rows for chunk in (10, 10, 4) for rows in _blocks(chunk, 4)]
+    assert calls == [8, 8, 4, 8, 8, 4, 8]
+
+
+@pytest.mark.parametrize("n", [10, 50])
+@pytest.mark.parametrize("epsilon", [0.1, 0.01])
+def test_no_oracle_batch_exceeds_the_budget(n, epsilon):
+    # every call a tester makes, and each base call beneath the odd wrapper,
+    # holds at most _BATCH_DOUBLES doubles of points
+    cfg = TesterConfig(epsilon=epsilon, seed=6)
+    budget = tester._BATCH_DOUBLES
+    for run in (lambda f: run_gaussian_additivity(f, cfg),
+                lambda f: run_df_additivity(f, StandardGaussian(n, seed=7), cfg),
+                lambda f: run_df_linearity(f, StandardGaussian(n, seed=7), cfg)):
+        f, calls = _counting_linear(n)
+        verdict = run(f)
+        assert verdict.accepted and sum(calls) == f.query_count == verdict.queries_used
+        assert max(calls) * n <= budget
+    if n == 50:  # the battery's one chunk alone is over the budget, so it is split
+        assert QUERIES_PER_ADDITIVITY_ROUND * cfg.rounds_testadd * n > budget
 
 
 def _round_of(rows, witness):
