@@ -15,38 +15,32 @@ from scipy.special import ndtr, ndtri
 
 from .rng import hash_rows, make_rng, open_unit, standard_normal
 
+_VALUE_BOUND = np.finfo(float).max / 4  # the largest |value| an oracle may return
+
 
 class OracleError(ValueError):
-    """Bad oracle input: dimension mismatch or non-finite point."""
+    """Bad oracle input or output: dimension mismatch, non-finite point, or a value out of range."""
 
 
-@dataclass(frozen=True)
 class EqPolicy:
-    """Approximate equality standing in for exact-real comparison.
+    """Relative equality standing in for exact-real comparison.
 
-    a == b iff |a - b| <= abs_tol + rel_tol * max(|a|, |b|, mag); symmetric
-    by construction.  `mag` is the magnitude of the operands a and b were
-    summed from: rounding error scales with the operands, not with the
-    result, and a sum of large terms can be small.  Defaults leave ~6 orders
-    of magnitude between double rounding error and the smallest violation
-    payloads we test.
+    a == b iff |a - b| <= REL_TOL * max(|a|, |b|, mag): symmetric, and blind to
+    a power-of-two scale of a, b and mag, so no verdict depends on f's scale.
+    `mag` is the magnitude of the operands a and b were summed from: rounding
+    error scales with the operands, not with the result, and a sum of large
+    terms can be small.  REL_TOL leaves ~6 orders of magnitude between double
+    rounding error and the smallest violations we test.
     """
 
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rel_tol < 0 or self.abs_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+    REL_TOL = 1e-9
 
     def eq(self, a: float, b: float) -> bool:
         return bool(self.eq_arr(a, b))
 
     def eq_arr(self, a, b, mag=0.0) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), mag)
-        return np.abs(a - b) <= self.abs_tol + self.rel_tol * scale
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return np.abs(a - b) <= self.REL_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), mag)
 
 
 def _unit(direction) -> np.ndarray:
@@ -83,6 +77,7 @@ class FunctionOracle:
     `_values` must be row-wise: a row's value may not depend on the other rows
     of its batch, so callers may stack point sets into one call.  Its last bits
     may depend on the row's position, so OddOracle queries x and -x apart.
+    A value that is NaN or beyond float max / 4 is refused: the testers' sums stay finite.
     """
 
     def __init__(self, dim: int):
@@ -111,7 +106,11 @@ class FunctionOracle:
 
     def query_batch(self, xs) -> np.ndarray:
         xs = self._check(xs)
-        values = self._values(xs)
+        with np.errstate(over="ignore", invalid="ignore"):  # the bound check is the one signal
+            values = self._values(xs)
+        # two reductions and no temporary; a NaN fails the first comparison
+        if not -_VALUE_BOUND <= values.min(initial=0.0) <= values.max(initial=0.0) <= _VALUE_BOUND:
+            raise OracleError(f"oracle value is NaN or beyond +-{_VALUE_BOUND:.4g} (float max / 4)")
         self.query_count += xs.shape[0]  # a batch that raises costs no query
         return values
 
@@ -184,9 +183,10 @@ class NoisyLinear(FunctionOracle):
     """w.x + eta(x) with eta(x) ~ N(0, delta_noise) keyed by the bits of x.
 
     The noise is a function of the point, not of the query: the canonical
-    little-endian float64 words of x (-0.0 read as 0.0) go through a hash
-    keyed by noise_seed, and its top 53 bits feed one inverse-CDF normal
-    deviate.  Repeat queries agree exactly.
+    little-endian float64 words of x (-0.0 read as 0.0) go through
+    `hash_rows` keyed by noise_seed, whose cost per call does not grow with
+    n, and its top 53 bits feed one inverse-CDF normal deviate.  Repeat
+    queries agree exactly.
     """
 
     def __init__(self, w, delta_noise: float, noise_seed: int = 0):

@@ -588,6 +588,23 @@ def test_cli_empirical_with_a_non_finite_row_is_a_distribution_error(tmp_path):
     assert "data.csv" in payload["message"] and "non-finite" in payload["message"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_an_overflowing_oracle_is_an_oracle_error_not_a_verdict(tmp_path, jobs):
+    # Every weight is finite, but w.x overflows: inf - inf is NaN, and NaN compares
+    # false, so an exactly linear f would be rejected.  The oracle refuses the value.
+    path = _write_spec(tmp_path, {
+        "oracle": {"family": "linear", "dim": 3, "w_explicit": [2e307, -2e307, 1.5e307]},
+        "epsilon": 0.2, "trials": 4, "algorithm": "df-linearity"})
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    done = subprocess.run([sys.executable, "-m", "lintest.cli", "calibrate", "--spec", path,
+                           "--jobs", jobs], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2 and done.stdout == ""
+    (line,) = done.stderr.splitlines()  # no RuntimeWarning beside the error
+    payload = json.loads(line)
+    assert payload["error"] == "OracleError" and "NaN or beyond" in payload["message"]
+
+
 def test_cli_query_scaling_rejects_bad_sweep(tmp_path):
     path = _write_spec(tmp_path, {"epsilons": [0.05, 0.1]})
     result = CliRunner().invoke(main, ["query-scaling", "--spec", path])

@@ -35,10 +35,11 @@ def test_eq_policy_basics():
     pol = EqPolicy()
     assert pol.eq(1.0, 1.0 + 1e-12)
     assert not pol.eq(1.0, 1.0 + 1e-6)
-    assert pol.eq(0.0, 5e-13)
+    # relative at every scale: no absolute floor hides a difference between tiny values
+    assert pol.eq(1e-300, 1e-300 * (1.0 + 1e-12))
+    assert not pol.eq(1e-300, 1e-300 * (1.0 + 1e-6))
     assert not pol.eq(0.0, 1e-9)
-    with pytest.raises(ValueError):
-        EqPolicy(rel_tol=-1.0)
+    assert not pol.eq(0.0, 1e-300)
 
 
 @settings(max_examples=200, deadline=None)
@@ -50,15 +51,27 @@ def test_eq_policy_symmetric_and_reflexive(a, b):
 
 
 def test_eq_arr_matches_scalar():
-    pol = EqPolicy(rel_tol=1e-6, abs_tol=1e-9)
+    pol = EqPolicy()
     a = np.array([1.0, 0.0, -3.0, 1e6])
-    b = np.array([1.0 + 1e-7, 1e-10, -3.0 - 1.0, 1e6 + 0.5])
+    b = np.array([1.0 + 1e-10, 1e-300, -3.0 - 1.0, 1e6 + 1e-4])
     arr = pol.eq_arr(a, b)
-    assert list(arr) == [pol.eq(x, y) for x, y in zip(a, b)]
+    assert list(arr) == [pol.eq(x, y) for x, y in zip(a, b)] == [True, False, False, True]
     # the operand magnitude widens the band only where it exceeds |a| and |b|
     assert list(pol.eq_arr(a, b, mag=np.zeros(4))) == list(arr)
-    assert list(pol.eq_arr([1e-3, -3.0], [0.0, -4.0], mag=1e4)) == [True, False]
+    assert list(pol.eq_arr([1e-3, -3.0], [0.0, -4.0], mag=1e7)) == [True, False]
     assert not pol.eq_arr(1e-3, 0.0)
+
+
+# away from 0, no operand, difference or band below comes near the subnormals
+_NOT_TINY = st.floats(-1e9, 1e9).filter(lambda x: x == 0 or abs(x) > 1e-200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NOT_TINY, _NOT_TINY, _NOT_TINY.map(abs), st.integers(-200, 200))
+def test_eq_arr_ignores_a_power_of_two_scale(a, b, mag, k):
+    pol = EqPolicy()
+    assert pol.eq_arr(2.0**k * a, 2.0**k * b, 2.0**k * mag) == pol.eq_arr(a, b, mag)
+    assert pol.eq(2.0**k * a, 2.0**k * a * (1.0 + 1e-12))
 
 
 # --- base oracle mechanics -----------------------------------------------------
@@ -83,6 +96,31 @@ def test_query_validation():
         f.query([np.inf, 0.0])
     with pytest.raises(OracleError):
         LinearOracle([])
+
+
+_BOUND = np.finfo(float).max / 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -1e308,
+                                 np.nextafter(_BOUND, np.inf)])
+def test_an_unusable_oracle_value_is_refused_without_a_query(bad):
+    # NaN compares false and inf - inf is NaN: either would pass for a failed check
+    f = CustomOracle(2, lambda xs: np.where(xs[:, 0] > 0, bad, 1.0))
+    with pytest.raises(OracleError, match="NaN or beyond"):
+        f.query_batch(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+    assert f.query_count == 0
+    assert f.query([-1.0, 0.0]) == 1.0 and f.query_count == 1
+
+
+def test_values_up_to_the_bound_are_served_and_overflow_is_refused():
+    f = CustomOracle(1, lambda xs: xs[:, 0] * _BOUND)
+    assert list(f.query_batch([[1.0], [-1.0]])) == [_BOUND, -_BOUND]
+    assert f.query_batch(np.empty((0, 1))).shape == (0,)
+    # an overflowing matmul raises no RuntimeWarning, only the typed error
+    big = LinearOracle([2.0**1020, 2.0**1020])
+    with pytest.raises(OracleError):
+        big.query_batch(np.full((3, 2), 40.0))
+    assert big.query_count == 0
 
 
 @pytest.mark.parametrize("make", ALL_FAMILIES)

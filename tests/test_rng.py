@@ -3,6 +3,7 @@ from scipy.special import ndtri
 from scipy.stats import chi as chi_law
 from scipy.stats import kstest
 
+from lintest import rng as rng_module
 from lintest.rng import (
     chi,
     derive_seed,
@@ -73,6 +74,18 @@ def test_hash_rows_is_keyed_and_separates_single_word_changes():
         flipped[:, j] ^= np.uint64(1)
         assert np.all(hash_rows(flipped, 7) != h)
     assert hash_rows(np.zeros((1, 3), dtype=np.uint64), 0)[0] != 0
+
+
+def test_hash_rows_makes_a_fixed_number_of_mix64_calls_whatever_the_width(monkeypatch):
+    # NoisyLinear hashes every oracle batch: its Python-level work may not grow with n
+    calls = []
+    monkeypatch.setattr(rng_module, "mix64", lambda x: calls.append(x.shape) or mix64(x))
+    counts = []
+    for n in (1, 10, 1000, 10_000):
+        calls.clear()
+        hash_rows(np.zeros((8, n), dtype=np.uint64), 3)
+        counts.append(len(calls))
+    assert counts == [3, 3, 3, 3]
 
 
 def test_standard_normal_moments_and_shape():
