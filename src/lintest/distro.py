@@ -27,24 +27,27 @@ class SampleDistribution:
         raise NotImplementedError
 
 
-class ShiftedGaussian(SampleDistribution):
-    """N(mean, cov); cov defaults to the identity."""
-
-    def __init__(self, mean, cov=None, seed: int = 0):
-        mean = np.asarray(mean, dtype=float)
-        self._dist = GaussianDist(mean, np.eye(mean.size) if cov is None else cov)
-        super().__init__(mean.size, seed)
+class StandardGaussian(SampleDistribution):
+    def __init__(self, dim: int, seed: int = 0):
+        super().__init__(dim, seed)
+        self._dist = GaussianDist.standard(dim)
 
     def draw_many(self, m: int) -> np.ndarray:
         return sample_gaussian(self._dist, self._rng, size=m)
 
 
-class StandardGaussian(ShiftedGaussian):
-    """N(0, I), sharing one factored GaussianDist per dimension."""
+class ShiftedGaussian(SampleDistribution):
+    """N(mean, cov); cov defaults to the identity."""
 
-    def __init__(self, dim: int, seed: int = 0):
-        SampleDistribution.__init__(self, dim, seed)
-        self._dist = GaussianDist.standard(dim)
+    def __init__(self, mean, cov=None, seed: int = 0):
+        mean = np.asarray(mean, dtype=float)
+        if cov is None:
+            cov = np.eye(mean.size)
+        self._dist = GaussianDist(mean, cov)
+        super().__init__(mean.size, seed)
+
+    def draw_many(self, m: int) -> np.ndarray:
+        return sample_gaussian(self._dist, self._rng, size=m)
 
 
 class Mixture(SampleDistribution):

@@ -55,7 +55,6 @@ class GaussianDist:
     cov: np.ndarray
     w: np.ndarray  # cov's ascending eigenvalues, from the one eigh at construction
     v: np.ndarray  # their eigenvectors: cov == v diag(w) v^T
-    standard: bool  # mean 0 and cov I exactly: a draw is its normals as they come
 
     def __init__(self, mean, cov):
         mu = _as_mean(mean)
@@ -64,7 +63,6 @@ class GaussianDist:
         for name, arr in (("mean", mu), ("cov", c), ("w", w), ("v", v)):
             arr.flags.writeable = False  # w and v stay what cov implies
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "standard", not mu.any() and np.array_equal(c, np.eye(mu.size)))
 
     @property
     def dim(self) -> int:
@@ -101,10 +99,9 @@ def sample_gaussian(dist: GaussianDist, seed, size: int | None = None) -> np.nda
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(int(seed))
     L = _factor(dist)
     m = 1 if size is None else int(size)
-    x = standard_normal(rng, (m, dist.dim))
-    if not dist.standard:  # for N(0, I), z @ I + 0 would be z again, through one more array
-        x = x @ L.T
-        x += dist.mean  # in place: addition commutes, so this is mean + z @ L.T bit for bit
+    z = standard_normal(rng, (m, dist.dim))
+    x = z @ L.T
+    x += dist.mean  # in place: addition commutes, so this is mean + z @ L.T bit for bit
     return x[0] if size is None else x
 
 

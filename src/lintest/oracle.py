@@ -16,6 +16,7 @@ from scipy.special import ndtr, ndtri
 from .rng import hash_rows, make_rng, open_unit, standard_normal
 
 _VALUE_BOUND = np.finfo(float).max / 4  # the largest |value| an oracle may return
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 class OracleError(ValueError):
@@ -25,12 +26,12 @@ class OracleError(ValueError):
 class EqPolicy:
     """Relative equality standing in for exact-real comparison.
 
-    a == b iff |a - b| <= REL_TOL * max(|a|, |b|, mag): symmetric, and blind to
-    a power-of-two scale of a, b and mag, so no verdict depends on f's scale.
-    `mag` is the magnitude of the operands a and b were summed from: rounding
-    error scales with the operands, not with the result, and a sum of large
-    terms can be small.  REL_TOL leaves ~6 orders of magnitude between double
-    rounding error and the smallest violations we test.
+    a == b iff |a - b| <= REL_TOL * max(|a|, |b|, mag) + tiny, symmetric.  `mag`
+    is the magnitude of the operands a and b were summed from: rounding error
+    scales with the operands, not the result.  REL_TOL leaves ~6 orders of
+    magnitude above double rounding error.  tiny (the smallest normal double)
+    covers subnormal rounding and vanishes in the band's own rounding once the
+    operands pass ~1e-282: from there a power-of-two scale of f changes no check.
     """
 
     REL_TOL = 1e-9
@@ -40,7 +41,7 @@ class EqPolicy:
 
     def eq_arr(self, a, b, mag=0.0) -> np.ndarray:
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return np.abs(a - b) <= self.REL_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), mag)
+        return np.abs(a - b) <= self.REL_TOL * np.maximum(np.maximum(abs(a), abs(b)), mag) + _TINY
 
 
 def _unit(direction) -> np.ndarray:
@@ -183,10 +184,9 @@ class NoisyLinear(FunctionOracle):
     """w.x + eta(x) with eta(x) ~ N(0, delta_noise) keyed by the bits of x.
 
     The noise is a function of the point, not of the query: the canonical
-    little-endian float64 words of x (-0.0 read as 0.0) go through
-    `hash_rows` keyed by noise_seed, whose cost per call does not grow with
-    n, and its top 53 bits feed one inverse-CDF normal deviate.  Repeat
-    queries agree exactly.
+    little-endian float64 words of x (-0.0 read as 0.0) go through `hash_rows`
+    keyed by noise_seed, at a per-call cost that does not grow with n, and its
+    top 53 bits feed one inverse-CDF normal deviate.  Repeat queries agree exactly.
     """
 
     def __init__(self, w, delta_noise: float, noise_seed: int = 0):

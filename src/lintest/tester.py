@@ -9,7 +9,7 @@ additivity tester to a linearity tester for continuous inputs.
 
 Exactly additive/linear inputs are accepted with probability 1: the
 identities hold to floating-point rounding, which EqPolicy's relative
-tolerance absorbs; no check depends on f's scale.
+tolerance absorbs; no check on operands above ~1e-282 depends on f's scale.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def probe_g(f: FunctionOracle, points, cfg: TesterConfig, rng):
 
 
 def query_g(f: FunctionOracle, p, cfg: TesterConfig, rng=None) -> QueryGResult:
-    """Probe g at the single point p; returns k_p * v_1 on agreement."""
+    """Probe g at the single point p; returns k_p * v_1 = g(p) on agreement, inf past float max."""
     rng = rng if rng is not None else make_rng(cfg.seed)
     start = f.query_count
     ks, agree, v1, _ = probe_g(f, np.asarray(p, dtype=float)[None, :], cfg, rng)
@@ -260,9 +260,9 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
         def witness(site, i):
             if site == "query-g-disagreement":
                 return "query-g", points[i].tolist()
-            return site, points[i].tolist(), float(fp[i]), float(ks[i] * v1[i])
-        # Compare at the per-ball scale (f(p)/k vs v_1) rather than after
-        # multiplying by k; identical test, better conditioned when f(p) ~ 0.
+            return site, points[i].tolist(), float(fp[i]), int(ks[i]), float(v1[i])
+        # Compare, and report, at the per-ball scale: f(p)/k_p against v_1 = g(p)/k_p,
+        # never the product k_p * v_1, which may pass float max for values inside the bound.
         return {"query-g-disagreement": agree,
                 "f!=g": cfg.policy.eq_arr(fp / ks, v1, mag1)}, witness
 

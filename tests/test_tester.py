@@ -551,6 +551,31 @@ def test_far_functions_are_rejected_at_tiny_scales(family, k):
     assert not any(v.accepted for v in verdicts)
 
 
+@pytest.mark.parametrize("n", [1, 5, 50])
+def test_exactly_linear_with_subnormal_values_is_accepted(n):
+    # every value sits on the subnormal grid, whose rounding a purely relative
+    # band would not absorb
+    for seed in range(5):
+        cfg = TesterConfig(epsilon=0.1, seed=seed)
+        assert run_gaussian_additivity(LinearOracle([1e-318] * n), cfg).accepted
+        assert run_df_linearity(LinearOracle([1e-318] * n), StandardGaussian(n, seed=seed),
+                                cfg).accepted
+
+
+def test_f_ne_g_witness_near_the_value_bound_is_finite():
+    # f = s * x_0 up to x_0 = 50 and 0 beyond, with D around x_0 = 100: every value
+    # is within the bound, but g(p) = k_p * v_1 = 100 s passes float max
+    s = np.finfo(float).max / 80
+    f = CustomOracle(5, lambda xs: np.where(xs[:, 0] > 50.0, 0.0, s * xs[:, 0]))
+    d = ShiftedGaussian(100.0 * np.eye(5)[0], seed=3)
+    verdict = run_df_additivity(f, d, TesterConfig(epsilon=0.1, seed=3))
+    assert verdict.reject_site == "f!=g"
+    (site, p, fp, k, v1), = verdict.transcript
+    assert fp == 0.0 and k == scaling_index(p, 50) and math.isfinite(v1)
+    assert v1 == pytest.approx(s * (p[0] / k))
+    assert math.isinf(query_g(f, p, TesterConfig(epsilon=0.1)).value)
+
+
 def test_gaussian_additivity_accepts_linear_exactly():
     f = random_linear(10, w_seed=3)
     cfg = TesterConfig(epsilon=0.1, seed=7)
