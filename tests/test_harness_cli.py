@@ -232,7 +232,6 @@ def _one_share_each(call, processes):
     (8, 16, 3, [3]),      # clamped to the trials
     (4, 8, 1, []),        # one trial runs in-process
     (4, None, 4, []),     # no affinity and an unknown core count count as one core
-    (0, 8, 4, []),        # nonpositive jobs run in-process
 ])
 def test_run_calibrate_clamps_workers(monkeypatch, fresh_workers, shares, jobs, cpus, trials,
                                       workers):
@@ -248,6 +247,14 @@ def test_run_calibrate_clamps_workers(monkeypatch, fresh_workers, shares, jobs, 
     assert len(fresh_workers) == processes - 1
     serial = run_calibrate(_linear_spec(trials=trials))
     assert _reports_without_wall_clock(report, serial)[0] == serial
+
+
+@pytest.mark.parametrize("run, spec", [(run_calibrate, _linear_spec(trials=4)),
+                                       (run_lower_bound, {"n": 4, "trials": 5})])
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_functions_refuse_a_worker_count_below_one(run, spec, jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run(spec, jobs=jobs)
 
 
 def test_usable_cores_reads_the_affinity_then_the_core_count(monkeypatch):
@@ -502,13 +509,14 @@ def _write_spec(tmp_path, spec):
 
 def test_cli_calibrate_json(tmp_path):
     path = _write_spec(tmp_path, {"oracle": {"family": "linear", "dim": 3, "w_seed": 1},
-                                  "epsilon": 0.2, "algorithm": "gaussian-additivity"})
+                                  "epsilon": 0.2, "algorithm": "gaussian-additivity",
+                                  "trials": 2, "seed": 7})
     runner = CliRunner()
-    result = runner.invoke(main, ["calibrate", "--spec", path, "--trials", "2",
-                                  "--seed", "7"])
+    result = runner.invoke(main, ["calibrate", "--spec", path])
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
-    assert report["seed"] == 7  # flag override wins
+    assert report["seed"] == 7
+    assert report["aggregates"]["trials"] == 2
     assert report["aggregates"]["accept_rate"] == 1.0
 
 
@@ -540,12 +548,13 @@ def test_cli_reports_identical_modulo_wall_clock(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_test_additivity_and_linearity_force_their_algorithms(tmp_path):
-    path = _write_spec(tmp_path, {"oracle": {"family": "linear", "dim": 2, "w_seed": 0},
-                                  "epsilon": 0.2, "trials": 1, "seed": 1})
+def test_cli_calibrate_runs_the_algorithm_the_spec_names(tmp_path):
+    spec = {"oracle": {"family": "linear", "dim": 2, "w_seed": 0},
+            "epsilon": 0.2, "trials": 1, "seed": 1}
     runner = CliRunner()
-    add = json.loads(runner.invoke(main, ["test-additivity", "--spec", path]).output)
-    lin = json.loads(runner.invoke(main, ["test-linearity", "--spec", path]).output)
+    add, lin = (json.loads(runner.invoke(main, [
+        "calibrate", "--spec", _write_spec(tmp_path, {**spec, "algorithm": algorithm})]).output)
+        for algorithm in ("df-additivity", "df-linearity"))
     assert add["spec"]["algorithm"] == "df-additivity"
     assert lin["spec"]["algorithm"] == "df-linearity"
     assert add["aggregates"]["accept_rate"] == 1.0
@@ -554,12 +563,15 @@ def test_cli_test_additivity_and_linearity_force_their_algorithms(tmp_path):
 
 
 def test_cli_csv_output_to_file(tmp_path):
-    path = _write_spec(tmp_path, {"n": 4, "trials": 10, "seed": 2})
+    # The report goes to stdout, in the spec's format; a shell redirection files it.
+    path = _write_spec(tmp_path, {"n": 4, "trials": 10, "seed": 2, "format": "csv"})
     out = tmp_path / "report.csv"
-    runner = CliRunner()
-    result = runner.invoke(main, ["lower-bound", "--spec", path,
-                                  "--format", "csv", "--output", str(out)])
-    assert result.exit_code == 0
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    with out.open("w") as fh:
+        done = subprocess.run([sys.executable, "-m", "lintest.cli", "lower-bound", "--spec", path],
+                              stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
     assert out.read_text().splitlines()[0].startswith("n,C,delta_override")
 
 
@@ -612,7 +624,7 @@ def test_cli_query_scaling_rejects_bad_sweep(tmp_path):
 
 
 def test_cli_seed_ignores_the_environment(tmp_path):
-    # the spec and --seed are the only ways to set the seed; without either it is 0
+    # the spec is the only way to set the seed; without a 'seed' key it is 0
     path = _write_spec(tmp_path, {"oracle": {"family": "linear", "dim": 2, "w_seed": 0},
                                   "epsilon": 0.2, "trials": 1,
                                   "algorithm": "gaussian-additivity"})
@@ -645,8 +657,7 @@ _LINEAR = {"family": "linear", "dim": 2}
     ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "n_list": [4]}, "n_list"),
     ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "algorithm": "gaussian-additivity",
                    "distribution": {"kind": "standard-gaussian", "dim": 2}}, "distribution"),
-    ("test-additivity", {"oracle": _LINEAR, "epsilon": 0.2, "algorithm": "df-linearity"},
-     "df-linearity"),
+    ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "C": 0.01}, "C"),
     ("lower-bound", {"n": 4, "trials": 5, "oracle": _LINEAR}, "oracle"),
     ("lower-bound", {"n": 4, "trials": 5, "epsilon": 0.1}, "epsilon"),
     ("lower-bound", {"n": 4, "n_list": [6], "trials": 5}, "n_list"),
@@ -738,9 +749,9 @@ def test_cli_rejects_non_finite_numbers(tmp_path, key, value):
     assert f"'{key}'" in payload["message"] and "finite" in payload["message"]
 
 
-def test_cli_writes_no_non_json_number(tmp_path):
+def test_cli_writes_no_non_json_number():
     with pytest.raises(ValueError, match="JSON compliant"):
-        cli._emit({"spec": {}, "value": float("nan")}, str(tmp_path / "report.json"), "json")
+        cli._emit({"spec": {}, "value": float("nan")})
 
 
 @pytest.mark.parametrize("distribution, key", [
@@ -771,15 +782,40 @@ def test_cli_lets_a_library_key_error_through(tmp_path, monkeypatch):
     assert isinstance(result.exception, KeyError) and result.exit_code == 1
 
 
+_SPECS = {"calibrate": {"oracle": _LINEAR, "epsilon": 0.2},
+          "query-scaling": {"epsilons": [0.2]},
+          "lower-bound": {"n": 4, "trials": 5}}
+
+
+def test_cli_has_one_command_per_harness_entry_point():
+    assert set(main.commands) == set(_SPECS)
+    for name, command in main.commands.items():
+        options = {param.name: param for param in command.params}
+        assert options.keys() == ({"spec_path"} if name == "query-scaling"
+                                  else {"spec_path", "jobs"}), name
+        assert options["spec_path"].required
+
+
 @pytest.mark.parametrize("args", [["query-scaling", "--jobs", "2"],
                                   ["query-scaling", "--epsilon", "0.1"],
                                   ["query-scaling", "--trials", "3"],
-                                  ["lower-bound", "--epsilon", "0.1"]])
+                                  ["lower-bound", "--epsilon", "0.1"],
+                                  *([command, *flag] for command in _SPECS for flag in (
+                                      ["--epsilon", "0.1"], ["--trials", "3"], ["--seed", "7"],
+                                      ["--format", "csv"], ["--output", "report.json"]))])
 def test_cli_rejects_flags_the_command_does_not_honour(tmp_path, args):
-    spec = {"epsilons": [0.2]} if args[0] == "query-scaling" else {"n": 4, "trials": 5}
-    result = CliRunner().invoke(main, [*args, "--spec", _write_spec(tmp_path, spec)])
+    result = CliRunner().invoke(main, [*args, "--spec", _write_spec(tmp_path, _SPECS[args[0]])])
     assert result.exit_code == 2
     assert "No such option" in result.output
+
+
+@pytest.mark.parametrize("command", ["calibrate", "lower-bound"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_refuses_a_worker_count_below_one(tmp_path, command, jobs):
+    path = _write_spec(tmp_path, _SPECS[command])
+    result = CliRunner().invoke(main, [command, "--spec", path, "--jobs", jobs])
+    assert result.exit_code == 2, result.output
+    assert "--jobs" in result.output and "x>=1" in result.output
 
 
 def test_cli_lower_bound_jobs_gives_the_serial_report(tmp_path):
@@ -805,16 +841,16 @@ def test_cli_rejects_mass_with_threshold(tmp_path):
     assert "mass" in payload["message"] and "threshold" in payload["message"]
 
 
-@pytest.mark.parametrize("spec_format, flag, csv", [
-    (None, [], False),               # the schema's default
-    ("csv", [], True),               # the spec's format
-    ("csv", ["--format", "json"], False),  # the flag wins over the spec
+@pytest.mark.parametrize("spec_format, csv", [
+    (None, False),    # the schema's default
+    ("csv", True),
+    ("json", False),
 ])
-def test_cli_format_comes_from_the_flag_then_the_spec(tmp_path, spec_format, flag, csv):
+def test_cli_format_comes_from_the_spec(tmp_path, spec_format, csv):
     spec = {"epsilons": [0.2]} if spec_format is None else \
         {"epsilons": [0.2], "format": spec_format}
     path = _write_spec(tmp_path, spec)
-    result = CliRunner().invoke(main, ["query-scaling", "--spec", path, *flag])
+    result = CliRunner().invoke(main, ["query-scaling", "--spec", path])
     assert result.exit_code == 0, result.output
     if csv:
         assert result.output.startswith(",".join(CSV_COLUMNS["query-scaling"]) + "\n")
