@@ -15,6 +15,7 @@ import contextlib
 import functools
 import math
 import multiprocessing.connection
+import numbers
 import os
 import sys
 import time
@@ -250,8 +251,8 @@ atexit.register(_stop_workers)
 
 def _fan_out(fn, items, jobs: int) -> list:
     """[fn(item) for item in items], over up to `jobs` processes, the calling one included."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be at least 1 and an integer, not {jobs!r}")
     n = max(1, min(jobs, _usable_cores(), len(items)))  # more would only add start-up
     if n == 1:
         return [fn(item) for item in items]

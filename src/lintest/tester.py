@@ -25,11 +25,13 @@ from .distro import SampleDistribution
 from .oracle import EqPolicy, FunctionOracle
 from .rng import derive_seed, make_rng, standard_normal
 
-# Rounds of the identity battery and of negativity forcing are checked in
-# chunks; rejection reports the first failing round inside a chunk, and no
-# chunk after it is evaluated.  A round draws its x, y, z (or its point of D)
-# as one row of the stream, so the chunk size changes neither the stream nor
-# any verdict, and accept-path query counts are unaffected.
+# Every stage's rounds are checked in chunks; rejection reports the first
+# failing round inside a chunk, and no chunk after it is evaluated.  A round
+# draws its x, y, z (or its point) as one row of the stream, and the main loop
+# draws all its points before its first probe, so the chunk size changes
+# neither the stream nor accept-path query counts.  It changes no verdict of
+# an oracle whose row values do not depend on how many rows share a call; BLAS
+# may give a chunk of 1, 2 or 4 rows other last bits (README, `lintest.oracle`).
 _CHUNK = 256
 
 # Every oracle call of a tester step holds at most this many doubles of points
@@ -109,16 +111,17 @@ class Verdict:
         return {k: v for k, v in vars(self).items() if k != "transcript"}
 
 
-def _stage(f: FunctionOracle, start: int, cfg: TesterConfig, rounds: int, chunk: int,
-           step) -> Verdict:
-    """Run a stage's rounds in chunks of `chunk`, rejecting at the first failing round.
+def _stage(f: FunctionOracle, start: int, cfg: TesterConfig, rounds: int, step) -> Verdict:
+    """Run a stage's rounds in chunks of `_CHUNK`, rejecting at the first failing round.
 
+    `_CHUNK` is read when the stage starts, so patching it reaches every stage.
     step(m) evaluates the next m rounds and returns a dict from each reject
     site, in the order a round runs its checks, to the rounds that passed it,
     and a function from (site, round) to the witness.  No chunk after a
     failing one is evaluated.  The verdict counts queries since `start`.
     """
     site, transcript = None, []
+    chunk = _CHUNK
     for done in range(0, rounds, chunk):
         checks, witness = step(min(chunk, rounds - done))
         passed = functools.reduce(np.logical_and, checks.values())
@@ -181,7 +184,7 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
                   "three-point": eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))}
         return checks, lambda site, i: (site, *xyz[:, i].tolist())
 
-    return _stage(f, f.query_count, cfg, cfg.rounds_testadd, _CHUNK, step)
+    return _stage(f, f.query_count, cfg, cfg.rounds_testadd, step)
 
 
 # the algorithm name collides with test-collection heuristics
@@ -244,16 +247,21 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
     """The identity battery, then the main loop comparing f(p) with the g-probe at p.
 
     The main-loop points come from d, or from N(0,I) on the tester's own
-    stream when d is None.  The main loop is one step of all its rounds.
+    stream when d is None.  All of them are drawn before the first chunk (one
+    `draw_many` from d), so the stream yields every point and then the
+    probes' x_i in row order whatever the chunk size (see `_CHUNK`).
     """
     rng = make_rng(cfg.seed)
     start = f.query_count
     battery = test_additivity(f, cfg, rng)
     if not battery.accepted:
         return battery
+    rounds = cfg.rounds_main
+    remaining = standard_normal(rng, (rounds, f.dim)) if d is None else d.draw_many(rounds)
 
     def step(m):
-        points = standard_normal(rng, (m, f.dim)) if d is None else d.draw_many(m)
+        nonlocal remaining
+        points, remaining = remaining[:m], remaining[m:]
         fp = _query_blocks(f, m, 1, lambda lo, hi: points[None, lo:hi])[0]
         ks, agree, v1, mag1 = probe_g(f, points, cfg, rng)
 
@@ -266,7 +274,7 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
         return {"query-g-disagreement": agree,
                 "f!=g": cfg.policy.eq_arr(fp / ks, v1, mag1)}, witness
 
-    return _stage(f, start, cfg, cfg.rounds_main, cfg.rounds_main, step)
+    return _stage(f, start, cfg, rounds, step)
 
 
 def run_gaussian_additivity(f: FunctionOracle, cfg: TesterConfig) -> Verdict:
@@ -311,7 +319,7 @@ def force_negativity(f: FunctionOracle, d: SampleDistribution,
         return ({"force-negativity": cfg.policy.eq_arr(b, -a)},
                 lambda site, i: (site, xs[i].tolist(), float(a[i]), float(b[i])))
 
-    verdict = _stage(f, f.query_count, cfg, cfg.rounds_forceneg, _CHUNK, step)
+    verdict = _stage(f, f.query_count, cfg, cfg.rounds_forceneg, step)
     return (OddOracle(f) if verdict.accepted else None), verdict
 
 

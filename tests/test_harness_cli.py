@@ -257,6 +257,23 @@ def test_run_functions_refuse_a_worker_count_below_one(run, spec, jobs):
         run(spec, jobs=jobs)
 
 
+@pytest.mark.parametrize("run, spec", [(run_calibrate, _linear_spec(trials=4)),
+                                       (run_lower_bound, {"n": 4, "trials": 5})])
+@pytest.mark.parametrize("jobs", [1.5, 2.0, True, "2"])
+def test_run_functions_refuse_a_worker_count_that_is_no_integer(run, spec, jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1 and an integer"):
+        run(spec, jobs=jobs)
+
+
+@pytest.mark.parametrize("run, spec", [(run_calibrate, _linear_spec(trials=4)),
+                                       (run_lower_bound, {"n": 4, "trials": 5})])
+def test_run_functions_take_any_integer_worker_count(monkeypatch, fresh_workers, run, spec):
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    serial, fanned = _reports_without_wall_clock(run(spec, jobs=1), run(spec, jobs=np.int64(2)))
+    assert serial == fanned
+    assert len(fresh_workers) == 1  # np.int64(2) fanned out like 2
+
+
 def test_usable_cores_reads_the_affinity_then_the_core_count(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)

@@ -348,6 +348,120 @@ def test_a_stage_stops_at_its_first_failing_chunk(monkeypatch):
     assert max(battery_rounds) >= 7 and max(negativity_rounds) >= 7
 
 
+def _hidden_halfspace(mass, odd_symmetric=False, n=5):
+    """reject-far's hidden family (payload on u.x > 5) and the D per seed with `mass` on it."""
+    u = np.eye(n)[0]
+    f = CorruptedLinear(random_linear(n, w_seed=8).w, CorruptionRegion.from_threshold(u, 5.0),
+                        odd_symmetric=odd_symmetric)
+    return f, lambda seed: ShiftedGaussian((5.0 - ndtri(1.0 - mass)) * u, seed=seed)
+
+
+class _RowExactCorrupted(CorruptedLinear):
+    """CorruptedLinear with each dot product summed along its row.
+
+    A row's value then does not depend on how many rows share its oracle call;
+    BLAS's matrix-vector product gives a one-row call other last bits.
+    """
+
+    def _values(self, xs):
+        proj = (xs * self.region.direction).sum(axis=1)
+        hit = (proj > self.region.threshold).astype(float)
+        if self.odd_symmetric:
+            hit -= (-proj > self.region.threshold)
+        return (xs * self.w).sum(axis=1) + self.payload * hit
+
+
+def _main_stage_queries(chunk, rounds, r, per_round):
+    """Main-loop queries evaluated in chunks of `chunk` rounds when round r fails first."""
+    return min(rounds, chunk * math.ceil((r + 1) / chunk)) * per_round
+
+
+def test_main_loop_stops_at_its_first_failing_chunk(monkeypatch):
+    # Chunks of 7 rounds: an oracle that first fails at main-loop round r has
+    # evaluated the battery, then ceil((r+1)/7) whole chunks of the main loop,
+    # each round one f(p) and 2 * rounds_queryg probe queries.
+    monkeypatch.setattr(tester, "_CHUNK", 7)
+    rounds = []
+    for seed in range(12):
+        cfg = TesterConfig(epsilon=0.05, seed=seed)
+        f, dist = _hidden_halfspace(0.04)
+        verdict = run_df_additivity(f, dist(seed), cfg)
+        if verdict.reject_site in _BATTERY_SITES:  # u.x > 5 seen through x - y ~ N(0, 2I)
+            continue
+        assert verdict.reject_site == "f!=g"
+        r = _round_of(dist(seed).draw_many(cfg.rounds_main), verdict.transcript[0][1])
+        main = _main_stage_queries(7, cfg.rounds_main, r, 1 + 2 * cfg.rounds_queryg)
+        assert verdict.queries_used == f.query_count == cfg.battery_queries() + main
+        assert verdict.queries_used < cfg.accept_path_queries()
+        rounds.append(r)
+    assert len(rounds) >= 10 and max(rounds) >= 7
+
+
+@pytest.mark.parametrize("algorithm, mass, odd_symmetric", [
+    ("df-additivity", 0.004, False), ("df-linearity", 0.002, True)])
+def test_main_loop_chunk_size_changes_no_verdict(monkeypatch, algorithm, mass, odd_symmetric):
+    # The main loop draws all its points, then their probes' x_i, before its
+    # first chunk, so at epsilon = 0.01 (461 rounds, or 922 on the odd wrapper)
+    # a reject past the first 256 rounds keeps its outcome, site and witness
+    # under any chunk size, and evaluation stops at the end of its chunk.
+    cfg = TesterConfig(epsilon=0.01)
+    main = cfg if algorithm == "df-additivity" else TesterConfig(epsilon=0.005)
+    rounds = main.rounds_main
+    per_round = 1 + 2 * main.rounds_queryg
+    if algorithm == "df-additivity":
+        run, before = run_df_additivity, cfg.battery_queries()
+    else:  # each wrapper query costs two base queries
+        run, before = run_df_linearity, 2 * cfg.rounds_forceneg + 2 * main.battery_queries()
+        per_round *= 2
+    hidden, dist = _hidden_halfspace(mass, odd_symmetric)
+    f = _RowExactCorrupted(hidden.w, hidden.region, odd_symmetric=odd_symmetric)
+
+    def main_rows(seed):
+        d = dist(seed)
+        if algorithm == "df-linearity":
+            d.draw_many(cfg.rounds_forceneg)
+        return d.draw_many(rounds)
+
+    runs = {}
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(tester, "_CHUNK", chunk)
+        runs[chunk] = [run(f, dist(seed), TesterConfig(epsilon=0.01, seed=seed))
+                       for seed in range(8)]
+    for chunk in (1, 7):
+        assert [(v.outcome, v.reject_site, v.transcript) for v in runs[chunk]] == \
+            [(v.outcome, v.reject_site, v.transcript) for v in runs[256]]
+    late = 0
+    for seed, verdict in enumerate(runs[256]):
+        if verdict.accepted:
+            assert all(r[seed].queries_used == verdict.queries_used for r in runs.values())
+        if verdict.reject_site not in ("f!=g", "query-g-disagreement"):
+            continue
+        r = _round_of(main_rows(seed), verdict.transcript[0][1])
+        late += r >= 256
+        for chunk, verdicts in runs.items():
+            assert verdicts[seed].queries_used == \
+                before + _main_stage_queries(chunk, rounds, r, per_round)
+    assert late >= 2
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+@pytest.mark.parametrize("epsilon", [0.01, 0.005])
+def test_linear_accept_path_count_holds_under_any_chunk(monkeypatch, chunk, epsilon):
+    monkeypatch.setattr(tester, "_CHUNK", chunk)
+    cfg = TesterConfig(epsilon=epsilon, seed=21)
+    inner = TesterConfig(epsilon=epsilon / 2.0)
+    for run, expected in (
+            (lambda f: run_gaussian_additivity(f, cfg), cfg.accept_path_queries()),
+            (lambda f: run_df_additivity(f, ShiftedGaussian([3.0, -1.0, 0.0, 0.0, 2.0], seed=22),
+                                         cfg), cfg.accept_path_queries()),
+            (lambda f: run_df_linearity(f, StandardGaussian(5, seed=23), cfg),
+             2 * cfg.rounds_forceneg + 2 * inner.accept_path_queries())):
+        f = random_linear(5, w_seed=9)
+        verdict = run(f)
+        assert verdict.accepted
+        assert verdict.queries_used == f.query_count == expected
+
+
 def _far_families(n):
     """reject-far's six far oracle families, each with the distribution D it is far under."""
     u = np.eye(n)[0]
