@@ -25,13 +25,8 @@ from .distro import SampleDistribution
 from .oracle import EqPolicy, FunctionOracle
 from .rng import derive_seed, make_rng, standard_normal
 
-# Every stage's rounds are checked in chunks; rejection reports the first
-# failing round inside a chunk, and no chunk after it is evaluated.  A round
-# draws its x, y, z (or its point) as one row of the stream, and the main loop
-# draws all its points before its first probe, so the chunk size changes
-# neither the stream nor accept-path query counts.  It changes no verdict of
-# an oracle whose row values do not depend on how many rows share a call; BLAS
-# may give a chunk of 1, 2 or 4 rows other last bits (README, `lintest.oracle`).
+# A stage is checked at least every _CHUNK rounds, so that a reject evaluates
+# at most _CHUNK - 1 rounds past its first failure however long its stage is.
 _CHUNK = 256
 
 # Every oracle call of a tester step holds at most this many doubles of points
@@ -111,25 +106,29 @@ class Verdict:
         return {k: v for k, v in vars(self).items() if k != "transcript"}
 
 
-def _stage(f: FunctionOracle, start: int, cfg: TesterConfig, rounds: int, step) -> Verdict:
-    """Run a stage's rounds in chunks of `_CHUNK`, rejecting at the first failing round.
+def _stage(f: FunctionOracle, start: int, cfg: TesterConfig, rounds: int, per_round: int,
+           step) -> Verdict:
+    """Run a stage's rounds in chunks, rejecting at the first failing round.
 
-    `_CHUNK` is read when the stage starts, so patching it reaches every stage.
-    step(m) evaluates the next m rounds and returns a dict from each reject
-    site, in the order a round runs its checks, to the rounds that passed it,
-    and a function from (site, round) to the witness.  No chunk after a
-    failing one is evaluated.  The verdict counts queries since `start`.
+    A chunk ends at the stage's end, the next multiple of `_CHUNK` rounds or the
+    next edge of doubling chunks that start at one oracle block of the stage's
+    widest call (`per_round` points a round), whichever comes first: a reject at
+    round r has evaluated no later chunk, and at most 2r rounds and one block.
+    step(m, done) evaluates the m rounds after the first `done` and returns a dict
+    from each reject site, in the order a round runs its checks, to the rounds
+    that passed it, and a function from (site, round) to the witness.
     """
-    site, transcript = None, []
-    chunk = _CHUNK
-    for done in range(0, rounds, chunk):
-        checks, witness = step(min(chunk, rounds - done))
+    first = max(1, _BATCH_DOUBLES // (per_round * f.dim))
+    site, transcript, done, edge = None, [], 0, first
+    while site is None and done < rounds:
+        end = min(rounds, edge, done - done % _CHUNK + _CHUNK)
+        checks, witness = step(end - done, done)
         passed = functools.reduce(np.logical_and, checks.values())
         i = int(np.argmin(passed))
         if not passed[i]:
             site = next(s for s, ok in checks.items() if not ok[i])
             transcript = [witness(site, i)]
-            break
+        done, edge = end, 2 * edge + first if end == edge else edge
     return Verdict("accept" if site is None else "reject", site, f.query_count - start,
                    cfg.epsilon, cfg.seed, transcript)
 
@@ -164,7 +163,7 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
     eq = cfg.policy.eq_arr
     n = f.dim
 
-    def step(m):
+    def step(m, _):
         xyz = standard_normal(rng, (m, 3, n)).transpose(1, 0, 2)  # one row per round
 
         def build(lo, hi):
@@ -184,7 +183,7 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
                   "three-point": eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))}
         return checks, lambda site, i: (site, *xyz[:, i].tolist())
 
-    return _stage(f, f.query_count, cfg, cfg.rounds_testadd, step)
+    return _stage(f, f.query_count, cfg, cfg.rounds_testadd, QUERIES_PER_ADDITIVITY_ROUND, step)
 
 
 # the algorithm name collides with test-collection heuristics
@@ -249,7 +248,7 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
     The main-loop points come from d, or from N(0,I) on the tester's own
     stream when d is None.  All of them are drawn before the first chunk (one
     `draw_many` from d), so the stream yields every point and then the
-    probes' x_i in row order whatever the chunk size (see `_CHUNK`).
+    probes' x_i in row order whatever the chunk sizes.
     """
     rng = make_rng(cfg.seed)
     start = f.query_count
@@ -257,11 +256,10 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
     if not battery.accepted:
         return battery
     rounds = cfg.rounds_main
-    remaining = standard_normal(rng, (rounds, f.dim)) if d is None else d.draw_many(rounds)
+    drawn = standard_normal(rng, (rounds, f.dim)) if d is None else d.draw_many(rounds)
 
-    def step(m):
-        nonlocal remaining
-        points, remaining = remaining[:m], remaining[m:]
+    def step(m, done):
+        points = drawn[done:done + m]
         fp = _query_blocks(f, m, 1, lambda lo, hi: points[None, lo:hi])[0]
         ks, agree, v1, mag1 = probe_g(f, points, cfg, rng)
 
@@ -274,7 +272,7 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
         return {"query-g-disagreement": agree,
                 "f!=g": cfg.policy.eq_arr(fp / ks, v1, mag1)}, witness
 
-    return _stage(f, start, cfg, rounds, step)
+    return _stage(f, start, cfg, rounds, 2 * cfg.rounds_queryg, step)
 
 
 def run_gaussian_additivity(f: FunctionOracle, cfg: TesterConfig) -> Verdict:
@@ -313,13 +311,15 @@ class OddOracle(FunctionOracle):
 def force_negativity(f: FunctionOracle, d: SampleDistribution,
                      cfg: TesterConfig) -> tuple[OddOracle | None, Verdict]:
     """Check f(-x) = -f(x) on draws from d; on success return the odd wrapper."""
-    def step(m):
-        xs = d.draw_many(m)
+    drawn = d.draw_many(cfg.rounds_forceneg)  # one call, as the main loop's: chunks move no row
+
+    def step(m, done):
+        xs = drawn[done:done + m]
         a, b = _query_blocks(f, m, 2, lambda lo, hi: np.array([xs[lo:hi], -xs[lo:hi]]))
         return ({"force-negativity": cfg.policy.eq_arr(b, -a)},
                 lambda site, i: (site, xs[i].tolist(), float(a[i]), float(b[i])))
 
-    verdict = _stage(f, f.query_count, cfg, cfg.rounds_forceneg, step)
+    verdict = _stage(f, f.query_count, cfg, cfg.rounds_forceneg, 2, step)
     return (OddOracle(f) if verdict.accepted else None), verdict
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from lintest.oracle import (
     OracleError,
     random_linear,
 )
-from lintest.rng import make_rng, standard_normal
+from lintest.rng import derive_seed, make_rng, standard_normal
 from lintest.tester import (
     QUERIES_PER_ADDITIVITY_ROUND,
     OddOracle,
@@ -153,40 +154,65 @@ def _df_linearity_run(f, seed):
 _BATTERY_SITES = {"negation", "difference", "three-point"}
 
 
-@pytest.mark.parametrize("run, per_row, sites", [
+def _first_chunk(per_round, n):
+    """Rounds in a stage's first chunk: one oracle block of its widest call."""
+    return max(1, tester._BATCH_DOUBLES // (per_round * n))
+
+
+def _evaluated_rounds(first, rounds, r, chunk=None):
+    """Rounds evaluated when round r fails first: up to the stage's end, the next multiple
+    of _CHUNK or the next edge of chunks of first, 2 first, 4 first, ..., whichever is first."""
+    chunk = tester._CHUNK if chunk is None else chunk
+    doubling = first * (2 ** (r // first + 1).bit_length() - 1)  # edges first * (2^k - 1)
+    return min(rounds, doubling, chunk * (r // chunk + 1))
+
+
+def _chunks(first, rounds):
+    """A stage's chunk sizes in order: each chunk ends where some failing round stops it."""
+    ends = sorted({_evaluated_rounds(first, rounds, r) for r in range(rounds)})
+    return [hi - lo for lo, hi in zip([0] + ends, ends)]
+
+
+def _battery_rows(seed, n):
+    """Each battery round's x, which its witness names: rows of the tester's own stream."""
+    return standard_normal(make_rng(seed), (230, 3, n))[:, 0]
+
+
+@pytest.mark.parametrize("run, per_row, sites, rows", [
     (lambda seed: run_gaussian_additivity(
         CorruptedLinear.with_mass(np.ones(5), 0.3, odd_symmetric=True),
-        TesterConfig(epsilon=0.1, seed=seed)), QUERIES_PER_ADDITIVITY_ROUND, _BATTERY_SITES),
+        TesterConfig(epsilon=0.1, seed=seed)), QUERIES_PER_ADDITIVITY_ROUND, _BATTERY_SITES,
+     lambda seed: _battery_rows(seed, 5)),
     (lambda seed: run_gaussian_additivity(random_linear(5, w_seed=2),
                                           TesterConfig(epsilon=0.1, seed=seed)),
-     QUERIES_PER_ADDITIVITY_ROUND, {None}),
+     QUERIES_PER_ADDITIVITY_ROUND, {None}, None),
     (lambda seed: _df_linearity_run(CorruptedLinear.with_mass(np.ones(5), 0.3), seed), 2,
-     {"force-negativity"}),
-    (lambda seed: _df_linearity_run(random_linear(5, w_seed=2), seed), 2, {None}),
+     {"force-negativity"}, lambda seed: StandardGaussian(5, seed=seed).draw_many(24)),
+    (lambda seed: _df_linearity_run(random_linear(5, w_seed=2), seed), 2, {None}, None),
 ], ids=["odd-symmetric-corrupted", "linear", "negativity-corrupted", "negativity-linear"])
-def test_battery_chunk_size_changes_no_verdict(monkeypatch, run, per_row, sites):
+def test_battery_chunk_size_changes_no_verdict(monkeypatch, run, per_row, sites, rows):
     # each round draws its x, y, z (or its point of D) as one row of the
-    # stream, so the chunk size decides only how many rounds are checked at
-    # once, and the batch budget how many rows of a chunk one oracle call
-    # evaluates; every row of a chunk is evaluated before its check runs
-    def verdicts(chunk, rows):
-        monkeypatch.setattr(tester, "_CHUNK", chunk)
-        monkeypatch.setattr(tester, "_BATCH_DOUBLES", rows * per_row * 5)
+    # stream, so the batch budget decides only how many rounds each chunk
+    # checks at once (one oracle block, then doubling); every row of a chunk
+    # is evaluated before its check runs
+    def verdicts(first):
+        monkeypatch.setattr(tester, "_BATCH_DOUBLES", first * per_row * 5)
         return [run(seed) for seed in range(8)]
 
-    whole = verdicts(256, 256)  # every chunk is one oracle call
+    whole = verdicts(256)  # every stage is one chunk and one oracle call
     assert {v.reject_site for v in whole} <= sites
     assert all(v.accepted == (sites == {None}) for v in whole)
-    for chunk in (1, 7):
-        runs = verdicts(chunk, 256)
+    for first in (1, 7, 256):
+        runs = verdicts(first)
         assert [(v.outcome, v.reject_site, v.transcript) for v in runs] == \
             [(v.outcome, v.reject_site, v.transcript) for v in whole]
-        assert [v.queries_used for v in runs if v.accepted] == \
-            [v.queries_used for v in whole if v.accepted]
-    for rows in (1, 7):  # blocks inside each chunk: the queries of one call per chunk
-        assert [(v.outcome, v.reject_site, v.transcript, v.queries_used)
-                for v in verdicts(256, rows)] == \
-            [(v.outcome, v.reject_site, v.transcript, v.queries_used) for v in whole]
+        for seed, v in enumerate(runs):
+            if v.accepted:
+                assert v.queries_used == whole[seed].queries_used
+                continue
+            stage = rows(seed)
+            r = _round_of(stage, v.transcript[0][1])
+            assert v.queries_used == per_row * _evaluated_rounds(first, len(stage), r)
 
 
 def _shifted_halfspace_run(seed):
@@ -204,18 +230,29 @@ def _one_round_battery_run(seed):
                                        TesterConfig(epsilon=0.1, seed=seed))
 
 
-@pytest.mark.parametrize("run, main_epsilon, site", [
+def _one_round_battery_main_rows(seed):
+    rng = make_rng(seed)
+    standard_normal(rng, (1, 3, 5))
+    return standard_normal(rng, (TesterConfig(epsilon=0.1).rounds_main, 5))
+
+
+@pytest.mark.parametrize("run, main_epsilon, site, main_rows, battery", [
     (lambda seed: run_gaussian_additivity(random_linear(5, w_seed=2),
-                                          TesterConfig(epsilon=0.1, seed=seed)), 0.1, None),
+                                          TesterConfig(epsilon=0.1, seed=seed)),
+     0.1, None, None, None),
     (lambda seed: run_df_linearity(random_linear(5, w_seed=2), StandardGaussian(5, seed=seed),
-                                   TesterConfig(epsilon=0.1, seed=seed)), 0.05, None),
-    (_one_round_battery_run, 0.1, "query-g-disagreement"),
-    (_shifted_halfspace_run, 0.1, "f!=g"),
+                                   TesterConfig(epsilon=0.1, seed=seed)), 0.05, None, None, None),
+    (_one_round_battery_run, 0.1, "query-g-disagreement", _one_round_battery_main_rows,
+     QUERIES_PER_ADDITIVITY_ROUND),
+    (_shifted_halfspace_run, 0.1, "f!=g",
+     lambda seed: ShiftedGaussian(5.5 * np.eye(5)[0], seed=seed).draw_many(47),
+     QUERIES_PER_ADDITIVITY_ROUND * 230),
 ], ids=["linear-gaussian", "linear-df-linearity", "query-g-disagreement", "f!=g-shifted"])
-def test_probe_block_size_changes_no_verdict(monkeypatch, run, main_epsilon, site):
+def test_probe_block_size_changes_no_verdict(monkeypatch, run, main_epsilon, site, main_rows,
+                                             battery):
     # main-loop rows take their probe draws from the stream in order and every
     # block is evaluated, so the batch budget decides only how many rows one
-    # oracle call of probe_g evaluates
+    # oracle call of probe_g evaluates and how many rounds a chunk checks
     main = TesterConfig(epsilon=main_epsilon)
     doubles_per_row = 2 * main.rounds_queryg * 5  # p/k_p - x_i and x_i
     whole = main.rounds_main
@@ -227,9 +264,21 @@ def test_probe_block_size_changes_no_verdict(monkeypatch, run, main_epsilon, sit
         assert all(v.accepted for v in runs[whole])
     else:
         assert site in {v.reject_site for v in runs[whole]}
-    for verdicts in runs.values():
-        assert [(v.outcome, v.reject_site, v.transcript, v.queries_used) for v in verdicts] == \
-            [(v.outcome, v.reject_site, v.transcript, v.queries_used) for v in runs[whole]]
+    for rows, verdicts in runs.items():
+        assert [(v.outcome, v.reject_site, v.transcript) for v in verdicts] == \
+            [(v.outcome, v.reject_site, v.transcript) for v in runs[whole]]
+        for seed, v in enumerate(verdicts):
+            if v.accepted:
+                assert v.queries_used == runs[whole][seed].queries_used
+            elif v.reject_site in ("query-g-disagreement", "f!=g"):
+                r = _round_of(main_rows(seed), v.transcript[0][1])
+                assert v.queries_used == battery + (1 + 2 * main.rounds_queryg) * \
+                    _evaluated_rounds(rows, whole, r)
+            else:  # a battery reject, in the battery's own chunks of the same budget
+                r = _round_of(_battery_rows(seed, 5), v.transcript[0][1])
+                first = rows * doubles_per_row // (QUERIES_PER_ADDITIVITY_ROUND * 5)
+                assert v.queries_used == QUERIES_PER_ADDITIVITY_ROUND * _evaluated_rounds(
+                    first, battery // QUERIES_PER_ADDITIVITY_ROUND, r)
 
 
 # --- one oracle call per block of a step ----------------------------------------
@@ -252,14 +301,13 @@ def _blocks(total, rows):
 
 
 def test_each_battery_chunk_is_one_oracle_call(monkeypatch):
-    # 230 rounds in chunks of 100, each chunk split into blocks of 30 rounds
-    monkeypatch.setattr(tester, "_CHUNK", 100)
+    # blocks of 30 rounds: 230 rounds in chunks of 30, 60, 120 and the last 20
     monkeypatch.setattr(tester, "_BATCH_DOUBLES", 30 * QUERIES_PER_ADDITIVITY_ROUND * 4)
     f, calls = _counting_linear(4)
     verdict = test_additivity(f, TesterConfig(epsilon=0.1, seed=1))
     assert verdict.accepted
-    assert calls == [8 * rows for chunk in (100, 100, 30) for rows in _blocks(chunk, 30)]
-    assert calls == [240, 240, 240, 80, 240, 240, 240, 80, 240]
+    assert calls == [8 * rows for chunk in (30, 60, 120, 20) for rows in _blocks(chunk, 30)]
+    assert calls == [240] * 7 + [160]
 
 
 def test_each_probe_block_is_one_oracle_call(monkeypatch):
@@ -270,25 +318,66 @@ def test_each_probe_block_is_one_oracle_call(monkeypatch):
     f, calls = _counting_linear(n)
     verdict = run_gaussian_additivity(f, cfg)
     assert verdict.accepted
-    # the battery's blocks of 70 // 8 = 8 rounds, f at the main-loop points in
-    # blocks of 70 rows (one here), then one call per probe block
-    battery = [8 * rows for rows in _blocks(cfg.rounds_testadd, 7 * 2 * nq // 8)]
-    assert calls == battery + [rounds] + [2 * nq * rows for rows in _blocks(rounds, 7)]
+    # the battery's blocks of 70 // 8 = 8 rounds in chunks of 8, 16, 32, ...;
+    # then main-loop chunks of 7, 14 and the last 26 rounds, each one call of f
+    # at its points (blocks of 70 rows) and one call per probe block
+    battery = [8 * rows for chunk in (8, 16, 32, 64, 110) for rows in _blocks(chunk, 8)]
+    assert rounds == 7 + 14 + 26
+    assert calls == battery + [call for chunk in (7, 14, 26)
+                               for call in [chunk] + [2 * nq * rows for rows in _blocks(chunk, 7)]]
     f, calls = _counting_linear(n)
     probe_g(f, np.ones((5, n)), TesterConfig(epsilon=eps), make_rng(3))
     assert calls == [2 * nq * 5]
 
 
 def test_each_negativity_chunk_is_one_oracle_call(monkeypatch):
-    # 24 rounds in chunks of 10, each chunk split into blocks of 4 rounds
-    monkeypatch.setattr(tester, "_CHUNK", 10)
-    monkeypatch.setattr(tester, "_BATCH_DOUBLES", 4 * 2 * 3)
+    # blocks of 5 rounds: 24 rounds in chunks of 5, 10 and the last 9
+    monkeypatch.setattr(tester, "_BATCH_DOUBLES", 5 * 2 * 3)
     f, calls = _counting_linear(3)
     wrapped, verdict = force_negativity(f, StandardGaussian(3, seed=4),
                                         TesterConfig(epsilon=0.1, seed=5))
     assert wrapped is not None and verdict.accepted
-    assert calls == [2 * rows for chunk in (10, 10, 4) for rows in _blocks(chunk, 4)]
-    assert calls == [8, 8, 4, 8, 8, 4, 8]
+    assert calls == [2 * rows for chunk in (5, 10, 9) for rows in _blocks(chunk, 5)]
+    assert calls == [10, 10, 10, 10, 8]
+
+
+@pytest.mark.parametrize("n, epsilon, budget, chunk", [
+    (50, 0.01, None, 256), (5, 0.05, 2**9, 256), (5, 0.05, 2**9, 20)])
+def test_only_the_last_oracle_call_of_a_chunk_is_short(monkeypatch, n, epsilon, budget, chunk):
+    # Each stage's chunks end at its doubling edges (from one oracle block of
+    # its widest call), at multiples of _CHUNK and at its last round; every
+    # call of a chunk holds one block but its last, and the main loop calls f
+    # at a chunk's points (in blocks of _BATCH_DOUBLES // n rows) before its probes.
+    if budget is not None:
+        monkeypatch.setattr(tester, "_BATCH_DOUBLES", budget)
+    monkeypatch.setattr(tester, "_CHUNK", chunk)
+    stages, stage = [], tester._stage
+
+    def spy(f, start, cfg, rounds, per_round, step):
+        stages.append((len(calls), rounds, per_round))
+        return stage(f, start, cfg, rounds, per_round, step)
+    monkeypatch.setattr(tester, "_stage", spy)
+    cfg = TesterConfig(epsilon=epsilon, seed=24)
+    for run in (lambda f: run_gaussian_additivity(f, cfg),
+                lambda f: run_df_additivity(f, StandardGaussian(n, seed=25), cfg),
+                lambda f: run_df_linearity(f, StandardGaussian(n, seed=25), cfg)):
+        stages.clear()
+        f, calls = _counting_linear(n)
+        assert run(f).accepted
+        ends = [lo for lo, *_ in stages[1:]] + [len(calls)]
+        for k, ((lo, rounds, width), hi) in enumerate(zip(stages, ends)):
+            stage_calls = calls[lo:hi]
+            if k and len(stages) == 3:  # under OddOracle each call is x, then -x
+                assert stage_calls[::2] == stage_calls[1::2]
+                stage_calls = stage_calls[::2]
+            first = _first_chunk(width, n)
+            f_rows = tester._BATCH_DOUBLES // n if k == len(stages) - 1 else None
+            assert stage_calls == [
+                call for m in _chunks(first, rounds)
+                for call in (_blocks(m, f_rows) if f_rows else [])
+                + [width * rows for rows in _blocks(m, first)]]
+        assert len(_chunks(first, rounds)) >= 3  # the main loop's
+    assert chunk == 256 or 20 in _chunks(first, rounds)
 
 
 @pytest.mark.parametrize("n", [10, 50])
@@ -305,7 +394,7 @@ def test_no_oracle_batch_exceeds_the_budget(n, epsilon):
         verdict = run(f)
         assert verdict.accepted and sum(calls) == f.query_count == verdict.queries_used
         assert max(calls) * n <= budget
-    if n == 50:  # the battery's one chunk alone is over the budget, so it is split
+    if n == 50:  # the battery's 230 rounds are more than one block, so it is split
         assert QUERIES_PER_ADDITIVITY_ROUND * cfg.rounds_testadd * n > budget
 
 
@@ -317,23 +406,22 @@ def _round_of(rows, witness):
 
 
 def test_a_stage_stops_at_its_first_failing_chunk(monkeypatch):
-    # Chunks of 7 rounds: a reject at round i has evaluated ceil((i+1)/7)
-    # whole chunks and nothing after them.
-    monkeypatch.setattr(tester, "_CHUNK", 7)
+    # First chunks of 7 rounds: a reject at round i has evaluated the chunks
+    # of 7, 14, 28, ... rounds up to the one holding i, and nothing after them.
     n = 5
     battery_rounds = []
+    monkeypatch.setattr(tester, "_BATCH_DOUBLES", 7 * QUERIES_PER_ADDITIVITY_ROUND * n)
     for seed in range(6):
         cfg = TesterConfig(epsilon=0.1, seed=seed)
         f = CorruptedLinear.with_mass(np.ones(n), 0.002, odd_symmetric=True)
         verdict = test_additivity(f, cfg)
         assert not verdict.accepted
-        # each round draws its x, y, z as one row of the battery's stream
-        rows = standard_normal(make_rng(seed), (cfg.rounds_testadd, 3, n))[:, 0]
-        i = _round_of(rows, verdict.transcript[0][1])
-        chunks = math.ceil((i + 1) / 7)
-        assert verdict.queries_used == f.query_count == QUERIES_PER_ADDITIVITY_ROUND * 7 * chunks
+        i = _round_of(_battery_rows(seed, n), verdict.transcript[0][1])
+        assert verdict.queries_used == f.query_count == \
+            QUERIES_PER_ADDITIVITY_ROUND * _evaluated_rounds(7, cfg.rounds_testadd, i)
         battery_rounds.append(i)
     negativity_rounds = []
+    monkeypatch.setattr(tester, "_BATCH_DOUBLES", 7 * 2 * n)
     for seed in range(6):
         cfg = TesterConfig(epsilon=0.01, seed=seed)
         f = CorruptedLinear.with_mass(np.ones(n), 0.02)
@@ -341,8 +429,8 @@ def test_a_stage_stops_at_its_first_failing_chunk(monkeypatch):
         assert wrapped is None and not verdict.accepted
         rows = StandardGaussian(n, seed=seed).draw_many(cfg.rounds_forceneg)
         i = _round_of(rows, verdict.transcript[0][1])
-        chunks = math.ceil((i + 1) / 7)
-        assert verdict.queries_used == f.query_count == 2 * 7 * chunks
+        assert verdict.queries_used == f.query_count == \
+            2 * _evaluated_rounds(7, cfg.rounds_forceneg, i)
         negativity_rounds.append(i)
     # in both stages some reject comes after the first chunk
     assert max(battery_rounds) >= 7 and max(negativity_rounds) >= 7
@@ -371,28 +459,25 @@ class _RowExactCorrupted(CorruptedLinear):
         return (xs * self.w).sum(axis=1) + self.payload * hit
 
 
-def _main_stage_queries(chunk, rounds, r, per_round):
-    """Main-loop queries evaluated in chunks of `chunk` rounds when round r fails first."""
-    return min(rounds, chunk * math.ceil((r + 1) / chunk)) * per_round
-
-
 def test_main_loop_stops_at_its_first_failing_chunk(monkeypatch):
-    # Chunks of 7 rounds: an oracle that first fails at main-loop round r has
-    # evaluated the battery, then ceil((r+1)/7) whole chunks of the main loop,
-    # each round one f(p) and 2 * rounds_queryg probe queries.
-    monkeypatch.setattr(tester, "_CHUNK", 7)
+    # A first main-loop chunk of 7 rounds: an oracle that first fails at
+    # main-loop round r has evaluated the battery, then the chunks of 7, 14,
+    # 28, ... rounds up to the one holding r, each round one f(p) and
+    # 2 * rounds_queryg probe queries.
     rounds = []
     for seed in range(12):
         cfg = TesterConfig(epsilon=0.05, seed=seed)
+        monkeypatch.setattr(tester, "_BATCH_DOUBLES", 7 * 2 * cfg.rounds_queryg * 5)
         f, dist = _hidden_halfspace(0.04)
         verdict = run_df_additivity(f, dist(seed), cfg)
         if verdict.reject_site in _BATTERY_SITES:  # u.x > 5 seen through x - y ~ N(0, 2I)
             continue
         assert verdict.reject_site == "f!=g"
         r = _round_of(dist(seed).draw_many(cfg.rounds_main), verdict.transcript[0][1])
-        main = _main_stage_queries(7, cfg.rounds_main, r, 1 + 2 * cfg.rounds_queryg)
+        main = _evaluated_rounds(7, cfg.rounds_main, r) * (1 + 2 * cfg.rounds_queryg)
         assert verdict.queries_used == f.query_count == cfg.battery_queries() + main
-        assert verdict.queries_used < cfg.accept_path_queries()
+        # the first three chunks hold 7 + 14 + 28 of the 93 rounds; the fourth the rest
+        assert (verdict.queries_used < cfg.accept_path_queries()) == (r < 7 + 14 + 28)
         rounds.append(r)
     assert len(rounds) >= 10 and max(rounds) >= 7
 
@@ -403,11 +488,15 @@ def test_main_loop_chunk_size_changes_no_verdict(monkeypatch, algorithm, mass, o
     # The main loop draws all its points, then their probes' x_i, before its
     # first chunk, so at epsilon = 0.01 (461 rounds, or 922 on the odd wrapper)
     # a reject past the first 256 rounds keeps its outcome, site and witness
-    # under any chunk size, and evaluation stops at the end of its chunk.
+    # under any first chunk, and evaluation stops at the end of its chunk.  At
+    # n = 5 the default first chunk (409 or 364 rounds) is longer than _CHUNK,
+    # and no reject evaluates more than checks every _CHUNK rounds would.
     cfg = TesterConfig(epsilon=0.01)
     main = cfg if algorithm == "df-additivity" else TesterConfig(epsilon=0.005)
     rounds = main.rounds_main
     per_round = 1 + 2 * main.rounds_queryg
+    default = _first_chunk(2 * main.rounds_queryg, 5)
+    assert default > tester._CHUNK == 256
     if algorithm == "df-additivity":
         run, before = run_df_additivity, cfg.battery_queries()
     else:  # each wrapper query costs two base queries
@@ -423,33 +512,36 @@ def test_main_loop_chunk_size_changes_no_verdict(monkeypatch, algorithm, mass, o
         return d.draw_many(rounds)
 
     runs = {}
-    for chunk in (1, 7, 256):
-        monkeypatch.setattr(tester, "_CHUNK", chunk)
-        runs[chunk] = [run(f, dist(seed), TesterConfig(epsilon=0.01, seed=seed))
+    for first in (1, 7, 256, default):
+        monkeypatch.setattr(tester, "_BATCH_DOUBLES", first * 2 * main.rounds_queryg * 5)
+        runs[first] = [run(f, dist(seed), TesterConfig(epsilon=0.01, seed=seed))
                        for seed in range(8)]
-    for chunk in (1, 7):
-        assert [(v.outcome, v.reject_site, v.transcript) for v in runs[chunk]] == \
+    for first in (1, 7, default):
+        assert [(v.outcome, v.reject_site, v.transcript) for v in runs[first]] == \
             [(v.outcome, v.reject_site, v.transcript) for v in runs[256]]
-    late = 0
+    early = late = 0
     for seed, verdict in enumerate(runs[256]):
         if verdict.accepted:
             assert all(r[seed].queries_used == verdict.queries_used for r in runs.values())
         if verdict.reject_site not in ("f!=g", "query-g-disagreement"):
             continue
         r = _round_of(main_rows(seed), verdict.transcript[0][1])
-        late += r >= 256
-        for chunk, verdicts in runs.items():
+        early, late = early + (r < 256), late + (r >= 256)
+        for first, verdicts in runs.items():
             assert verdicts[seed].queries_used == \
-                before + _main_stage_queries(chunk, rounds, r, per_round)
-    assert late >= 2
+                before + _evaluated_rounds(first, rounds, r) * per_round
+            assert verdicts[seed].queries_used <= \
+                before + min(rounds, 256 * (r // 256 + 1)) * per_round
+    assert early >= 2 and late >= 2
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 256])
 @pytest.mark.parametrize("epsilon", [0.01, 0.005])
 def test_linear_accept_path_count_holds_under_any_chunk(monkeypatch, chunk, epsilon):
-    monkeypatch.setattr(tester, "_CHUNK", chunk)
     cfg = TesterConfig(epsilon=epsilon, seed=21)
     inner = TesterConfig(epsilon=epsilon / 2.0)
+    # a first main-loop chunk of `chunk` rounds; the other stages' follow the same budget
+    monkeypatch.setattr(tester, "_BATCH_DOUBLES", chunk * 2 * cfg.rounds_queryg * 5)
     for run, expected in (
             (lambda f: run_gaussian_additivity(f, cfg), cfg.accept_path_queries()),
             (lambda f: run_df_additivity(f, ShiftedGaussian([3.0, -1.0, 0.0, 0.0, 2.0], seed=22),
@@ -460,6 +552,78 @@ def test_linear_accept_path_count_holds_under_any_chunk(monkeypatch, chunk, epsi
         verdict = run(f)
         assert verdict.accepted
         assert verdict.queries_used == f.query_count == expected
+
+
+_MAIN_SITES = {"query-g-disagreement", "f!=g"}
+# queries of a failing round up to its failing check, in a sequential tester's
+# order: the probe's first comparison needs four values, f!=g the whole round
+_ROUND_PREFIX = {"negation": 2, "difference": 5, "three-point": 8, "force-negativity": 2,
+                 "query-g-disagreement": 4}
+
+
+def _stages(algorithm, cfg, d, n):
+    """(rounds, queries a round, oracle points a round, sites, each round's point) per stage."""
+    stages, per_query = [], 1
+    if algorithm == "df-linearity":  # then the odd wrapper's two base queries per query
+        stages.append((cfg.rounds_forceneg, 2, 2, {"force-negativity"},
+                       d.draw_many(cfg.rounds_forceneg)))
+        cfg, per_query = replace(cfg, epsilon=cfg.epsilon / 2.0, seed=derive_seed(cfg.seed, 1)), 2
+    rng = make_rng(cfg.seed)
+    battery = standard_normal(rng, (cfg.rounds_testadd, 3, n))[:, 0]
+    main = (standard_normal(rng, (cfg.rounds_main, n)) if algorithm == "gaussian-additivity"
+            else d.draw_many(cfg.rounds_main))
+    return stages + [
+        (cfg.rounds_testadd, per_query * QUERIES_PER_ADDITIVITY_ROUND,
+         QUERIES_PER_ADDITIVITY_ROUND, _BATTERY_SITES, battery),
+        (cfg.rounds_main, per_query * (1 + 2 * cfg.rounds_queryg), 2 * cfg.rounds_queryg,
+         _MAIN_SITES, main)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["gaussian-additivity", "df-additivity", "df-linearity"]),
+       st.sampled_from(["hidden", "hidden-odd", "corrupted-odd"]), st.floats(0.125, 1.0),
+       st.sampled_from([0.05, 0.1, 0.2]), st.integers(2, 6), st.integers(-40, 40),
+       st.integers(4, 15), st.sampled_from([5, 64, 256]), st.integers(0, 2**32 - 1))
+def test_evaluated_is_at_most_twice_sequential_plus_one_block(algorithm, family, share, epsilon,
+                                                               n, k, log_budget, chunk, seed):
+    # A sequential tester stops at the failing check of round r of some stage.
+    # The doubling chunks evaluate at most 2r + one block of that stage's
+    # rounds, so evaluated <= 2 * sequential + one block (ROADMAP item 6), and
+    # the _CHUNK edges no more than checks every _CHUNK rounds would; on accept
+    # both are the closed form.  D has mass share * epsilon on the region.
+    if family == "corrupted-odd":
+        f = CorruptedLinear.with_mass(random_linear(n, w_seed=8).w, share * epsilon,
+                                      odd_symmetric=True)
+        dist = lambda: StandardGaussian(n, seed=seed)  # noqa: E731
+    else:
+        f, shifted = _hidden_halfspace(share * epsilon, family == "hidden-odd", n)
+        dist = lambda: shifted(seed)  # noqa: E731
+    cfg = TesterConfig(epsilon=epsilon, seed=seed)
+    g = _times(f, 2.0**k)
+    with mock.patch.object(tester, "_BATCH_DOUBLES", 2**log_budget), \
+            mock.patch.object(tester, "_CHUNK", chunk):
+        verdict = (run_gaussian_additivity(g, cfg) if algorithm == "gaussian-additivity" else
+                   run_df_additivity(g, dist(), cfg) if algorithm == "df-additivity" else
+                   run_df_linearity(g, dist(), cfg))
+        stages = _stages(algorithm, cfg, dist(), n)
+        firsts = [_first_chunk(width, n) for _, _, width, _, _ in stages]
+    assert verdict.queries_used == g.query_count
+    if verdict.accepted:
+        inner = TesterConfig(epsilon=epsilon / 2)
+        closed = (cfg.accept_path_queries() if algorithm != "df-linearity" else
+                  2 * cfg.rounds_forceneg + 2 * inner.accept_path_queries())
+        assert verdict.queries_used == sum(rounds * q for rounds, q, *_ in stages) == closed
+        return
+    s = next(i for i, stage in enumerate(stages) if verdict.reject_site in stage[3])
+    rounds, q, _, _, rows = stages[s]
+    r = _round_of(rows, verdict.transcript[0][1])
+    per_query = 2 if algorithm == "df-linearity" and s else 1
+    prefix = q if verdict.reject_site == "f!=g" else per_query * _ROUND_PREFIX[verdict.reject_site]
+    before = sum(rr * qq for rr, qq, *_ in stages[:s])
+    sequential = before + r * q + prefix
+    assert verdict.queries_used == before + q * _evaluated_rounds(firsts[s], rounds, r, chunk)
+    assert sequential <= verdict.queries_used <= 2 * sequential + q * firsts[s]
+    assert verdict.queries_used <= before + q * min(rounds, chunk * (r // chunk + 1))
 
 
 def _far_families(n):
