@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import functools
+
 import numpy as np
 
 from .gauss_core import GaussianDist, sample_gaussian
-from .rng import make_rng
+from .rng import derive_seed, make_rng
 
 
 class DistributionError(ValueError):
@@ -13,12 +16,24 @@ class DistributionError(ValueError):
 
 
 class SampleDistribution:
-    """A seeded sampler over R^n.  Each instance owns its own stream."""
+    """A seeded sampler over R^n.  Each instance owns its own stream, made at its first draw."""
+
+    pinned_seed = None  # a seed that `restarted` keeps (a spec's own); None: the caller's
 
     def __init__(self, dim: int, seed: int):
         self.dim = int(dim)
         self.seed = int(seed)
-        self._rng = make_rng(self.seed)
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        return make_rng(self.seed)
+
+    def restarted(self, seed: int) -> "SampleDistribution":
+        """A copy whose stream starts afresh from `seed`, or from its pinned seed."""
+        new = copy.copy(self)
+        new.seed = int(seed) if self.pinned_seed is None else self.pinned_seed
+        vars(new).pop("_rng", None)
+        return new
 
     def draw(self) -> np.ndarray:
         return self.draw_many(1)[0]
@@ -68,6 +83,13 @@ class Mixture(SampleDistribution):
         self.components = list(components)
         self._cum = np.cumsum(weights)
         super().__init__(dims.pop(), seed)
+
+    def restarted(self, seed: int) -> "Mixture":
+        """The copy's component i restarts from derive_seed(the copy's seed, i)."""
+        new = super().restarted(seed)
+        new.components = [c.restarted(derive_seed(new.seed, i))
+                          for i, c in enumerate(self.components)]
+        return new
 
     def draw_many(self, m: int) -> np.ndarray:
         u = self._rng.random(m)

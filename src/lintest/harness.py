@@ -192,24 +192,25 @@ def build_oracle(spec: dict, trial_seed: int = 0) -> FunctionOracle:
         region = CorruptionRegion.from_threshold(direction, float(c["threshold"]))
         return CorruptedLinear(w, region, float(c["payload"]), c["odd_symmetric"])
     nz = _parse(spec["noise"], "noise")
-    seed = derive_seed(trial_seed, 3) if nz["seed"] is None else nz["seed"]
-    return NoisyLinear(w, float(nz["delta"]), seed)
+    noisy = NoisyLinear(w, float(nz["delta"]))
+    noisy.pinned_seed = nz["seed"]
+    return noisy.restarted(trial_seed)
 
 
 def build_distribution(spec: dict, seed: int) -> SampleDistribution:
     """Instantiate a sampler from its JSON spec; `seed` wins unless the spec pins one."""
     kind = _variant(spec, "distribution", "kind", _SAMPLER["kind"][1])
     spec = _parse(spec, kind)
-    seed = seed if spec["seed"] is None else spec["seed"]
     if kind == "standard-gaussian":
-        return StandardGaussian(spec["dim"], seed=seed)
-    if kind == "shifted-gaussian":
-        return ShiftedGaussian(spec["mean"], spec["cov"], seed=seed)
-    if kind == "mixture":
-        comps = [build_distribution(c, derive_seed(seed, i))
-                 for i, c in enumerate(spec["components"])]
-        return Mixture(spec["weights"], comps, seed=seed)
-    return load_empirical(spec["path"], seed=seed)
+        sampler = StandardGaussian(spec["dim"])
+    elif kind == "shifted-gaussian":
+        sampler = ShiftedGaussian(spec["mean"], spec["cov"])
+    elif kind == "mixture":
+        sampler = Mixture(spec["weights"], [build_distribution(c, 0) for c in spec["components"]])
+    else:
+        sampler = load_empirical(spec["path"])
+    sampler.pinned_seed = spec["seed"]
+    return sampler.restarted(seed)  # a mixture's restart seeds its components
 
 
 def _usable_cores() -> int:
@@ -294,19 +295,18 @@ def _report(spec: dict, command: str, seed: int, **body) -> dict:
             "numpy_version": np.__version__, "seed": seed, **body}
 
 
-def _run_one_trial(spec: dict, trial: int) -> dict:
-    """One seeded tester invocation; pure in (parsed spec, trial)."""
+def _run_one_trial(setup: tuple, trial: int) -> dict:
+    """One seeded tester invocation on restarts of the call's built oracle and sampler."""
+    spec, oracle, dist = setup
     seed = spec["seed"]
     cfg = TesterConfig(epsilon=float(spec["epsilon"]), r=spec["r"],
                        seed=derive_seed(seed, trial, 1))
-    oracle = build_oracle(spec["oracle"], trial_seed=derive_seed(seed, trial, 3))
-    if spec["algorithm"] == "gaussian-additivity":
+    oracle = oracle.restarted(derive_seed(seed, trial, 3))
+    if dist is None:
         return {**run_gaussian_additivity(oracle, cfg).to_json(), "trial": trial}
-    dspec = ({"kind": "standard-gaussian", "dim": oracle.dim} if spec["distribution"] is None
-             else spec["distribution"])
-    dist = build_distribution(dspec, derive_seed(seed, trial, 2))
     run = run_df_additivity if spec["algorithm"] == "df-additivity" else run_df_linearity
-    return {**run(oracle, dist, cfg).to_json(), "trial": trial}
+    verdict = run(oracle, dist.restarted(derive_seed(seed, trial, 2)), cfg)
+    return {**verdict.to_json(), "trial": trial}
 
 
 def run_calibrate(spec: dict, jobs: int = 1) -> dict:
@@ -320,7 +320,11 @@ def run_calibrate(spec: dict, jobs: int = 1) -> dict:
         raise SpecError("trials must be >= 1")
 
     start = time.perf_counter()
-    results = _fan_out(functools.partial(_run_one_trial, parsed), range(trials), jobs)
+    oracle, dspec = build_oracle(parsed["oracle"]), parsed["distribution"]
+    dist = None if parsed["algorithm"] == "gaussian-additivity" else build_distribution(
+        {"kind": "standard-gaussian", "dim": oracle.dim} if dspec is None else dspec, 0)
+    setup = (parsed, oracle, dist)  # built once; each worker gets it in its share's message
+    results = _fan_out(functools.partial(_run_one_trial, setup), range(trials), jobs)
     wall = time.perf_counter() - start
 
     accepts = sum(1 for v in results if v["outcome"] == "accept")
@@ -348,11 +352,10 @@ def run_query_scaling(spec: dict) -> dict:
     seed = parsed["seed"]
 
     start = time.perf_counter()
-    rows = []
+    rows, built = [], build_oracle(parsed["oracle"])
     for i, eps in enumerate(epsilons):
         cfg = TesterConfig(epsilon=eps, r=parsed["r"], seed=derive_seed(seed, i))
-        oracle = build_oracle(parsed["oracle"], trial_seed=derive_seed(seed, i, 3))
-        verdict = run_gaussian_additivity(oracle, cfg)
+        verdict = run_gaussian_additivity(built.restarted(derive_seed(seed, i, 3)), cfg)
         formula = cfg.accept_path_queries()
         measured_main = verdict.queries_used - cfg.battery_queries() if verdict.accepted else None
         base = (1.0 / eps) * math.log2(1.0 / eps)

@@ -8,12 +8,13 @@ counter increments by exactly one per evaluated point, batch or not.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .rng import hash_rows, make_rng, open_unit, standard_normal
+from .rng import derive_seed, hash_rows, make_rng, open_unit, standard_normal
 
 _VALUE_BOUND = np.finfo(float).max / 4  # the largest |value| an oracle may return
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -45,7 +46,8 @@ class EqPolicy:
 
 
 def _unit(direction) -> np.ndarray:
-    u = np.asarray(direction, dtype=float)
+    u = np.asarray(direction, dtype=float)  # over a power of two near max |u_k|: exact,
+    u = np.ldexp(u, -np.frexp(np.max(np.abs(u), initial=0.0))[1])  # and the norm stays finite
     norm = np.linalg.norm(u)
     if norm == 0:
         raise ValueError("corruption direction must be nonzero")
@@ -114,6 +116,12 @@ class FunctionOracle:
             raise OracleError(f"oracle value is NaN or beyond +-{_VALUE_BOUND:.4g} (float max / 4)")
         self.query_count += xs.shape[0]  # a batch that raises costs no query
         return values
+
+    def restarted(self, seed: int) -> "FunctionOracle":
+        """A copy with a fresh query count, for the trial that `seed` keys."""
+        new = copy.copy(self)
+        new.query_count = 0
+        return new
 
     def _values(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -189,6 +197,8 @@ class NoisyLinear(FunctionOracle):
     top 53 bits feed one inverse-CDF normal deviate.  Repeat queries agree exactly.
     """
 
+    pinned_seed = None  # a noise seed that `restarted` keeps (a spec's own)
+
     def __init__(self, w, delta_noise: float, noise_seed: int = 0):
         self.w = np.asarray(w, dtype=float)
         if delta_noise < 0:
@@ -201,6 +211,12 @@ class NoisyLinear(FunctionOracle):
         words = np.ascontiguousarray(xs + 0.0, dtype="<f8").view("<u8")
         h = hash_rows(words, self.noise_seed)
         return xs @ self.w + np.sqrt(self.delta_noise) * ndtri(open_unit(h >> 11))
+
+    def restarted(self, seed: int) -> "NoisyLinear":
+        """A copy with a fresh count, its noise keyed by derive_seed(seed, 3) unless pinned."""
+        new = super().restarted(seed)
+        new.noise_seed = derive_seed(seed, 3) if self.pinned_seed is None else self.pinned_seed
+        return new
 
 
 class NormOracle(FunctionOracle):

@@ -10,7 +10,7 @@ from lintest.distro import (
     load_empirical,
 )
 from lintest.gauss_core import GaussianDist
-from lintest.rng import make_rng, standard_normal
+from lintest.rng import derive_seed, make_rng, standard_normal
 
 
 def test_standard_gaussian_determinism_and_moments():
@@ -48,6 +48,29 @@ def test_standard_gaussian_draws_the_generators_normals_bit_for_bit(n):
         x = d.draw_many(m)
         assert np.array_equal(x, standard_normal(rng, (m, n)))
         assert np.array_equal(x, np.zeros(n) + standard_normal(old, (m, n)) @ factor.T)
+
+
+def test_restarted_copies_draw_afresh_from_the_given_or_the_pinned_seed():
+    d = ShiftedGaussian([1.0, -1.0], seed=1)
+    first = d.draw_many(5)
+    assert np.array_equal(d.restarted(1).draw_many(5), first)  # the drawn stream is not kept
+    assert np.array_equal(d.restarted(2).draw_many(5),
+                          ShiftedGaussian([1.0, -1.0], seed=2).draw_many(5))
+    assert np.array_equal(d.draw_many(5), ShiftedGaussian([1.0, -1.0], seed=1).draw_many(10)[5:])
+    d.pinned_seed = 7
+    assert d.restarted(2).seed == 7
+
+
+@pytest.mark.parametrize("pinned", [None, 4])
+def test_a_restarted_mixture_seeds_component_i_from_its_own_seed_unless_pinned(pinned):
+    free, fixed = StandardGaussian(2), ShiftedGaussian([5.0, 5.0])
+    fixed.pinned_seed = 8
+    mix = Mixture([0.5, 0.5], [free, fixed])
+    mix.pinned_seed = pinned
+    seed = 3 if pinned is None else pinned
+    expected = Mixture([0.5, 0.5], [StandardGaussian(2, seed=derive_seed(seed, 0)),
+                                    ShiftedGaussian([5.0, 5.0], seed=8)], seed=seed)
+    assert np.array_equal(mix.restarted(3).draw_many(50), expected.draw_many(50))
 
 
 def test_draw_is_prefix_of_draw_many():

@@ -19,7 +19,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lintest import cli, harness, lower_bound
+from lintest import cli, harness, lower_bound, tester
 from lintest.cli import main
 from lintest.harness import (
     CSV_COLUMNS,
@@ -37,6 +37,13 @@ from lintest.oracle import (
     LinearOracle,
     NoisyLinear,
     NormOracle,
+)
+from lintest.rng import derive_seed
+from lintest.tester import (
+    TesterConfig,
+    run_df_additivity,
+    run_df_linearity,
+    run_gaussian_additivity,
 )
 
 
@@ -430,13 +437,13 @@ def test_cli_fan_out_leaves_no_worker_behind(tmp_path):
 def test_cli_fan_out_leaves_no_worker_behind_a_failed_trial(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_linear_spec(trials=4)))
-    # Every trial builds the oracle, and fails on the weights' length.
+    # Every trial fails: w.x overflows, and the oracle refuses the value.
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**_linear_spec(trials=4),
-                               "oracle": {"family": "linear", "dim": 4, "w_explicit": [1.0]}}))
+    bad.write_text(json.dumps({**_linear_spec(trials=4), "oracle": {
+        "family": "linear", "dim": 3, "w_explicit": [2e307, -2e307, 1.5e307]}}))
     done, pids = _run_cli_and_list_workers(str(good), str(bad))  # the failure reuses a worker
     assert done.returncode == 2, done.stderr
-    assert json.loads(done.stderr.splitlines()[0])["error"] == "SpecError"
+    assert json.loads(done.stderr.splitlines()[0])["error"] == "OracleError"
     assert len(pids) == (1 if harness._usable_cores() > 1 else 0)
 
 
@@ -495,6 +502,145 @@ def test_run_calibrate_is_deterministic_in_the_seed(seed, n, algorithm):
     a, b = run_calibrate(spec), run_calibrate(spec)
     assert a.pop("wall_clock_s") >= 0 and b.pop("wall_clock_s") >= 0
     assert a == b
+
+
+# --- one build per calibrate call ---------------------------------------------------
+
+
+def _fresh_trial(spec: dict, t: int) -> dict:
+    """Trial t of a calibrate spec, from an oracle and a sampler built for that trial alone."""
+    seed = spec["seed"]
+    cfg = TesterConfig(epsilon=spec["epsilon"], seed=derive_seed(seed, t, 1))
+    oracle = build_oracle(spec["oracle"], trial_seed=derive_seed(seed, t, 3))
+    if spec["algorithm"] == "gaussian-additivity":
+        return {**vars(run_gaussian_additivity(oracle, cfg)), "trial": t}
+    dspec = spec.get("distribution", {"kind": "standard-gaussian", "dim": oracle.dim})
+    run = run_df_additivity if spec["algorithm"] == "df-additivity" else run_df_linearity
+    return {**vars(run(oracle, build_distribution(dspec, derive_seed(seed, t, 2)), cfg)),
+            "trial": t}
+
+
+_W = [0.7, -1.2, 0.4]
+# A halfspace u.x > 6 that N(0,I) probes almost never reach, and a D with mass ~0.3 on it,
+# so that where a trial rejects depends on D's stream.
+_HIDDEN = {"threshold": 6.0, "direction": [1.0, 1.0, 0.0]}
+_ON_REGION = {"kind": "shifted-gaussian", "mean": [3.9, 3.9, 0.0],
+              "cov": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]]}
+_MIXTURE = {"kind": "mixture", "weights": [0.3, 0.7],
+            "components": [{"kind": "standard-gaussian", "dim": 3}, _ON_REGION]}
+
+
+@pytest.mark.parametrize("algorithm, oracle, distribution", [
+    ("gaussian-additivity", {"family": "linear", "dim": 3, "w_seed": 1}, None),
+    # Noise near the equality band's edge: the first failing round depends on its key.
+    ("gaussian-additivity", {"family": "noisy-linear", "dim": 3, "w_explicit": _W,
+                             "noise": {"delta": 1e-19}}, None),
+    ("gaussian-additivity", {"family": "noisy-linear", "dim": 3, "w_explicit": _W,
+                             "noise": {"delta": 1e-19, "seed": 7}}, None),
+    ("df-additivity", {"family": "constant-shift-linear", "dim": 3, "w_seed": 2},
+     {"kind": "standard-gaussian", "dim": 3, "seed": 11}),
+    ("df-linearity", {"family": "corrupted-linear", "dim": 3, "w_seed": 3,
+                      "corruption": {"mass": 0.3}}, None),
+    ("df-additivity", {"family": "corrupted-linear", "dim": 3, "w_explicit": _W,
+                       "corruption": _HIDDEN}, {**_ON_REGION, "seed": 4}),
+    ("df-linearity", {"family": "corrupted-linear", "dim": 3, "w_explicit": _W,
+                      "corruption": {**_HIDDEN, "odd_symmetric": True}}, _MIXTURE),
+    ("df-linearity", {"family": "norm", "dim": 3}, {**_MIXTURE, "seed": 12}),
+    ("df-additivity", {"family": "corrupted-linear", "dim": 3, "w_explicit": _W,
+                       "corruption": _HIDDEN},
+     {**_MIXTURE, "components": [_MIXTURE["components"][0], {**_ON_REGION, "seed": 5}]}),
+    ("df-additivity", {"family": "noisy-linear", "dim": 3, "w_seed": 4,
+                       "noise": {"delta": 1e-19}}, "empirical"),
+    ("df-linearity", {"family": "corrupted-linear", "dim": 3, "w_explicit": _W,
+                      "corruption": _HIDDEN}, "empirical-pinned"),
+])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_trial_equals_a_fresh_build_of_its_own_objects(
+        tmp_path, monkeypatch, fresh_workers, algorithm, oracle, distribution, jobs):
+    # run_calibrate builds its oracle and sampler once and restarts them per trial;
+    # every verdict, transcript included, is what building them for that trial gives.
+    if isinstance(distribution, str):
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{a},{b},{c}\n" for a, b, c in
+                                np.random.default_rng(8).normal([3.9, 3.9, 0.0], 1.0, (40, 3))))
+        distribution = {"kind": "empirical", "path": str(data),
+                        **({"seed": 6} if distribution == "empirical-pinned" else {})}
+    spec = {"algorithm": algorithm, "oracle": oracle, "epsilon": 0.2, "trials": 4, "seed": 9,
+            **({} if distribution is None else {"distribution": distribution})}
+    monkeypatch.setattr(tester.Verdict, "to_json", lambda self: dict(vars(self)))
+    verdicts = run_calibrate(spec, jobs=jobs)["verdicts"]
+    assert verdicts == [_fresh_trial(spec, t) for t in range(4)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_pinned_sampler_seed_restarts_its_stream_in_every_trial(monkeypatch, fresh_workers,
+                                                                   jobs):
+    # Each trial rejects at its D's first point on the hidden halfspace: one point for
+    # every trial when the spec pins D's seed, and a point of each trial's own otherwise.
+    spec = {"algorithm": "df-additivity", "epsilon": 0.2, "trials": 4, "seed": 9,
+            "oracle": {"family": "corrupted-linear", "dim": 3, "w_explicit": _W,
+                       "corruption": _HIDDEN}}
+    monkeypatch.setattr(tester.Verdict, "to_json", lambda self: dict(vars(self)))
+
+    def witnesses(distribution):
+        verdicts = run_calibrate({**spec, "distribution": distribution}, jobs=jobs)["verdicts"]
+        assert {v["reject_site"] for v in verdicts} == {"f!=g"}
+        return {repr(v["transcript"][0][1]) for v in verdicts}
+    assert len(witnesses({**_ON_REGION, "seed": 4})) == 1
+    assert len(witnesses(_ON_REGION)) == 4
+
+
+def _counted_reads(monkeypatch, log: Path):
+    """Make every harness read of an empirical dataset, in any process, add a line to log."""
+    load = harness.load_empirical
+
+    def counted(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return load(*args, **kwargs)
+    monkeypatch.setattr(harness, "load_empirical", counted)
+    return lambda: len(log.read_text().splitlines()) if log.exists() else 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_an_empirical_dataset_is_read_once_per_call(tmp_path, monkeypatch, fresh_workers,
+                                                    jobs, mixed):
+    reads = _counted_reads(monkeypatch, tmp_path / "reads.log")
+    data = tmp_path / "data.csv"
+    data.write_text("6.0,0.0\n6.5,-1.0\n")  # on the corrupted halfspace x_1 > 5
+    empirical = {"kind": "empirical", "path": str(data)}
+    spec = {"algorithm": "df-additivity", "epsilon": 0.2, "trials": 4, "seed": 3,
+            "oracle": {"family": "corrupted-linear", "dim": 2, "w_seed": 1,
+                       "corruption": {"threshold": 5.0}},
+            "distribution": empirical if not mixed else {
+                "kind": "mixture", "weights": [0.5, 0.5],
+                "components": [empirical, {"kind": "standard-gaussian", "dim": 2}]}}
+    assert run_calibrate(spec, jobs=jobs)["aggregates"]["reject_rate"] == 1.0
+    assert reads() == 1
+    data.write_text("0.0,0.0\n0.5,-1.0\n")  # rewritten: off the halfspace
+    assert run_calibrate(spec, jobs=jobs)["aggregates"]["accept_rate"] == 1.0
+    assert reads() == 2
+
+
+@pytest.mark.parametrize("bad, word", [
+    ({"oracle": {"family": "linear", "dim": 2, "w_explicit": [1.0]}}, "w_explicit"),
+    ({"algorithm": "df-additivity", "distribution": {"kind": "standard-gaussian"}}, "dim"),
+    ({"algorithm": "df-additivity", "distribution": {"kind": "empirical", "path": "no.csv"}},
+     "no.csv"),
+])
+def test_a_bad_oracle_or_distribution_fails_before_any_trial(monkeypatch, bad, word):
+    monkeypatch.setattr(harness, "_fan_out", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises((SpecError, OSError), match=word):
+        run_calibrate({**_linear_spec(trials=4), **bad}, jobs=2)
+
+
+def test_a_far_oracle_with_a_huge_corruption_direction_is_rejected():
+    # The direction's squared norm would overflow, leaving a zero direction and no corruption.
+    spec = {"algorithm": "gaussian-additivity", "epsilon": 0.1, "trials": 3, "seed": 0,
+            "oracle": {"family": "corrupted-linear", "dim": 2, "w_seed": 1,
+                       "corruption": {"mass": 0.3, "direction": [1e308, 1e308]}}}
+    assert run_calibrate(spec)["aggregates"]["reject_rate"] == 1.0
 
 
 # --- CSV rendering -----------------------------------------------------------------

@@ -17,6 +17,7 @@ from lintest.oracle import (
     OracleError,
     random_linear,
 )
+from lintest.rng import derive_seed
 
 ALL_FAMILIES = [
     lambda: LinearOracle([1.0, -2.0, 0.5]),
@@ -158,6 +159,30 @@ def test_corruption_region_from_mass_and_threshold():
         CorruptionRegion.from_mass([0.0], 0.3)
     with pytest.raises(ValueError):
         CorruptionRegion.from_threshold([0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("direction, unit", [([1e308, 1e308], [0.5**0.5, 0.5**0.5]),
+                                             ([1e-320, 0.0], [1.0, 0.0]),
+                                             ([0.0, -3e-200, 4e-200], [0.0, -0.6, 0.8])])
+def test_corruption_direction_is_a_unit_vector_at_any_scale(direction, unit):
+    # The squared norm of these overflows or underflows when taken without scaling.
+    for region in (CorruptionRegion.from_mass(direction, 0.3),
+                   CorruptionRegion.from_threshold(direction, 1.0)):
+        assert np.allclose(region.direction, unit, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("make", ALL_FAMILIES)
+def test_a_restarted_oracle_is_a_copy_with_a_fresh_query_count(make):
+    f = make()
+    xs = np.random.default_rng(3).standard_normal((6, 3))
+    values = f.query_batch(xs)
+    g = f.restarted(5)
+    assert g is not f and g.query_count == 0 and f.query_count == 6
+    if isinstance(f, NoisyLinear):  # keyed by the trial seed, unless pinned
+        assert g.noise_seed == derive_seed(5, 3)
+        f.pinned_seed = f.noise_seed
+        g = f.restarted(5)
+    assert np.array_equal(g.query_batch(xs), values)
 
 
 def test_corrupted_linear_empirical_mass():

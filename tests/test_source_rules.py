@@ -91,3 +91,30 @@ def test_package_exports_are_exactly_its_public_imports():
     assert [name for name in lintest.__all__ if not hasattr(lintest, name)] == []
     assert len(set(lintest.__all__)) == len(lintest.__all__)
     assert public and public == set(lintest.__all__)
+
+
+def test_calibrate_trials_parse_build_and_read_nothing():
+    # run_calibrate parses its specs, builds its oracle and sampler and reads any dataset
+    # once; the function it fans out, and every harness function that one calls, only
+    # restarts them.
+    tree = TREES["harness.py"]
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (fan_out,) = [node for node in ast.walk(defs["run_calibrate"])
+                  if isinstance(node, ast.Call) and _name(node.func) == "_fan_out"]
+    trial = fan_out.args[0]
+    while isinstance(trial, ast.Call):  # functools.partial(fn, ...)
+        trial = trial.args[0]
+    assert _name(trial) in defs
+    forbidden = {"_parse", "build_oracle", "build_distribution", "load_empirical"}
+    seen, todo, found = set(), [_name(trial)], []
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call):
+                called = _name(node.func)
+                if called in forbidden:
+                    found.append(f"{name}:{node.lineno} calls {called}")
+                elif called in defs and called not in seen:
+                    todo.append(called)
+    assert found == []
