@@ -2,7 +2,7 @@
 
 One command per harness entry point. The spec file alone fixes the report,
 `--jobs` says only how many processes compute it, and the report goes to
-stdout in the format that the spec's `format` key names.
+stdout as one line of JSON.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ import sys
 
 import click
 
-from .harness import (
-    report_format,
-    report_to_csv,
-    run_calibrate,
-    run_lower_bound,
-    run_query_scaling,
-)
+from .harness import run_calibrate, run_lower_bound, run_query_scaling
 
 
 def _load_spec(spec_path) -> dict:
@@ -29,12 +23,9 @@ def _load_spec(spec_path) -> dict:
 
 
 def _emit(report: dict):
-    """Write the report to stdout in the format its spec asks for."""
-    if report_format(report) == "csv":
-        text = report_to_csv(report)
-    else:
-        # One line, by the C encoder; NaN and infinities are no JSON.
-        text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    """Write the report to stdout as one line of JSON."""
+    # By the C encoder; NaN and infinities are no JSON.
+    text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
     # An explicit file keeps click from caching a wrapper keyed by
     # sys.stdout, which would pin every redirected stdout (and its report).
     click.echo(text, nl=False, file=sys.stdout)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import atexit
 import collections
 import contextlib
+import dataclasses
 import functools
 import math
 import multiprocessing.connection
@@ -85,7 +86,6 @@ _REQUIRED = object()  # in place of a default: the spec must give the key
 _LINEAR = {"family": (_STRING, _REQUIRED), "dim": (_INT, _REQUIRED), "w_seed": (_INT, 0),
            "w_explicit": (_NUMBERS, None)}  # None: the weights come from w_seed
 _SAMPLER = {"kind": (_STRING, "standard-gaussian"), "seed": (_INT, None)}  # None: the caller's
-_FORMAT = {"format": (_choice("json", "csv"), "json")}  # read through report_format
 
 # Each spec context's keys, with the JSON type and default of each (None: derived
 # in code).  The contexts are the commands, the oracle families (by "family"),
@@ -96,14 +96,14 @@ _SCHEMAS = {
                       "df-additivity"),
         "oracle": (_OBJECT, _REQUIRED), "epsilon": (_NUMBER, _REQUIRED),
         "distribution": (_OBJECT, None),  # None: N(0, I) in the oracle's dimension
-        "trials": (_INT, 1), "seed": (_INT, 0), "r": (_INT, 50), **_FORMAT},
+        "trials": (_INT, 1), "seed": (_INT, 0), "r": (_INT, 50)},
     "query-scaling": {
         "epsilons": (_NUMBERS, _REQUIRED), "seed": (_INT, 0), "r": (_INT, 50),
-        "oracle": (_OBJECT, {"family": "linear", "dim": 10, "w_seed": 1}), **_FORMAT},
+        "oracle": (_OBJECT, {"family": "linear", "dim": 10, "w_seed": 1})},
     "lower-bound": {
         "n": (_INT, None), "n_list": (_list_of("integers", _INT), None),  # one of the two
         "C": (_NUMBER, 0.01), "C_list": (_NUMBERS, None), "trials": (_INT, 1000),
-        "seed": (_INT, 0), "delta_override": (_or_null(_NUMBER), None), **_FORMAT},
+        "seed": (_INT, 0), "delta_override": (_or_null(_NUMBER), None)},
     "linear": _LINEAR,
     "constant-shift-linear": {**_LINEAR, "shift": (_NUMBER, 1.0)},
     "corrupted-linear": {**_LINEAR, "corruption": (_OBJECT, {})},
@@ -284,11 +284,6 @@ def _fan_out(fn, items, jobs: int) -> list:
     return [result for reply in replies for result in reply]
 
 
-def report_format(report: dict) -> str:
-    """The format that a report's spec asks for: its `format`, or the default."""
-    return report["spec"].get("format", _FORMAT["format"][1])
-
-
 def _report(spec: dict, command: str, seed: int, **body) -> dict:
     """A report: the spec and the versions that make it reproducible, then its body."""
     return {"spec": spec, "command": command, "library_version": __version__,
@@ -296,11 +291,10 @@ def _report(spec: dict, command: str, seed: int, **body) -> dict:
 
 
 def _run_one_trial(setup: tuple, trial: int) -> dict:
-    """One seeded tester invocation on restarts of the call's built oracle and sampler."""
-    spec, oracle, dist = setup
+    """One seeded tester invocation: the call's config, oracle and sampler, restarted."""
+    spec, cfg, oracle, dist = setup
     seed = spec["seed"]
-    cfg = TesterConfig(epsilon=float(spec["epsilon"]), r=spec["r"],
-                       seed=derive_seed(seed, trial, 1))
+    cfg = dataclasses.replace(cfg, seed=derive_seed(seed, trial, 1))
     oracle = oracle.restarted(derive_seed(seed, trial, 3))
     if dist is None:
         return {**run_gaussian_additivity(oracle, cfg).to_json(), "trial": trial}
@@ -320,10 +314,13 @@ def run_calibrate(spec: dict, jobs: int = 1) -> dict:
         raise SpecError("trials must be >= 1")
 
     start = time.perf_counter()
+    cfg = TesterConfig(epsilon=float(parsed["epsilon"]), r=parsed["r"])
     oracle, dspec = build_oracle(parsed["oracle"]), parsed["distribution"]
     dist = None if parsed["algorithm"] == "gaussian-additivity" else build_distribution(
         {"kind": "standard-gaussian", "dim": oracle.dim} if dspec is None else dspec, 0)
-    setup = (parsed, oracle, dist)  # built once; each worker gets it in its share's message
+    if dist is not None and dist.dim != oracle.dim:
+        raise SpecError(f"distribution dimension {dist.dim} != oracle dimension {oracle.dim}")
+    setup = (parsed, cfg, oracle, dist)  # built once; each worker gets it in its share's message
     results = _fan_out(functools.partial(_run_one_trial, setup), range(trials), jobs)
     wall = time.perf_counter() - start
 
@@ -409,40 +406,3 @@ def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
     return _report(spec, "lower-bound", seed, cells=[game.to_json() for game in games],
                    wall_clock_s=time.perf_counter() - start)
 
-
-# Fixed CSV column orders, one schema per command.
-CSV_COLUMNS = {
-    "calibrate": ["trials", "accept_rate", "reject_rate", "wilson_low", "wilson_high",
-                  "mean_queries", "max_queries"],
-    "query-scaling": ["epsilon", "outcome", "n_testadd", "n_queryg", "n_main",
-                      "measured_queries", "formula_queries", "within_formula",
-                      "exact_on_accept", "measured_main_stage", "ratio_main_stage"],
-    "lower-bound": ["n", "C", "delta_override", "trials", "successes", "success_rate",
-                    "wilson_low", "wilson_high", "mean_tv_bound", "max_tv_bound", "delta_min",
-                    "delta_mean", "delta_max", "bound_respected"],
-}
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return "" if v is None else str(v)  # a float's str is its shortest round-trip repr
-
-
-def report_to_csv(report: dict) -> str:
-    """Render a report as delimited rows with a fixed, documented column order."""
-    cmd = report["command"]
-    if cmd == "calibrate":
-        agg = report["aggregates"]
-        lo, hi = agg["accept_wilson95"]
-        rows = [{**agg, "wilson_low": lo, "wilson_high": hi}]
-    elif cmd == "query-scaling":
-        rows = report["rows"]
-    else:
-        rows = [{**cell, "wilson_low": cell["wilson_interval"][0],
-                 "wilson_high": cell["wilson_interval"][1],
-                 **{f"delta_{stat}": v for stat, v in cell["delta_stats"].items()}}
-                for cell in report["cells"]]
-    cols = CSV_COLUMNS[cmd]
-    lines = [",".join(cols)] + [",".join(_fmt(row[c]) for c in cols) for row in rows]
-    return "\n".join(lines) + "\n"

@@ -46,8 +46,11 @@ class EqPolicy:
 
 
 def _unit(direction) -> np.ndarray:
-    u = np.asarray(direction, dtype=float)  # over a power of two near max |u_k|: exact,
-    u = np.ldexp(u, -np.frexp(np.max(np.abs(u), initial=0.0))[1])  # and the norm stays finite
+    u = np.asarray(direction, dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError(f"corruption direction must be finite, got {direction!r}")
+    # Over a power of two near max |u_k|: exact, and the norm stays finite.
+    u = np.ldexp(u, -np.frexp(np.max(np.abs(u), initial=0.0))[1])
     norm = np.linalg.norm(u)
     if norm == 0:
         raise ValueError("corruption direction must be nonzero")

@@ -22,11 +22,9 @@ from hypothesis import strategies as st
 from lintest import cli, harness, lower_bound, tester
 from lintest.cli import main
 from lintest.harness import (
-    CSV_COLUMNS,
     SpecError,
     build_distribution,
     build_oracle,
-    report_to_csv,
     run_calibrate,
     run_lower_bound,
     run_query_scaling,
@@ -62,7 +60,7 @@ def test_unknown_spec_fields_rejected():
 def test_parse_fills_every_default_and_keeps_the_given_values():
     assert harness._parse({"n": 4, "trials": 5}, "lower-bound") == {
         "n": 4, "n_list": None, "C": 0.01, "C_list": None, "trials": 5, "seed": 0,
-        "delta_override": None, "format": "json"}
+        "delta_override": None}
     assert harness._parse({"delta": 0.1}, "noise") == {"delta": 0.1, "seed": None}
     spec = {"n": 4, "trials": 5}
     assert run_lower_bound(spec)["spec"] == {"n": 4, "trials": 5}  # embedded as given
@@ -427,10 +425,10 @@ def _run_cli_and_list_workers(*paths):
 
 
 def test_cli_fan_out_leaves_no_worker_behind(tmp_path):
-    path = _write_spec(tmp_path, {**_linear_spec(trials=4), "format": "csv"})
+    path = _write_spec(tmp_path, _linear_spec(trials=4))
     done, pids = _run_cli_and_list_workers(path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("trials,")
+    assert json.loads(done.stdout)["aggregates"]["trials"] == 4
     assert len(pids) == (1 if harness._usable_cores() > 1 else 0)
 
 
@@ -635,30 +633,24 @@ def test_a_bad_oracle_or_distribution_fails_before_any_trial(monkeypatch, bad, w
         run_calibrate({**_linear_spec(trials=4), **bad}, jobs=2)
 
 
+@pytest.mark.parametrize("bad, error, word", [
+    ({"epsilon": 1.5}, ValueError, "epsilon"),
+    ({"r": 0}, ValueError, "r must be"),
+    ({"algorithm": "df-additivity", "distribution": {"kind": "standard-gaussian", "dim": 3}},
+     SpecError, "dimension 3 != oracle dimension 4"),
+])
+def test_a_bad_calibrate_spec_fails_before_any_worker_starts(fresh_workers, bad, error, word):
+    with pytest.raises(error, match=word):
+        run_calibrate({**_linear_spec(trials=4), **bad}, jobs=2)
+    assert fresh_workers == []
+
+
 def test_a_far_oracle_with_a_huge_corruption_direction_is_rejected():
     # The direction's squared norm would overflow, leaving a zero direction and no corruption.
     spec = {"algorithm": "gaussian-additivity", "epsilon": 0.1, "trials": 3, "seed": 0,
             "oracle": {"family": "corrupted-linear", "dim": 2, "w_seed": 1,
                        "corruption": {"mass": 0.3, "direction": [1e308, 1e308]}}}
     assert run_calibrate(spec)["aggregates"]["reject_rate"] == 1.0
-
-
-# --- CSV rendering -----------------------------------------------------------------
-
-
-def test_csv_headers_are_pinned():
-    cal = report_to_csv(run_calibrate(_linear_spec()))
-    assert cal.splitlines()[0] == ",".join(CSV_COLUMNS["calibrate"])
-    qs = report_to_csv(run_query_scaling({"epsilons": [0.2]}))
-    assert qs.splitlines()[0] == ",".join(CSV_COLUMNS["query-scaling"])
-    lb = report_to_csv(run_lower_bound({"n": 4, "trials": 10}))
-    lines = lb.splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS["lower-bound"])
-    assert len(lines) == 2
-    # floats round-trip through repr
-    row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    assert float(row["success_rate"]) <= 1.0
-    assert row["delta_override"] == ""  # None renders empty
 
 
 # --- CLI ---------------------------------------------------------------------------
@@ -723,19 +715,6 @@ def test_cli_calibrate_runs_the_algorithm_the_spec_names(tmp_path):
     assert add["aggregates"]["accept_rate"] == 1.0
     assert lin["aggregates"]["accept_rate"] == 1.0
     assert lin["aggregates"]["max_queries"] > add["aggregates"]["max_queries"]
-
-
-def test_cli_csv_output_to_file(tmp_path):
-    # The report goes to stdout, in the spec's format; a shell redirection files it.
-    path = _write_spec(tmp_path, {"n": 4, "trials": 10, "seed": 2, "format": "csv"})
-    out = tmp_path / "report.csv"
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    with out.open("w") as fh:
-        done = subprocess.run([sys.executable, "-m", "lintest.cli", "lower-bound", "--spec", path],
-                              stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 0, done.stderr
-    assert out.read_text().splitlines()[0].startswith("n,C,delta_override")
 
 
 def test_cli_bad_spec_is_machine_readable_error(tmp_path):
@@ -827,6 +806,10 @@ _LINEAR = {"family": "linear", "dim": 2}
     ("query-scaling", {"epsilons": [0.2], "command": "query-scaling"}, "command"),
     ("query-scaling", {"epsilons": [0.2], "trials": 3}, "trials"),
     ("query-scaling", [{"epsilons": [0.2]}], "JSON object"),
+    ("query-scaling", {"epsilons": [0.2], "format": "xml"}, "format"),
+    ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "format": "json"}, "format"),
+    ("query-scaling", {"epsilons": [0.2], "format": "json"}, "format"),
+    ("lower-bound", {"n": 4, "trials": 5, "format": "json"}, "format"),
 ])
 def test_cli_rejects_spec_keys_the_command_does_not_read(tmp_path, command, spec, word):
     result = CliRunner().invoke(main, [command, "--spec", _write_spec(tmp_path, spec)])
@@ -839,7 +822,6 @@ def test_cli_rejects_spec_keys_the_command_does_not_read(tmp_path, command, spec
 @pytest.mark.parametrize("command, spec, word", [
     ("lower-bound", {"n_list": 5, "trials": 5}, "n_list"),
     ("calibrate", {"oracle": 5, "epsilon": 0.2}, "oracle"),
-    ("query-scaling", {"epsilons": [0.2], "format": "xml"}, "format"),
     ("lower-bound", {"n_list": [[4]], "trials": 5}, "n_list"),
     ("lower-bound", {"n": 4, "trials": "5"}, "trials"),
     ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "algorithm": ["df-linearity"]},
@@ -1002,23 +984,6 @@ def test_cli_rejects_mass_with_threshold(tmp_path):
     payload = json.loads(lines[-1])
     assert len(lines) == 1 and payload["error"] == "SpecError"
     assert "mass" in payload["message"] and "threshold" in payload["message"]
-
-
-@pytest.mark.parametrize("spec_format, csv", [
-    (None, False),    # the schema's default
-    ("csv", True),
-    ("json", False),
-])
-def test_cli_format_comes_from_the_spec(tmp_path, spec_format, csv):
-    spec = {"epsilons": [0.2]} if spec_format is None else \
-        {"epsilons": [0.2], "format": spec_format}
-    path = _write_spec(tmp_path, spec)
-    result = CliRunner().invoke(main, ["query-scaling", "--spec", path])
-    assert result.exit_code == 0, result.output
-    if csv:
-        assert result.output.startswith(",".join(CSV_COLUMNS["query-scaling"]) + "\n")
-    else:
-        assert json.loads(result.output)["command"] == "query-scaling"
 
 
 def test_cli_json_report_is_one_line(tmp_path):

@@ -171,6 +171,15 @@ def test_corruption_direction_is_a_unit_vector_at_any_scale(direction, unit):
         assert np.allclose(region.direction, unit, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("direction", [[float("inf"), 0.0], [1.0, -float("inf")],
+                                       [float("nan"), 1.0]])
+def test_corruption_direction_with_a_non_finite_entry_is_refused(direction, recwarn):
+    for make in (CorruptionRegion.from_mass, CorruptionRegion.from_threshold):
+        with pytest.raises(ValueError, match="finite"):
+            make(direction, 0.3)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("make", ALL_FAMILIES)
 def test_a_restarted_oracle_is_a_copy_with_a_fresh_query_count(make):
     f = make()
