@@ -18,8 +18,6 @@ class DistributionError(ValueError):
 class SampleDistribution:
     """A seeded sampler over R^n.  Each instance owns its own stream, made at its first draw."""
 
-    pinned_seed = None  # a seed that `restarted` keeps (a spec's own); None: the caller's
-
     def __init__(self, dim: int, seed: int):
         self.dim = int(dim)
         self.seed = int(seed)
@@ -29,9 +27,9 @@ class SampleDistribution:
         return make_rng(self.seed)
 
     def restarted(self, seed: int) -> "SampleDistribution":
-        """A copy whose stream starts afresh from `seed`, or from its pinned seed."""
+        """A copy whose stream starts afresh from `seed`."""
         new = copy.copy(self)
-        new.seed = int(seed) if self.pinned_seed is None else self.pinned_seed
+        new.seed = int(seed)
         vars(new).pop("_rng", None)
         return new
 
@@ -85,10 +83,9 @@ class Mixture(SampleDistribution):
         super().__init__(dims.pop(), seed)
 
     def restarted(self, seed: int) -> "Mixture":
-        """The copy's component i restarts from derive_seed(the copy's seed, i)."""
+        """The copy's component i restarts from derive_seed(seed, i)."""
         new = super().restarted(seed)
-        new.components = [c.restarted(derive_seed(new.seed, i))
-                          for i, c in enumerate(self.components)]
+        new.components = [c.restarted(derive_seed(seed, i)) for i, c in enumerate(self.components)]
         return new
 
     def draw_many(self, m: int) -> np.ndarray:

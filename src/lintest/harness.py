@@ -85,7 +85,7 @@ _REQUIRED = object()  # in place of a default: the spec must give the key
 
 _LINEAR = {"family": (_STRING, _REQUIRED), "dim": (_INT, _REQUIRED), "w_seed": (_INT, 0),
            "w_explicit": (_NUMBERS, None)}  # None: the weights come from w_seed
-_SAMPLER = {"kind": (_STRING, "standard-gaussian"), "seed": (_INT, None)}  # None: the caller's
+_SAMPLER = {"kind": (_STRING, "standard-gaussian")}
 
 # Each spec context's keys, with the JSON type and default of each (None: derived
 # in code).  The contexts are the commands, the oracle families (by "family"),
@@ -113,7 +113,7 @@ _SCHEMAS = {
         "mass": (_NUMBER, None), "threshold": (_NUMBER, None),  # mass, or threshold
         "payload": (_NUMBER, 1.0), "direction": (_or_null(_NUMBERS), None),  # the first axis
         "odd_symmetric": (_Type("true or false", lambda v: type(v) is bool), False)},
-    "noise": {"delta": (_NUMBER, _REQUIRED), "seed": (_INT, None)},  # from the trial seed
+    "noise": {"delta": (_NUMBER, _REQUIRED), "seed": (_INT, 0)},
     "standard-gaussian": {**_SAMPLER, "dim": (_INT, _REQUIRED)},
     "shifted-gaussian": {
         **_SAMPLER, "mean": (_NUMBERS, _REQUIRED),
@@ -160,8 +160,8 @@ def _one_of(spec: dict, one: str, other: str):
         raise SpecError(f"give '{one}' or '{other}', not both")
 
 
-def build_oracle(spec: dict, trial_seed: int = 0) -> FunctionOracle:
-    """Instantiate a fresh oracle from its JSON spec."""
+def build_oracle(spec: dict) -> FunctionOracle:
+    """Instantiate the oracle its JSON spec fixes, noise key included."""
     family = _variant(spec, "oracle", "family")
     _one_of(spec, "w_seed", "w_explicit")
     spec = _parse(spec, family)
@@ -192,25 +192,20 @@ def build_oracle(spec: dict, trial_seed: int = 0) -> FunctionOracle:
         region = CorruptionRegion.from_threshold(direction, float(c["threshold"]))
         return CorruptedLinear(w, region, float(c["payload"]), c["odd_symmetric"])
     nz = _parse(spec["noise"], "noise")
-    noisy = NoisyLinear(w, float(nz["delta"]))
-    noisy.pinned_seed = nz["seed"]
-    return noisy.restarted(trial_seed)
+    return NoisyLinear(w, float(nz["delta"]), nz["seed"])
 
 
-def build_distribution(spec: dict, seed: int) -> SampleDistribution:
-    """Instantiate a sampler from its JSON spec; `seed` wins unless the spec pins one."""
+def build_distribution(spec: dict) -> SampleDistribution:
+    """Instantiate a sampler from its JSON spec; `restarted(seed)` keys its streams."""
     kind = _variant(spec, "distribution", "kind", _SAMPLER["kind"][1])
     spec = _parse(spec, kind)
     if kind == "standard-gaussian":
-        sampler = StandardGaussian(spec["dim"])
-    elif kind == "shifted-gaussian":
-        sampler = ShiftedGaussian(spec["mean"], spec["cov"])
-    elif kind == "mixture":
-        sampler = Mixture(spec["weights"], [build_distribution(c, 0) for c in spec["components"]])
-    else:
-        sampler = load_empirical(spec["path"])
-    sampler.pinned_seed = spec["seed"]
-    return sampler.restarted(seed)  # a mixture's restart seeds its components
+        return StandardGaussian(spec["dim"])
+    if kind == "shifted-gaussian":
+        return ShiftedGaussian(spec["mean"], spec["cov"])
+    if kind == "mixture":
+        return Mixture(spec["weights"], [build_distribution(c) for c in spec["components"]])
+    return load_empirical(spec["path"])
 
 
 def _usable_cores() -> int:
@@ -291,11 +286,10 @@ def _report(spec: dict, command: str, seed: int, **body) -> dict:
 
 
 def _run_one_trial(setup: tuple, trial: int) -> dict:
-    """One seeded tester invocation: the call's config, oracle and sampler, restarted."""
+    """One seeded tester invocation on the call's one oracle: only the streams restart."""
     spec, cfg, oracle, dist = setup
     seed = spec["seed"]
     cfg = dataclasses.replace(cfg, seed=derive_seed(seed, trial, 1))
-    oracle = oracle.restarted(derive_seed(seed, trial, 3))
     if dist is None:
         return {**run_gaussian_additivity(oracle, cfg).to_json(), "trial": trial}
     run = run_df_additivity if spec["algorithm"] == "df-additivity" else run_df_linearity
@@ -317,7 +311,7 @@ def run_calibrate(spec: dict, jobs: int = 1) -> dict:
     cfg = TesterConfig(epsilon=float(parsed["epsilon"]), r=parsed["r"])
     oracle, dspec = build_oracle(parsed["oracle"]), parsed["distribution"]
     dist = None if parsed["algorithm"] == "gaussian-additivity" else build_distribution(
-        {"kind": "standard-gaussian", "dim": oracle.dim} if dspec is None else dspec, 0)
+        {"kind": "standard-gaussian", "dim": oracle.dim} if dspec is None else dspec)
     if dist is not None and dist.dim != oracle.dim:
         raise SpecError(f"distribution dimension {dist.dim} != oracle dimension {oracle.dim}")
     setup = (parsed, cfg, oracle, dist)  # built once; each worker gets it in its share's message
@@ -352,7 +346,7 @@ def run_query_scaling(spec: dict) -> dict:
     rows, built = [], build_oracle(parsed["oracle"])
     for i, eps in enumerate(epsilons):
         cfg = TesterConfig(epsilon=eps, r=parsed["r"], seed=derive_seed(seed, i))
-        verdict = run_gaussian_additivity(built.restarted(derive_seed(seed, i, 3)), cfg)
+        verdict = run_gaussian_additivity(built, cfg)
         formula = cfg.accept_path_queries()
         measured_main = verdict.queries_used - cfg.battery_queries() if verdict.accepted else None
         base = (1.0 / eps) * math.log2(1.0 / eps)

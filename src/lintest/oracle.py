@@ -8,13 +8,12 @@ counter increments by exactly one per evaluated point, batch or not.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .rng import derive_seed, hash_rows, make_rng, open_unit, standard_normal
+from .rng import hash_rows, make_rng, open_unit, standard_normal
 
 _VALUE_BOUND = np.finfo(float).max / 4  # the largest |value| an oracle may return
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -45,15 +44,19 @@ class EqPolicy:
         return np.abs(a - b) <= self.REL_TOL * np.maximum(np.maximum(abs(a), abs(b)), mag) + _TINY
 
 
+def scaled_norms(xs):
+    """(y, ||y||, e) per row x (the last axis), y = x / 2^e, 2^e near max |x_k|: no square
+    overflows, and ||x|| = ldexp(||y||, e), as np.linalg.norm(x) where no x_k^2 leaves range."""
+    xs = np.asarray(xs, dtype=float)
+    e = np.frexp(np.max(np.abs(xs), axis=-1, initial=0.0))[1]
+    y = np.ldexp(xs, -e[..., None])
+    return y, np.linalg.norm(y, axis=-1), e
+
+
 def _unit(direction) -> np.ndarray:
-    u = np.asarray(direction, dtype=float)
-    if not np.isfinite(u).all():
-        raise ValueError(f"corruption direction must be finite, got {direction!r}")
-    # Over a power of two near max |u_k|: exact, and the norm stays finite.
-    u = np.ldexp(u, -np.frexp(np.max(np.abs(u), initial=0.0))[1])
-    norm = np.linalg.norm(u)
-    if norm == 0:
-        raise ValueError("corruption direction must be nonzero")
+    u, norm, _ = scaled_norms(direction)  # u / norm, even where ||direction|| passes float max
+    if not 0 < norm < np.inf:  # NaN fails too
+        raise ValueError(f"corruption direction must be finite and nonzero, got {direction!r}")
     return u / norm
 
 
@@ -119,12 +122,6 @@ class FunctionOracle:
             raise OracleError(f"oracle value is NaN or beyond +-{_VALUE_BOUND:.4g} (float max / 4)")
         self.query_count += xs.shape[0]  # a batch that raises costs no query
         return values
-
-    def restarted(self, seed: int) -> "FunctionOracle":
-        """A copy with a fresh query count, for the trial that `seed` keys."""
-        new = copy.copy(self)
-        new.query_count = 0
-        return new
 
     def _values(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -200,8 +197,6 @@ class NoisyLinear(FunctionOracle):
     top 53 bits feed one inverse-CDF normal deviate.  Repeat queries agree exactly.
     """
 
-    pinned_seed = None  # a noise seed that `restarted` keeps (a spec's own)
-
     def __init__(self, w, delta_noise: float, noise_seed: int = 0):
         self.w = np.asarray(w, dtype=float)
         if delta_noise < 0:
@@ -215,18 +210,12 @@ class NoisyLinear(FunctionOracle):
         h = hash_rows(words, self.noise_seed)
         return xs @ self.w + np.sqrt(self.delta_noise) * ndtri(open_unit(h >> 11))
 
-    def restarted(self, seed: int) -> "NoisyLinear":
-        """A copy with a fresh count, its noise keyed by derive_seed(seed, 3) unless pinned."""
-        new = super().restarted(seed)
-        new.noise_seed = derive_seed(seed, 3) if self.pinned_seed is None else self.pinned_seed
-        return new
-
 
 class NormOracle(FunctionOracle):
     """f(x) = ||x||_2 (even, so certain to fail negativity checks)."""
 
     def _values(self, xs):
-        return np.linalg.norm(xs, axis=1)
+        return np.ldexp(*scaled_norms(xs)[1:])
 
 
 class CustomOracle(FunctionOracle):

@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .distro import SampleDistribution
-from .oracle import EqPolicy, FunctionOracle
+from .oracle import EqPolicy, FunctionOracle, scaled_norms
 from .rng import derive_seed, make_rng, standard_normal
 
 # A stage is checked at least every _CHUNK rounds, so that a reject evaluates
@@ -53,8 +53,8 @@ class TesterConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.r < 1:
-            raise ValueError("r must be a positive integer")
+        if not 1 <= self.r <= float(np.finfo(float).max):  # so that 1 / r and r * ||p|| are floats
+            raise ValueError("r must be a positive integer at most float max")
 
     @property
     def rounds_testadd(self) -> int:
@@ -144,13 +144,17 @@ def _query_blocks(f: FunctionOracle, m: int, per_row: int, build) -> np.ndarray:
 def scaling_index(points, r: int) -> np.ndarray:
     """k_p per point (rows on the last axis): 1 inside the radius-1/r ball, else ceil(r * ||p||).
 
-    The indices are integral floats, so p / k_p is the same division for
-    every caller.
+    That is max(1, ceil(r * ||p||)), since fl(r * fl(1/r)) <= 1 for integral r below 2^53.
+    The indices are integral floats, so p / k_p is the same division for every caller.
     """
-    norms = np.linalg.norm(np.asarray(points, dtype=float), axis=-1)
-    if not np.all(np.isfinite(norms)):
-        raise ValueError("point has non-finite norm")
-    return np.where(norms <= 1.0 / r, 1.0, np.ceil(r * norms))
+    with np.errstate(over="ignore"):  # the finiteness check is the one signal
+        r_norms = r * np.ldexp(*scaled_norms(points)[1:])
+    bad = ~np.isfinite(r_norms.ravel())
+    if bad.any():
+        p = np.array2string(np.reshape(points, (bad.size, -1))[np.argmax(bad)], threshold=6,
+                            max_line_width=np.inf)
+        raise ValueError(f"point {p} has no finite k_p: r * ||p|| passes float max (r = {r})")
+    return np.maximum(1.0, np.ceil(r_norms))
 
 
 def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:

@@ -50,26 +50,19 @@ def test_standard_gaussian_draws_the_generators_normals_bit_for_bit(n):
         assert np.array_equal(x, np.zeros(n) + standard_normal(old, (m, n)) @ factor.T)
 
 
-def test_restarted_copies_draw_afresh_from_the_given_or_the_pinned_seed():
+def test_restarted_copies_draw_afresh_from_the_given_seed():
     d = ShiftedGaussian([1.0, -1.0], seed=1)
     first = d.draw_many(5)
     assert np.array_equal(d.restarted(1).draw_many(5), first)  # the drawn stream is not kept
     assert np.array_equal(d.restarted(2).draw_many(5),
                           ShiftedGaussian([1.0, -1.0], seed=2).draw_many(5))
     assert np.array_equal(d.draw_many(5), ShiftedGaussian([1.0, -1.0], seed=1).draw_many(10)[5:])
-    d.pinned_seed = 7
-    assert d.restarted(2).seed == 7
 
 
-@pytest.mark.parametrize("pinned", [None, 4])
-def test_a_restarted_mixture_seeds_component_i_from_its_own_seed_unless_pinned(pinned):
-    free, fixed = StandardGaussian(2), ShiftedGaussian([5.0, 5.0])
-    fixed.pinned_seed = 8
-    mix = Mixture([0.5, 0.5], [free, fixed])
-    mix.pinned_seed = pinned
-    seed = 3 if pinned is None else pinned
-    expected = Mixture([0.5, 0.5], [StandardGaussian(2, seed=derive_seed(seed, 0)),
-                                    ShiftedGaussian([5.0, 5.0], seed=8)], seed=seed)
+def test_a_restarted_mixture_seeds_component_i_from_its_own_seed():
+    mix = Mixture([0.5, 0.5], [StandardGaussian(2), ShiftedGaussian([5.0, 5.0])])
+    expected = Mixture([0.5, 0.5], [StandardGaussian(2, seed=derive_seed(3, 0)),
+                                    ShiftedGaussian([5.0, 5.0], seed=derive_seed(3, 1))], seed=3)
     assert np.array_equal(mix.restarted(3).draw_many(50), expected.draw_many(50))
 
 

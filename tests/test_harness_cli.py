@@ -54,14 +54,14 @@ def test_unknown_spec_fields_rejected():
     with pytest.raises(SpecError):
         run_calibrate({"oracle": {"family": "linear", "dim": 2, "nope": 3}, "epsilon": 0.1})
     with pytest.raises(SpecError):
-        build_distribution({"kind": "standard-gaussian", "dim": 2, "extra": 0}, 0)
+        build_distribution({"kind": "standard-gaussian", "dim": 2, "extra": 0})
 
 
 def test_parse_fills_every_default_and_keeps_the_given_values():
     assert harness._parse({"n": 4, "trials": 5}, "lower-bound") == {
         "n": 4, "n_list": None, "C": 0.01, "C_list": None, "trials": 5, "seed": 0,
         "delta_override": None}
-    assert harness._parse({"delta": 0.1}, "noise") == {"delta": 0.1, "seed": None}
+    assert harness._parse({"delta": 0.1}, "noise") == {"delta": 0.1, "seed": 0}
     spec = {"n": 4, "trials": 5}
     assert run_lower_bound(spec)["spec"] == {"n": 4, "trials": 5}  # embedded as given
     assert spec == {"n": 4, "trials": 5}
@@ -140,27 +140,30 @@ def test_build_oracle_rejects_keys_its_family_does_not_read(spec, word):
     ({"kind": "shifted-gaussian", "mean": [1.0], "dim": 1}, "dim"),
     ({"kind": "mixture", "weights": [1.0], "path": "x.csv",
       "components": [{"kind": "standard-gaussian", "dim": 1}]}, "path"),
+    ({"kind": "shifted-gaussian", "mean": [1.0], "seed": 4}, "seed"),
+    ({"kind": "mixture", "weights": [1.0],
+      "components": [{"kind": "standard-gaussian", "dim": 1, "seed": 4}]}, "seed"),
 ])
 def test_build_distribution_rejects_keys_its_kind_does_not_read(spec, word):
     with pytest.raises(SpecError, match=word):
-        build_distribution(spec, 0)
+        build_distribution(spec)
 
 
 def test_build_distribution_kinds(tmp_path):
-    d = build_distribution({"kind": "standard-gaussian", "dim": 3}, 1)
+    d = build_distribution({"kind": "standard-gaussian", "dim": 3})
     assert d.dim == 3
-    d2 = build_distribution({"kind": "shifted-gaussian", "mean": [1.0, 2.0]}, 1)
+    d2 = build_distribution({"kind": "shifted-gaussian", "mean": [1.0, 2.0]})
     assert d2.dim == 2
     d3 = build_distribution({"kind": "mixture", "weights": [0.5, 0.5],
                              "components": [{"kind": "standard-gaussian", "dim": 2},
-                                            {"kind": "shifted-gaussian", "mean": [3.0, 3.0]}]}, 1)
+                                            {"kind": "shifted-gaussian", "mean": [3.0, 3.0]}]})
     assert d3.dim == 2
     p = tmp_path / "data.csv"
     p.write_text("1.0,2.0\n3.0,4.0\n")
-    d4 = build_distribution({"kind": "empirical", "path": str(p)}, 1)
+    d4 = build_distribution({"kind": "empirical", "path": str(p)})
     assert d4.dim == 2
     with pytest.raises(SpecError):
-        build_distribution({"kind": "cauchy", "dim": 1}, 1)
+        build_distribution({"kind": "cauchy", "dim": 1})
 
 
 # --- harness runs -----------------------------------------------------------------
@@ -509,13 +512,13 @@ def _fresh_trial(spec: dict, t: int) -> dict:
     """Trial t of a calibrate spec, from an oracle and a sampler built for that trial alone."""
     seed = spec["seed"]
     cfg = TesterConfig(epsilon=spec["epsilon"], seed=derive_seed(seed, t, 1))
-    oracle = build_oracle(spec["oracle"], trial_seed=derive_seed(seed, t, 3))
+    oracle = build_oracle(spec["oracle"])
     if spec["algorithm"] == "gaussian-additivity":
         return {**vars(run_gaussian_additivity(oracle, cfg)), "trial": t}
     dspec = spec.get("distribution", {"kind": "standard-gaussian", "dim": oracle.dim})
     run = run_df_additivity if spec["algorithm"] == "df-additivity" else run_df_linearity
-    return {**vars(run(oracle, build_distribution(dspec, derive_seed(seed, t, 2)), cfg)),
-            "trial": t}
+    dist = build_distribution(dspec).restarted(derive_seed(seed, t, 2))
+    return {**vars(run(oracle, dist, cfg)), "trial": t}
 
 
 _W = [0.7, -1.2, 0.4]
@@ -536,33 +539,32 @@ _MIXTURE = {"kind": "mixture", "weights": [0.3, 0.7],
     ("gaussian-additivity", {"family": "noisy-linear", "dim": 3, "w_explicit": _W,
                              "noise": {"delta": 1e-19, "seed": 7}}, None),
     ("df-additivity", {"family": "constant-shift-linear", "dim": 3, "w_seed": 2},
-     {"kind": "standard-gaussian", "dim": 3, "seed": 11}),
+     {"kind": "standard-gaussian", "dim": 3}),
     ("df-linearity", {"family": "corrupted-linear", "dim": 3, "w_seed": 3,
                       "corruption": {"mass": 0.3}}, None),
     ("df-additivity", {"family": "corrupted-linear", "dim": 3, "w_explicit": _W,
-                       "corruption": _HIDDEN}, {**_ON_REGION, "seed": 4}),
+                       "corruption": _HIDDEN}, _ON_REGION),
     ("df-linearity", {"family": "corrupted-linear", "dim": 3, "w_explicit": _W,
                       "corruption": {**_HIDDEN, "odd_symmetric": True}}, _MIXTURE),
-    ("df-linearity", {"family": "norm", "dim": 3}, {**_MIXTURE, "seed": 12}),
+    ("df-linearity", {"family": "norm", "dim": 3}, _MIXTURE),
     ("df-additivity", {"family": "corrupted-linear", "dim": 3, "w_explicit": _W,
                        "corruption": _HIDDEN},
-     {**_MIXTURE, "components": [_MIXTURE["components"][0], {**_ON_REGION, "seed": 5}]}),
+     {**_MIXTURE, "weights": [0.7, 0.3], "components": _MIXTURE["components"][::-1]}),
     ("df-additivity", {"family": "noisy-linear", "dim": 3, "w_seed": 4,
                        "noise": {"delta": 1e-19}}, "empirical"),
     ("df-linearity", {"family": "corrupted-linear", "dim": 3, "w_explicit": _W,
-                      "corruption": _HIDDEN}, "empirical-pinned"),
+                      "corruption": _HIDDEN}, "empirical"),
 ])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_each_trial_equals_a_fresh_build_of_its_own_objects(
         tmp_path, monkeypatch, fresh_workers, algorithm, oracle, distribution, jobs):
-    # run_calibrate builds its oracle and sampler once and restarts them per trial;
+    # run_calibrate builds its oracle and sampler once and restarts the sampler per trial;
     # every verdict, transcript included, is what building them for that trial gives.
     if isinstance(distribution, str):
         data = tmp_path / "data.csv"
         data.write_text("".join(f"{a},{b},{c}\n" for a, b, c in
                                 np.random.default_rng(8).normal([3.9, 3.9, 0.0], 1.0, (40, 3))))
-        distribution = {"kind": "empirical", "path": str(data),
-                        **({"seed": 6} if distribution == "empirical-pinned" else {})}
+        distribution = {"kind": "empirical", "path": str(data)}
     spec = {"algorithm": algorithm, "oracle": oracle, "epsilon": 0.2, "trials": 4, "seed": 9,
             **({} if distribution is None else {"distribution": distribution})}
     monkeypatch.setattr(tester.Verdict, "to_json", lambda self: dict(vars(self)))
@@ -571,21 +573,19 @@ def test_each_trial_equals_a_fresh_build_of_its_own_objects(
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_pinned_sampler_seed_restarts_its_stream_in_every_trial(monkeypatch, fresh_workers,
-                                                                   jobs):
-    # Each trial rejects at its D's first point on the hidden halfspace: one point for
-    # every trial when the spec pins D's seed, and a point of each trial's own otherwise.
-    spec = {"algorithm": "df-additivity", "epsilon": 0.2, "trials": 4, "seed": 9,
-            "oracle": {"family": "corrupted-linear", "dim": 3, "w_explicit": _W,
-                       "corruption": _HIDDEN}}
+def test_a_noisy_calibrate_queries_one_f_in_every_trial(monkeypatch, fresh_workers, jobs):
+    # At delta = 1e-19 the first failing round depends on the noise key, which the
+    # spec fixes (0 by default): every trial tests the one f that build_oracle gives.
+    oracle = {"family": "noisy-linear", "dim": 3, "w_explicit": _W, "noise": {"delta": 1e-19}}
+    spec = {"algorithm": "gaussian-additivity", "oracle": oracle, "epsilon": 0.2, "trials": 6,
+            "seed": 9}
     monkeypatch.setattr(tester.Verdict, "to_json", lambda self: dict(vars(self)))
-
-    def witnesses(distribution):
-        verdicts = run_calibrate({**spec, "distribution": distribution}, jobs=jobs)["verdicts"]
-        assert {v["reject_site"] for v in verdicts} == {"f!=g"}
-        return {repr(v["transcript"][0][1]) for v in verdicts}
-    assert len(witnesses({**_ON_REGION, "seed": 4})) == 1
-    assert len(witnesses(_ON_REGION)) == 4
+    f = build_oracle(oracle)
+    verdicts = run_calibrate(spec, jobs=jobs)["verdicts"]
+    assert verdicts == [{**vars(run_gaussian_additivity(
+        f, TesterConfig(epsilon=0.2, seed=derive_seed(9, t, 1)))), "trial": t} for t in range(6)]
+    rekeyed = {**spec, "oracle": {**oracle, "noise": {"delta": 1e-19, "seed": 1}}}
+    assert run_calibrate(rekeyed, jobs=jobs)["verdicts"] != verdicts
 
 
 def _counted_reads(monkeypatch, log: Path):
@@ -759,6 +759,19 @@ def test_cli_an_overflowing_oracle_is_an_oracle_error_not_a_verdict(tmp_path, jo
     assert payload["error"] == "OracleError" and "NaN or beyond" in payload["message"]
 
 
+@pytest.mark.parametrize("command, spec", [
+    ("calibrate", {"oracle": {"family": "linear", "dim": 2}, "epsilon": 0.2, "r": 10**400}),
+    ("query-scaling", {"epsilons": [0.2], "r": 10**400}),
+])
+def test_cli_refuses_an_r_beyond_the_double_range(tmp_path, command, spec):
+    result = CliRunner().invoke(main, [command, "--spec", _write_spec(tmp_path, spec)])
+    assert result.exit_code == 2, result.output
+    err = getattr(result, "stderr", "") or result.output
+    (line,) = err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "ValueError" and "r must be" in payload["message"]
+
+
 def test_cli_query_scaling_rejects_bad_sweep(tmp_path):
     path = _write_spec(tmp_path, {"epsilons": [0.05, 0.1]})
     result = CliRunner().invoke(main, ["query-scaling", "--spec", path])
@@ -810,6 +823,11 @@ _LINEAR = {"family": "linear", "dim": 2}
     ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "format": "json"}, "format"),
     ("query-scaling", {"epsilons": [0.2], "format": "json"}, "format"),
     ("lower-bound", {"n": 4, "trials": 5, "format": "json"}, "format"),
+    ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2,
+                   "distribution": {"kind": "standard-gaussian", "dim": 2, "seed": 4}}, "seed"),
+    ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "distribution": {
+        "kind": "mixture", "weights": [1.0],
+        "components": [{"kind": "standard-gaussian", "dim": 2, "seed": 4}]}}, "seed"),
 ])
 def test_cli_rejects_spec_keys_the_command_does_not_read(tmp_path, command, spec, word):
     result = CliRunner().invoke(main, [command, "--spec", _write_spec(tmp_path, spec)])

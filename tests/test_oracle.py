@@ -16,8 +16,8 @@ from lintest.oracle import (
     NormOracle,
     OracleError,
     random_linear,
+    scaled_norms,
 )
-from lintest.rng import derive_seed
 
 ALL_FAMILIES = [
     lambda: LinearOracle([1.0, -2.0, 0.5]),
@@ -180,20 +180,6 @@ def test_corruption_direction_with_a_non_finite_entry_is_refused(direction, recw
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("make", ALL_FAMILIES)
-def test_a_restarted_oracle_is_a_copy_with_a_fresh_query_count(make):
-    f = make()
-    xs = np.random.default_rng(3).standard_normal((6, 3))
-    values = f.query_batch(xs)
-    g = f.restarted(5)
-    assert g is not f and g.query_count == 0 and f.query_count == 6
-    if isinstance(f, NoisyLinear):  # keyed by the trial seed, unless pinned
-        assert g.noise_seed == derive_seed(5, 3)
-        f.pinned_seed = f.noise_seed
-        g = f.restarted(5)
-    assert np.array_equal(g.query_batch(xs), values)
-
-
 def test_corrupted_linear_empirical_mass():
     w = np.array([0.5, -1.0, 2.0])
     f = CorruptedLinear.with_mass(w, 0.3, payload=1.0)
@@ -276,6 +262,21 @@ def test_norm_oracle_is_even():
     xs = np.random.default_rng(4).standard_normal((100, 4))
     assert np.array_equal(f.query_batch(xs), f.query_batch(-xs))
     assert f.query([3.0, 4.0, 0.0, 0.0]) == 5.0
+
+
+def test_norm_oracle_returns_a_norm_whose_square_leaves_the_double_range():
+    f = NormOracle(2)
+    assert f.query([1e155, 0.0]) == 1e155
+    assert f.query([3e-200, 4e-200]) == pytest.approx(5e-200, rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8), st.integers(-600, 600))
+def test_scaled_norms_equal_the_plain_norm_bit_for_bit_where_it_is_exact(row, shift):
+    xs = np.ldexp(np.asarray([row, row[::-1]]), shift)
+    _, norm, e = scaled_norms(xs)
+    if 1e-150 < np.abs(xs).max() < 1e150:  # where no square under- or overflows
+        assert np.array_equal(np.ldexp(norm, e), np.linalg.norm(xs, axis=1))
 
 
 def test_custom_oracle():

@@ -60,6 +60,8 @@ def test_config_validation_and_overrides():
         TesterConfig(epsilon=1.0)
     with pytest.raises(ValueError):
         TesterConfig(epsilon=0.1, r=0)
+    with pytest.raises(ValueError, match="at most"):  # 1 / r would raise OverflowError
+        TesterConfig(epsilon=0.1, r=10**400)
     # the repetition counts derive from epsilon alone: no keyword overrides them
     for name in ("n_testadd", "n_queryg", "n_main", "n_forceneg", "policy"):
         with pytest.raises(TypeError):
@@ -105,7 +107,25 @@ def test_scaling_index_maps_into_ball(rows, r):
     assert np.all(ks >= 1) and np.all(ks == np.ceil(ks))
     assert np.all(norms / ks <= 1.0 / r + 1e-12)
     assert np.all(ks[norms <= 1.0 / r] == 1)
+    assert np.array_equal(ks, np.where(norms <= 1.0 / r, 1.0, np.ceil(r * norms)))  # bit for bit
     assert [scaling_index(p, r) for p in points] == list(ks)
+
+
+@pytest.mark.parametrize("run, queries", [(run_df_additivity, 2357), (run_df_linearity, 6146)])
+def test_a_point_whose_square_overflows_keeps_a_finite_k_p(run, queries, recwarn):
+    # ||p||^2 ~ 1e310 passes float max, but ||p|| and k_p = ceil(r ||p||) do not.
+    f = LinearOracle([1e-300, 1.0])
+    verdict = run(f, ShiftedGaussian([1e155, 0.0]), TesterConfig(epsilon=0.1))
+    assert verdict.accepted and verdict.queries_used == queries
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_point_whose_k_p_passes_float_max_is_refused(recwarn):
+    edge = np.finfo(float).max / 50
+    assert scaling_index(np.array([0.0, 0.99 * edge]), 50) == np.ceil(50 * (0.99 * edge))
+    with pytest.raises(ValueError, match=r"point \[3\.63134013e\+306 0\.0+e\+000\] has no"):
+        scaling_index(np.array([[1.5, 0.0], [1.01 * edge, 0.0]]), 50)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # --- identity battery ------------------------------------------------------------
