@@ -2,7 +2,7 @@
 
 One command per harness entry point. The spec file alone fixes the report,
 `--jobs` says only how many processes compute it, and the report goes to
-stdout as one line of JSON.
+stdout as one line of JSON: `spec` first, as the file's text, then sorted keys.
 """
 
 from __future__ import annotations
@@ -16,19 +16,20 @@ import click
 from .harness import run_calibrate, run_lower_bound, run_query_scaling
 
 
-def _load_spec(spec_path) -> dict:
-    """The spec file's JSON value; the harness checks that it is an object."""
+def _load_spec(spec_path) -> str:
+    """The spec file's text; each command parses it, and the harness checks the value."""
     with open(spec_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return fh.read()
 
 
-def _emit(report: dict):
-    """Write the report to stdout as one line of JSON."""
-    # By the C encoder; NaN and infinities are no JSON.
-    text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
-    # An explicit file keeps click from caching a wrapper keyed by
-    # sys.stdout, which would pin every redirected stdout (and its report).
-    click.echo(text, nl=False, file=sys.stdout)
+def _emit(report: dict, spec_text: str):
+    """Write the report to stdout as one line of JSON, its spec echoed as `spec_text`."""
+    # A JSON string holds no raw line break, so joining the lines moves no value.
+    spec = spec_text.strip().replace("\r", " ").replace("\n", " ")
+    # The rest by the C encoder; NaN and infinities are no JSON.
+    rest = json.dumps({k: v for k, v in report.items() if k != "spec"},
+                      sort_keys=True, allow_nan=False)
+    sys.stdout.write('{"spec": ' + spec + ", " + rest[1:] + "\n")
 
 
 @contextlib.contextmanager
@@ -58,7 +59,8 @@ def main():
 def cmd_calibrate(spec_path, jobs):
     """Run the spec's tester over many seeded trials and aggregate the verdicts."""
     with _errors_as_json():
-        _emit(run_calibrate(_load_spec(spec_path), jobs=jobs))
+        text = _load_spec(spec_path)
+        _emit(run_calibrate(json.loads(text), jobs=jobs), text)
 
 
 @main.command("query-scaling")
@@ -66,7 +68,8 @@ def cmd_calibrate(spec_path, jobs):
 def cmd_query_scaling(spec_path):
     """Sweep epsilon and compare measured query counts against the closed form."""
     with _errors_as_json():
-        _emit(run_query_scaling(_load_spec(spec_path)))
+        text = _load_spec(spec_path)
+        _emit(run_query_scaling(json.loads(text)), text)
 
 
 @main.command("lower-bound")
@@ -75,7 +78,8 @@ def cmd_query_scaling(spec_path):
 def cmd_lower_bound(spec_path, jobs):
     """Play the likelihood-ratio distinguishing game over an (n, C) grid."""
     with _errors_as_json():
-        _emit(run_lower_bound(_load_spec(spec_path), jobs=jobs))
+        text = _load_spec(spec_path)
+        _emit(run_lower_bound(json.loads(text), jobs=jobs), text)
 
 
 if __name__ == "__main__":

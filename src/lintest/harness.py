@@ -204,7 +204,8 @@ def build_distribution(spec: dict) -> SampleDistribution:
     if kind == "shifted-gaussian":
         return ShiftedGaussian(spec["mean"], spec["cov"])
     if kind == "mixture":
-        return Mixture(spec["weights"], [build_distribution(c) for c in spec["components"]])
+        components = [build_distribution(c) for c in spec["components"]]
+        return Mixture(spec["weights"], components).restarted(0)  # distinct component streams
     return load_empirical(spec["path"])
 
 

@@ -166,6 +166,14 @@ def test_build_distribution_kinds(tmp_path):
         build_distribution({"kind": "cauchy", "dim": 1})
 
 
+def test_a_built_mixtures_components_draw_distinct_streams():
+    gauss = {"kind": "standard-gaussian", "dim": 2}
+    mixture = build_distribution({"kind": "mixture", "weights": [0.5, 0.5],
+                                  "components": [gauss, gauss]})
+    first, second = (component.draw_many(3) for component in mixture.components)
+    assert not np.array_equal(first, second)
+
+
 # --- harness runs -----------------------------------------------------------------
 
 
@@ -912,9 +920,10 @@ def test_cli_rejects_non_finite_numbers(tmp_path, key, value):
     assert f"'{key}'" in payload["message"] and "finite" in payload["message"]
 
 
-def test_cli_writes_no_non_json_number():
+def test_cli_writes_no_non_json_number(capsys):
     with pytest.raises(ValueError, match="JSON compliant"):
-        cli._emit({"spec": {}, "value": float("nan")})
+        cli._emit({"spec": {}, "value": float("nan")}, "{}")
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("distribution, key", [
@@ -1005,11 +1014,55 @@ def test_cli_rejects_mass_with_threshold(tmp_path):
 
 
 def test_cli_json_report_is_one_line(tmp_path):
-    path = _write_spec(tmp_path, {"n": 4, "trials": 5, "seed": 2})
+    # The spec first, as the file's text; then the other keys, sorted.
+    path = _write_spec(tmp_path, {"trials": 5, "n": 4, "seed": 2})
     result = CliRunner().invoke(main, ["lower-bound", "--spec", path])
     assert result.exit_code == 0, result.output
+    rest = json.loads(result.output)
+    del rest["spec"]
+    assert result.output == ('{"spec": ' + Path(path).read_text() + ", "
+                             + json.dumps(rest, sort_keys=True)[1:] + "\n")
+
+
+_PRETTY_SPEC = """{
+  "oracle": {"family": "constant-shift-linear", "dim": 2, "w_seed": 1, "shift": 1E-3},\r
+  "epsilon": 0.10,
+  "trials": 2,
+  "seed": 4
+}
+"""
+
+
+def test_cli_echoes_a_multi_line_spec_as_written_on_one_line(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(_PRETTY_SPEC.encode("utf-8"))
+    outputs = []
+    for _ in range(2):
+        result = CliRunner().invoke(main, ["calibrate", "--spec", str(path)])
+        assert result.exit_code == 0, result.output
+        outputs.append(re.sub(r'("wall_clock_s": )[^,}]+', r"\g<1>0", result.output))
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 1 and outputs[0].endswith("}\n")
+    assert '"shift": 1E-3}' in outputs[0] and '"epsilon": 0.10,' in outputs[0]
+    with open(path, encoding="utf-8") as fh:
+        assert json.loads(outputs[0])["spec"] == json.load(fh)
+
+
+@pytest.mark.parametrize("ensure_ascii", [False, True], ids=["utf-8", "escaped"])
+def test_cli_echoes_a_non_ascii_dataset_path(tmp_path, ensure_ascii):
+    data = tmp_path / "données µ.csv"
+    data.write_text("1.0,2.0\n3.0,-4.0\n-0.5,0.25\n", encoding="utf-8")
+    spec = {"oracle": {"family": "linear", "dim": 2, "w_seed": 0}, "epsilon": 0.5, "trials": 1,
+            "algorithm": "df-additivity", "distribution": {"kind": "empirical", "path": str(data)}}
+    text = json.dumps(spec, ensure_ascii=ensure_ascii)
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["calibrate", "--spec", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith('{"spec": ' + text + ", ")
     report = json.loads(result.output)
-    assert result.output == json.dumps(report, sort_keys=True) + "\n"
+    assert report["spec"]["distribution"]["path"] == str(data)
+    assert report["aggregates"]["accept_rate"] == 1.0
 
 
 def test_cli_lower_bound_tiny_delta_override_exits_cleanly(tmp_path):

@@ -849,6 +849,71 @@ def test_far_functions_are_rejected_at_tiny_scales(family, k):
     assert not any(v.accepted for v in verdicts)
 
 
+class _ScaledGaussian(ShiftedGaussian):
+    """N(scale * mean, scale^2 * I), drawn as `scale` times the rows of N(mean, I).
+
+    For a power of two the rows are exact, and no covariance has to be a
+    double: 4^k * I would pass float max from k = 512.
+    """
+
+    def __init__(self, mean, scale: float, seed: int = 0):
+        super().__init__(mean, seed=seed)
+        self.scale = scale
+
+    def draw_many(self, m: int) -> np.ndarray:
+        return self.scale * super().draw_many(m)
+
+
+_DF_RUNS = {"df-additivity": run_df_additivity, "df-linearity": run_df_linearity}
+
+
+def _hidden_at_scale(k, n, seed):
+    """reject-far's hidden halfspace at scale 2^k: payload 2^k on u.x > 2^k * 5, and
+    D = N(2^k * mu, 4^k * I) with mass 0.3 on it."""
+    u, s = np.eye(n)[0], 2.0**k
+    f = CorruptedLinear(random_linear(n, w_seed=8).w, CorruptionRegion.from_threshold(u, s * 5.0),
+                        payload=s)
+    return f, _ScaledGaussian((5.0 - ndtri(0.7)) * u, s, seed=seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_DF_RUNS)), st.integers(-1074, 1010), st.integers(2, 6),
+       st.sampled_from([0.05, 0.1, 0.2]), st.integers(0, 2**32 - 1))
+def test_exactly_linear_is_accepted_at_any_scale_of_d(run, k, n, epsilon, seed):
+    # The D-side twin of the weight-scale property.  From 2^-1074 D's rows reach
+    # the subnormal grid; up to 2^1010, k_p = ceil(r ||p||) of every point the
+    # testers form stays finite, a bound reached before f's (float max / 4).
+    f = random_linear(n, w_seed=8)
+    _, d = _hidden_at_scale(k, n, seed)
+    cfg = TesterConfig(epsilon=epsilon, seed=seed)
+    verdict = _DF_RUNS[run](f, d, cfg)
+    closed = (cfg.accept_path_queries() if run == "df-additivity" else
+              2 * cfg.rounds_forceneg + 2 * TesterConfig(epsilon=epsilon / 2).accept_path_queries())
+    assert verdict.accepted, verdict.reject_site
+    assert verdict.queries_used == f.query_count == closed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_DF_RUNS)), st.integers(-20, 1010), st.integers(2, 6),
+       st.sampled_from([0.05, 0.1, 0.2]), st.integers(0, 2**32 - 1))
+def test_a_hidden_halfspace_is_rejected_at_any_resolvable_scale_of_d(run, k, n, epsilon, seed):
+    # The corruption lives only at D's scale.  query_g probes g(p) through
+    # f(p - z) + f(z) with z ~ N(0, I) at any scale of D, so below about 2^-30 the
+    # payload sits inside the 1e-9 relative band of those unit-scale values
+    # (the xfail below); from 2^-20 it is 2^10 clear of it.
+    f, d = _hidden_at_scale(k, n, seed)
+    assert not _DF_RUNS[run](f, d, TesterConfig(epsilon=epsilon, seed=seed)).accepted
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="query_g's N(0, I) probes put g's operands at unit scale, "
+                          "where a payload of 2^-60 is inside the equality band")
+def test_a_hidden_halfspace_is_rejected_at_a_tiny_scale_of_d():
+    verdicts = [run_df_additivity(*_hidden_at_scale(-60, 4, seed), TesterConfig(0.1, seed=seed))
+                for seed in range(5)]
+    assert not any(v.accepted for v in verdicts)
+
+
 @pytest.mark.parametrize("n", [1, 5, 50])
 def test_exactly_linear_with_subnormal_values_is_accepted(n):
     # every value sits on the subnormal grid, whose rounding a purely relative
