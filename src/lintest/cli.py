@@ -2,7 +2,7 @@
 
 One command per harness entry point. The spec file alone fixes the report,
 `--jobs` says only how many processes compute it, and the report goes to
-stdout as one line of JSON: `spec` first, as the file's text, then sorted keys.
+stdout as one line of ASCII JSON: `spec` first, as the file's text, then sorted keys.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ def _emit(report: dict, spec_text: str):
     """Write the report to stdout as one line of JSON, its spec echoed as `spec_text`."""
     # A JSON string holds no raw line break, so joining the lines moves no value.
     spec = spec_text.strip().replace("\r", " ").replace("\n", " ")
+    if not spec.isascii():  # non-ASCII is only in strings: \u-escape it for any stdout
+        spec = "".join(c if c.isascii() else json.dumps(c)[1:-1] for c in spec)
     # The rest by the C encoder; NaN and infinities are no JSON.
     rest = json.dumps({k: v for k, v in report.items() if k != "spec"},
                       sort_keys=True, allow_nan=False)

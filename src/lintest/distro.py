@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import warnings
 
 import numpy as np
 
@@ -40,16 +41,22 @@ class SampleDistribution:
         raise NotImplementedError
 
 
-class StandardGaussian(SampleDistribution):
-    def __init__(self, dim: int, seed: int = 0):
-        super().__init__(dim, seed)
-        self._dist = GaussianDist.standard(dim)
+class _Gaussian(SampleDistribution):
+    """Draws from `self._dist`, the GaussianDist each subclass's constructor sets."""
 
     def draw_many(self, m: int) -> np.ndarray:
         return sample_gaussian(self._dist, self._rng, size=m)
 
 
-class ShiftedGaussian(SampleDistribution):
+class StandardGaussian(_Gaussian):
+    """N(0, I), sharing one cached GaussianDist per dimension."""
+
+    def __init__(self, dim: int, seed: int = 0):
+        super().__init__(dim, seed)
+        self._dist = GaussianDist.standard(self.dim)
+
+
+class ShiftedGaussian(_Gaussian):
     """N(mean, cov); cov defaults to the identity."""
 
     def __init__(self, mean, cov=None, seed: int = 0):
@@ -58,9 +65,6 @@ class ShiftedGaussian(SampleDistribution):
             cov = np.eye(mean.size)
         self._dist = GaussianDist(mean, cov)
         super().__init__(mean.size, seed)
-
-    def draw_many(self, m: int) -> np.ndarray:
-        return sample_gaussian(self._dist, self._rng, size=m)
 
 
 class Mixture(SampleDistribution):
@@ -122,28 +126,12 @@ class Empirical(SampleDistribution):
 
 
 def load_empirical(path, seed: int = 0) -> Empirical:
-    """Read a headerless CSV of floats, one point per line."""
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise DistributionError(f"{path}:{lineno}: cannot parse floats: {exc}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DistributionError(
-                    f"{path}:{lineno}: row width {len(row)} differs from {width}"
-                )
-            rows.append(row)
-    if not rows:
-        raise DistributionError(f"{path}: empty dataset")
+    """Read a headerless CSV of floats, one point per line; blank lines are skipped."""
     try:
-        return Empirical(np.asarray(rows, dtype=float), seed=seed)
-    except DistributionError as exc:
+        # Opened here, not by loadtxt, which would also fetch URLs and try path.gz and the like.
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file is refused below
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        return Empirical(data, seed=seed)
+    except ValueError as exc:  # DistributionError is a ValueError
         raise DistributionError(f"{path}: {exc}") from None

@@ -89,20 +89,17 @@ def _factor(dist: GaussianDist) -> np.ndarray:
     return dist.v * np.sqrt(np.clip(dist.w, 0.0, None))
 
 
-def sample_gaussian(dist: GaussianDist, seed, size: int | None = None) -> np.ndarray:
-    """Draw from N(mean, cov), deterministically in (dist, seed).
+def sample_gaussian(dist: GaussianDist, seed, size: int) -> np.ndarray:
+    """Draw `size` rows from N(mean, cov) as a (size, n) array, deterministically in (dist, seed).
 
     `seed` is an int or an already-constructed Generator; passing the same
-    Generator across calls continues its stream.  Returns a point (size
-    None) or a (size, n) array.
+    Generator across calls continues its stream.
     """
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(int(seed))
     L = _factor(dist)
-    m = 1 if size is None else int(size)
-    z = standard_normal(rng, (m, dist.dim))
-    x = z @ L.T
+    x = standard_normal(rng, (int(size), dist.dim)) @ L.T
     x += dist.mean  # in place: addition commutes, so this is mean + z @ L.T bit for bit
-    return x[0] if size is None else x
+    return x
 
 
 def log_density(dist: GaussianDist, x) -> np.ndarray:

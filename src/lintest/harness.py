@@ -287,15 +287,16 @@ def _report(spec: dict, command: str, seed: int, **body) -> dict:
 
 
 def _run_one_trial(setup: tuple, trial: int) -> dict:
-    """One seeded tester invocation on the call's one oracle: only the streams restart."""
+    """One seeded tester run, restarting only the streams; its ε, seed and trial stamped here."""
     spec, cfg, oracle, dist = setup
     seed = spec["seed"]
     cfg = dataclasses.replace(cfg, seed=derive_seed(seed, trial, 1))
     if dist is None:
-        return {**run_gaussian_additivity(oracle, cfg).to_json(), "trial": trial}
-    run = run_df_additivity if spec["algorithm"] == "df-additivity" else run_df_linearity
-    verdict = run(oracle, dist.restarted(derive_seed(seed, trial, 2)), cfg)
-    return {**verdict.to_json(), "trial": trial}
+        verdict = run_gaussian_additivity(oracle, cfg)
+    else:
+        run = run_df_additivity if spec["algorithm"] == "df-additivity" else run_df_linearity
+        verdict = run(oracle, dist.restarted(derive_seed(seed, trial, 2)), cfg)
+    return {**verdict.to_json(), "epsilon": cfg.epsilon, "seed": cfg.seed, "trial": trial}
 
 
 def run_calibrate(spec: dict, jobs: int = 1) -> dict:
@@ -397,7 +398,8 @@ def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
     # every cell, whatever the cells cost; only (cell, trial) pairs are shipped.
     items = [(cell, trial) for trial in range(parsed["trials"]) for cell in range(len(cells))]
     outcomes = _fan_out(functools.partial(_play, cells), items, jobs)
-    games = [game_report(cfg, outcomes[cell::len(cells)]) for cell, cfg in enumerate(cells)]
-    return _report(spec, "lower-bound", seed, cells=[game.to_json() for game in games],
+    games = [{**dataclasses.asdict(cfg), **game_report(cfg, outcomes[cell::len(cells)]).to_json()}
+             for cell, cfg in enumerate(cells)]  # each cell: its config, then what its trials gave
+    return _report(spec, "lower-bound", seed, cells=games,
                    wall_clock_s=time.perf_counter() - start)
 

@@ -122,10 +122,6 @@ def tv_bound(eigvals: np.ndarray, delta: float) -> float:
 
 @dataclass
 class GameReport:
-    n: int
-    C: float
-    trials: int
-    seed: int
     successes: int
     success_rate: float
     wilson_interval: tuple[float, float]
@@ -134,7 +130,6 @@ class GameReport:
     delta_stats: dict
     resamples: int
     bound_respected: bool
-    delta_override: float | None = None
 
     def to_json(self) -> dict:
         return {**asdict(self), "wilson_interval": list(self.wilson_interval)}
@@ -188,10 +183,6 @@ def game_report(cfg: LowerBoundConfig, outcomes) -> GameReport:
     mean_tv = sum(tvs) / cfg.trials
     stderr = math.sqrt(max(rate * (1 - rate), 1e-12) / cfg.trials)
     return GameReport(
-        n=cfg.n,
-        C=cfg.C,
-        trials=cfg.trials,
-        seed=cfg.seed,
         successes=successes,
         success_rate=rate,
         wilson_interval=wilson_interval(successes, cfg.trials),
@@ -200,7 +191,6 @@ def game_report(cfg: LowerBoundConfig, outcomes) -> GameReport:
         delta_stats={"min": min(deltas), "mean": float(np.mean(deltas)), "max": max(deltas)},
         resamples=sum(resamples),
         bound_respected=rate <= 0.5 + 0.5 * mean_tv + 3 * stderr,
-        delta_override=cfg.delta_override,
     )
 
 

@@ -94,8 +94,6 @@ class Verdict:
     outcome: str  # "accept" | "reject"
     reject_site: str | None
     queries_used: int
-    epsilon: float
-    seed: int
     transcript: list = field(default_factory=list)
 
     @property
@@ -106,8 +104,7 @@ class Verdict:
         return {k: v for k, v in vars(self).items() if k != "transcript"}
 
 
-def _stage(f: FunctionOracle, start: int, cfg: TesterConfig, rounds: int, per_round: int,
-           step) -> Verdict:
+def _stage(f: FunctionOracle, start: int, rounds: int, per_round: int, step) -> Verdict:
     """Run a stage's rounds in chunks, rejecting at the first failing round.
 
     A chunk ends at the stage's end, the next multiple of `_CHUNK` rounds or the
@@ -129,8 +126,7 @@ def _stage(f: FunctionOracle, start: int, cfg: TesterConfig, rounds: int, per_ro
             site = next(s for s, ok in checks.items() if not ok[i])
             transcript = [witness(site, i)]
         done, edge = end, 2 * edge + first if end == edge else edge
-    return Verdict("accept" if site is None else "reject", site, f.query_count - start,
-                   cfg.epsilon, cfg.seed, transcript)
+    return Verdict("accept" if site is None else "reject", site, f.query_count - start, transcript)
 
 
 def _query_blocks(f: FunctionOracle, m: int, per_row: int, build) -> np.ndarray:
@@ -187,7 +183,7 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
                   "three-point": eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))}
         return checks, lambda site, i: (site, *xyz[:, i].tolist())
 
-    return _stage(f, f.query_count, cfg, cfg.rounds_testadd, QUERIES_PER_ADDITIVITY_ROUND, step)
+    return _stage(f, f.query_count, cfg.rounds_testadd, QUERIES_PER_ADDITIVITY_ROUND, step)
 
 
 # the algorithm name collides with test-collection heuristics
@@ -276,7 +272,7 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
         return {"query-g-disagreement": agree,
                 "f!=g": cfg.policy.eq_arr(fp / ks, v1, mag1)}, witness
 
-    return _stage(f, start, cfg, rounds, 2 * cfg.rounds_queryg, step)
+    return _stage(f, start, rounds, 2 * cfg.rounds_queryg, step)
 
 
 def run_gaussian_additivity(f: FunctionOracle, cfg: TesterConfig) -> Verdict:
@@ -323,7 +319,7 @@ def force_negativity(f: FunctionOracle, d: SampleDistribution,
         return ({"force-negativity": cfg.policy.eq_arr(b, -a)},
                 lambda site, i: (site, xs[i].tolist(), float(a[i]), float(b[i])))
 
-    verdict = _stage(f, f.query_count, cfg, cfg.rounds_forceneg, 2, step)
+    verdict = _stage(f, f.query_count, cfg.rounds_forceneg, 2, step)
     return (OddOracle(f) if verdict.accepted else None), verdict
 
 
@@ -341,5 +337,4 @@ def run_df_linearity(f: FunctionOracle, d: SampleDistribution, cfg: TesterConfig
         return verdict
     inner = replace(cfg, epsilon=cfg.epsilon / 2.0, seed=derive_seed(cfg.seed, 1))
     verdict = run_df_additivity(wrapped, d, inner)
-    return replace(verdict, epsilon=cfg.epsilon, seed=cfg.seed,
-                   queries_used=f.query_count - start)
+    return replace(verdict, queries_used=f.query_count - start)

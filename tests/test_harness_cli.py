@@ -521,12 +521,13 @@ def _fresh_trial(spec: dict, t: int) -> dict:
     seed = spec["seed"]
     cfg = TesterConfig(epsilon=spec["epsilon"], seed=derive_seed(seed, t, 1))
     oracle = build_oracle(spec["oracle"])
+    stamp = {"epsilon": spec["epsilon"], "seed": cfg.seed, "trial": t}
     if spec["algorithm"] == "gaussian-additivity":
-        return {**vars(run_gaussian_additivity(oracle, cfg)), "trial": t}
+        return {**vars(run_gaussian_additivity(oracle, cfg)), **stamp}
     dspec = spec.get("distribution", {"kind": "standard-gaussian", "dim": oracle.dim})
     run = run_df_additivity if spec["algorithm"] == "df-additivity" else run_df_linearity
     dist = build_distribution(dspec).restarted(derive_seed(seed, t, 2))
-    return {**vars(run(oracle, dist, cfg)), "trial": t}
+    return {**vars(run(oracle, dist, cfg)), **stamp}
 
 
 _W = [0.7, -1.2, 0.4]
@@ -590,8 +591,9 @@ def test_a_noisy_calibrate_queries_one_f_in_every_trial(monkeypatch, fresh_worke
     monkeypatch.setattr(tester.Verdict, "to_json", lambda self: dict(vars(self)))
     f = build_oracle(oracle)
     verdicts = run_calibrate(spec, jobs=jobs)["verdicts"]
-    assert verdicts == [{**vars(run_gaussian_additivity(
-        f, TesterConfig(epsilon=0.2, seed=derive_seed(9, t, 1)))), "trial": t} for t in range(6)]
+    seeds = [derive_seed(9, t, 1) for t in range(6)]
+    assert verdicts == [{**vars(run_gaussian_additivity(f, TesterConfig(epsilon=0.2, seed=s))),
+                         "epsilon": 0.2, "seed": s, "trial": t} for t, s in enumerate(seeds)]
     rekeyed = {**spec, "oracle": {**oracle, "noise": {"delta": 1e-19, "seed": 1}}}
     assert run_calibrate(rekeyed, jobs=jobs)["verdicts"] != verdicts
 
@@ -845,6 +847,24 @@ def test_cli_rejects_spec_keys_the_command_does_not_read(tmp_path, command, spec
     assert payload["error"] == "SpecError" and word in payload["message"]
 
 
+@pytest.mark.parametrize("oracle, error, message", [
+    ({**_LINEAR, "family": "corrupted-linear", "corruption": {"mass": 0.3, "direction": [1.0]}},
+     "OracleError", "corruption direction dimension mismatch"),
+    ({**_LINEAR, "family": "corrupted-linear",
+      "corruption": {"threshold": 1.0, "direction": [1.0, 0.0, 0.0]}},
+     "OracleError", "corruption direction dimension mismatch"),
+    ({**_LINEAR, "dim": 0}, "SpecError", "oracle spec needs a positive 'dim'"),
+    ({"family": "norm", "dim": -2}, "SpecError", "oracle spec needs a positive 'dim'"),
+])
+def test_cli_refuses_an_oracle_it_cannot_build(tmp_path, oracle, error, message):
+    path = _write_spec(tmp_path, {"oracle": oracle, "epsilon": 0.2})
+    result = CliRunner().invoke(main, ["calibrate", "--spec", path])
+    assert result.exit_code == 2, result.output
+    err = getattr(result, "stderr", "") or result.output
+    (line,) = err.strip().splitlines()
+    assert json.loads(line) == {"error": error, "message": message}
+
+
 @pytest.mark.parametrize("command, spec, word", [
     ("lower-bound", {"n_list": 5, "trials": 5}, "n_list"),
     ("calibrate", {"oracle": 5, "epsilon": 0.2}, "oracle"),
@@ -1048,21 +1068,42 @@ def test_cli_echoes_a_multi_line_spec_as_written_on_one_line(tmp_path):
         assert json.loads(outputs[0])["spec"] == json.load(fh)
 
 
+def _non_ascii_spec(tmp_path, name: str) -> dict:
+    data = tmp_path / name
+    data.write_text("1.0,2.0\n3.0,-4.0\n-0.5,0.25\n", encoding="utf-8")
+    return {"oracle": {"family": "linear", "dim": 2, "w_seed": 0}, "epsilon": 0.5, "trials": 1,
+            "algorithm": "df-additivity", "distribution": {"kind": "empirical", "path": str(data)}}
+
+
 @pytest.mark.parametrize("ensure_ascii", [False, True], ids=["utf-8", "escaped"])
 def test_cli_echoes_a_non_ascii_dataset_path(tmp_path, ensure_ascii):
-    data = tmp_path / "données µ.csv"
-    data.write_text("1.0,2.0\n3.0,-4.0\n-0.5,0.25\n", encoding="utf-8")
-    spec = {"oracle": {"family": "linear", "dim": 2, "w_seed": 0}, "epsilon": 0.5, "trials": 1,
-            "algorithm": "df-additivity", "distribution": {"kind": "empirical", "path": str(data)}}
-    text = json.dumps(spec, ensure_ascii=ensure_ascii)
+    # A spec written in raw UTF-8 is echoed with each non-ASCII character as its \u escape
+    # (a surrogate pair beyond the BMP), which is the escaped spec's text: one parsed value.
+    spec = _non_ascii_spec(tmp_path, "données µ \U0001d53c.csv")
     path = tmp_path / "spec.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(json.dumps(spec, ensure_ascii=ensure_ascii), encoding="utf-8")
     result = CliRunner().invoke(main, ["calibrate", "--spec", str(path)])
     assert result.exit_code == 0, result.output
-    assert result.output.startswith('{"spec": ' + text + ", ")
+    assert result.output.isascii()
+    assert result.output.startswith('{"spec": ' + json.dumps(spec) + ", ")
+    assert "\\ud835\\udd3c" in result.output
     report = json.loads(result.output)
-    assert report["spec"]["distribution"]["path"] == str(data)
+    assert report["spec"] == spec
     assert report["aggregates"]["accept_rate"] == 1.0
+
+
+def test_cli_writes_a_non_ascii_spec_to_an_ascii_stdout(tmp_path):
+    spec = _non_ascii_spec(tmp_path, "données.csv")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    done = subprocess.run([sys.executable, "-m", "lintest.cli", "calibrate", "--spec", str(path)],
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"})
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    assert done.stdout.startswith(b'{"spec": ' + json.dumps(spec).encode("ascii") + b", ")
+    assert json.loads(done.stdout)["spec"] == spec
 
 
 def test_cli_lower_bound_tiny_delta_override_exits_cleanly(tmp_path):

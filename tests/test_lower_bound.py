@@ -118,9 +118,8 @@ def test_game_report_is_deterministic_and_json_complete():
     assert a == b
     assert a["wilson_interval"] == list(report.wilson_interval)
     assert type(a["wilson_interval"]) is list
-    assert set(a) == {"n", "C", "trials", "seed", "successes", "success_rate",
-                      "wilson_interval", "mean_tv_bound", "max_tv_bound",
-                      "delta_stats", "resamples", "bound_respected", "delta_override"}
+    assert set(a) == {"successes", "success_rate", "wilson_interval", "mean_tv_bound",
+                      "max_tv_bound", "delta_stats", "resamples", "bound_respected"}
 
 
 def test_game_is_the_aggregate_of_its_trials():

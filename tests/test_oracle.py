@@ -97,6 +97,10 @@ def test_query_validation():
         f.query([np.inf, 0.0])
     with pytest.raises(OracleError):
         LinearOracle([])
+    for xs in (np.ones((1, 2)), np.ones((3, 2)), np.ones((1, 1, 2))):
+        with pytest.raises(OracleError, match=r"query expects a single point, got shape \("):
+            f.query(xs)
+    assert f.query_count == 0
 
 
 _BOUND = np.finfo(float).max / 4

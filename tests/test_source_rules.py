@@ -72,6 +72,18 @@ def test_tester_config_holds_only_epsilon_r_and_seed():
     assert [f.name for f in dataclasses.fields(TesterConfig)] == ["epsilon", "r", "seed"]
 
 
+def test_results_hold_no_field_of_the_config_that_made_them():
+    # A result holds what was measured; its caller already holds the config it chose,
+    # and stamps it into the report, so no copy can disagree with the config that ran.
+    from lintest.lower_bound import GameReport, LowerBoundConfig
+    from lintest.tester import TesterConfig, Verdict
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+    assert names(Verdict) & names(TesterConfig) == set()
+    assert names(GameReport) & names(LowerBoundConfig) == set()
+
+
 def test_library_reads_no_environment_variable():
     # A seed alone must fix a report: nothing in the environment may change it.
     found = [f"{name}:{node.lineno}" for name, tree in TREES.items() for node in ast.walk(tree)

@@ -373,9 +373,9 @@ def test_only_the_last_oracle_call_of_a_chunk_is_short(monkeypatch, n, epsilon, 
     monkeypatch.setattr(tester, "_CHUNK", chunk)
     stages, stage = [], tester._stage
 
-    def spy(f, start, cfg, rounds, per_round, step):
+    def spy(f, start, rounds, per_round, step):
         stages.append((len(calls), rounds, per_round))
-        return stage(f, start, cfg, rounds, per_round, step)
+        return stage(f, start, rounds, per_round, step)
     monkeypatch.setattr(tester, "_stage", spy)
     cfg = TesterConfig(epsilon=epsilon, seed=24)
     for run in (lambda f: run_gaussian_additivity(f, cfg),
@@ -1068,7 +1068,6 @@ def test_df_linearity_accepts_linear_with_exact_accounting():
     cfg = TesterConfig(epsilon=0.1, seed=18)
     verdict = run_df_linearity(f, d, cfg)
     assert verdict.accepted
-    assert verdict.epsilon == 0.1
     inner = replace(cfg, epsilon=cfg.epsilon / 2.0)
     expected = 2 * cfg.rounds_forceneg + 2 * inner.accept_path_queries()
     assert verdict.queries_used == f.query_count == expected
@@ -1091,8 +1090,7 @@ def test_df_linearity_rejects_odd_symmetric_corruption():
                                    TesterConfig(epsilon=0.1, seed=400 + seed))
         if verdict.outcome == "reject":
             assert verdict.reject_site != "force-negativity"
-            # the inner run's reject, as the caller's run sees it
-            assert (verdict.epsilon, verdict.seed) == (0.1, 400 + seed)
+            # the inner run's reject, counted as the caller's run sees it
             assert verdict.queries_used == f.query_count
             rejected += 1
     assert rejected >= 8
@@ -1101,5 +1099,5 @@ def test_df_linearity_rejects_odd_symmetric_corruption():
 def test_verdict_json_shape():
     verdict = run_gaussian_additivity(random_linear(2, 7), TesterConfig(epsilon=0.2, seed=21))
     j = verdict.to_json()
-    assert set(j) == {"outcome", "reject_site", "queries_used", "epsilon", "seed"}
+    assert set(j) == {"outcome", "reject_site", "queries_used"}
     assert j["outcome"] == "accept"
