@@ -56,44 +56,3 @@ from .lower_bound import (
     run_distinguish_game,
     tv_bound,
 )
-
-__all__ = [
-    "GaussianDist",
-    "sample_gaussian",
-    "kl_gaussians",
-    "pinsker_tv_bound",
-    "shared_cov_tv_bound",
-    "empirical_tv",
-    "log_density",
-    "FunctionOracle",
-    "LinearOracle",
-    "ConstantShiftLinear",
-    "CorruptedLinear",
-    "CorruptionRegion",
-    "NoisyLinear",
-    "NormOracle",
-    "CustomOracle",
-    "EqPolicy",
-    "SampleDistribution",
-    "StandardGaussian",
-    "ShiftedGaussian",
-    "Mixture",
-    "Empirical",
-    "load_empirical",
-    "TesterConfig",
-    "Verdict",
-    "OddOracle",
-    "scaling_index",
-    "test_additivity",
-    "query_g",
-    "run_gaussian_additivity",
-    "run_df_additivity",
-    "run_df_linearity",
-    "force_negativity",
-    "LowerBoundConfig",
-    "GameReport",
-    "build_instance",
-    "derive_delta",
-    "tv_bound",
-    "run_distinguish_game",
-]

@@ -1,10 +1,10 @@
 """Multivariate Gaussian sampling and divergence/distance bounds.
 
 Closed-form KL between Gaussians, the Pinsker total-variation bound, the
-shared-covariance TV bound, and a bounded Monte Carlo TV estimator.  All
-spectral work goes through LAPACK's symmetric eigensolver (numpy.linalg.eigh),
-which returns the identity exactly for an identity covariance, and all
-densities are evaluated in log-space so nothing underflows at n >= 50.
+shared-covariance TV bound, and a bounded Monte Carlo TV estimator.  A
+covariance is factored once by LAPACK's symmetric eigensolver, which returns
+the identity exactly for an identity covariance, and all densities are
+evaluated in log-space so nothing underflows at n >= 50.
 """
 
 from __future__ import annotations
@@ -113,28 +113,33 @@ def log_density(dist: GaussianDist, x) -> np.ndarray:
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
+def divergence_terms(nu) -> np.ndarray:
+    """nu - log1p(nu) per entry, each >= 0, for nu in (-1, inf); under |nu| = 1e-3, where it
+    would lose its digits to cancellation, the Taylor series nu^2/2 - nu^3/3 + ... - nu^7/7."""
+    nu = np.asarray(nu, dtype=float)
+    s = np.clip(nu, -1e-3, 1e-3)  # capped where the series goes unused, so it cannot overflow
+    series = s * s * (1 / 2 - s * (1 / 3 - s * (1 / 4 - s * (1 / 5 - s * (1 / 6 - s / 7)))))
+    return np.where(np.abs(nu) < 1e-3, series, nu - np.log1p(nu))
+
+
 def kl_gaussians(d1: GaussianDist, d2: GaussianDist) -> float:
     """KL(d1 || d2) for positive-definite Gaussians, in nats.
 
-    0.5 * (log det(S2)/det(S1) + tr(S2^-1 S1) - n + (m2-m1)^T S2^-1 (m2-m1))
+    0.5 * (sum_i divergence_terms(nu_i) + (m2-m1)^T S2^-1 (m2-m1)), with nu the generalized
+    eigenvalues of (S1 - S2, S2): the eigenvalues of S2^-1 S1, less 1, found with no cancellation.
     """
     if d1.dim != d2.dim:
         raise GaussianError(f"dimension mismatch: {d1.dim} vs {d2.dim}")
     _require(d1, definite=True)
     _require(d2, definite=True)
-    inv2 = (d2.v / d2.w) @ d2.v.T
-    if np.array_equal(d1.cov, d2.cov):
-        # Shared covariance: the log-det ratio is 0 and the trace is n exactly.
-        logdet_ratio, tr = 0.0, float(d1.dim)
-    else:
-        logdet_ratio = float(np.sum(np.log(d2.w)) - np.sum(np.log(d1.w)))
-        tr = float(np.sum(inv2 * d1.cov))
-    dm = d2.mean - d1.mean
-    quad = float(dm @ inv2 @ dm)
-    kl = 0.5 * (logdet_ratio + tr - d1.dim + quad)
-    if kl < -1e-12:
-        raise GaussianError(f"KL came out negative beyond slack: {kl}")
-    return max(kl, 0.0)
+    from scipy.linalg import eigh  # imported here, so `import lintest` leaves it unloaded
+
+    same = np.array_equal(d1.cov, d2.cov)  # then S2^-1 S1 = I, and nu = 0 exactly
+    nu = 0.0 if same else eigh(d1.cov - d2.cov, d2.cov, eigvals_only=True)
+    if np.min(nu) <= -1.0:
+        raise GaussianError(f"S2^-1 S1 has a nonpositive eigenvalue ({1.0 + np.min(nu):g})")
+    y = (d2.mean - d1.mean) @ d2.v / np.sqrt(d2.w)  # S2^-1 = v diag(1/w) v^T
+    return 0.5 * (float(np.sum(divergence_terms(nu))) + float(y @ y))
 
 
 def pinsker_tv_bound(kl: float) -> float:
@@ -150,14 +155,13 @@ def shared_cov_tv_bound(mu1, mu2, cov) -> float:
     Only the inequality is implemented; the proof-level equality for this
     quantity is not the true TV and is deliberately not exposed.
     """
-    m1 = _as_mean(mu1)
+    d = GaussianDist(mu1, cov)  # checks mu1, as _as_mean checks mu2
     m2 = _as_mean(mu2)
-    if m1.size != m2.size:
+    if d.dim != m2.size:
         raise GaussianError("mean dimension mismatch")
-    d = GaussianDist(m1, cov)
     _require(d, definite=True)
     # ||S^-1||_2 == 1 / lambda_min(S)
-    return float(0.5 * np.linalg.norm(m1 - m2) / np.sqrt(d.w[0]))
+    return float(0.5 * np.linalg.norm(d.mean - m2) / np.sqrt(d.w[0]))
 
 
 def empirical_tv(d1: GaussianDist, d2: GaussianDist, m: int, seed) -> tuple[float, float]:
@@ -169,8 +173,7 @@ def empirical_tv(d1: GaussianDist, d2: GaussianDist, m: int, seed) -> tuple[floa
     """
     if m < 1000:
         raise ValueError(f"need m >= 1000 samples, got {m}")
-    rng = seed if isinstance(seed, np.random.Generator) else make_rng(int(seed))
-    x = sample_gaussian(d1, rng, size=m)
+    x = sample_gaussian(d1, seed, size=m)
     delta = log_density(d2, x) - log_density(d1, x)
     vals = np.clip(-np.expm1(np.clip(delta, None, 0.0)), 0.0, 1.0)
     est = float(np.clip(np.mean(vals), 0.0, 1.0))

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .gauss_core import divergence_terms
 from .rng import chi, derive_seed, make_rng, standard_normal
 
 _DEGENERACY_FLOOR = 1e-10
@@ -101,11 +102,8 @@ def derive_delta(eigvals: np.ndarray, C: float) -> float:
 def tv_bound(eigvals: np.ndarray, delta: float) -> float:
     """Closed-form TV bound between N(0, XX^T) and N(0, XX^T + delta I).
 
-    sqrt( (log det(S_yes)/det(S_no) + tr(S_yes^-1 S_no) - n) / 4 ), which
-    with r_i = delta / lambda_i is sqrt( sum_i (r_i - log1p(r_i)) / 4 ).  The
-    terms are summed one by one, each nonnegative; under r = 1e-3, where
-    r - log1p(r) ~ r^2/2 would lose its digits to cancellation, each comes
-    from the Taylor series r^2/2 - r^3/3 + ... - r^7/7.
+    Pinsker on their KL: sqrt( sum_i divergence_terms(delta / lambda_i) / 4 ), each
+    term nonnegative (see `gauss_core.divergence_terms`).
     """
     lam = np.asarray(eigvals, dtype=float)
     lam_min = float(np.min(lam))  # in any entry order
@@ -113,11 +111,7 @@ def tv_bound(eigvals: np.ndarray, delta: float) -> float:
         raise LowerBoundError(f"Gram matrix is singular or not finite (min {lam_min:g})")
     if not 0 <= delta <= lam_min * _MAX_RATIO:  # in Python floats: cannot overflow
         raise LowerBoundError("delta must lie in [0, min Gram eigenvalue * sqrt(float max)]")
-    r = delta / lam
-    s = np.minimum(r, 1e-3)  # capped where the series goes unused, so it cannot overflow
-    series = s * s * (1 / 2 - s * (1 / 3 - s * (1 / 4 - s * (1 / 5 - s * (1 / 6 - s / 7)))))
-    terms = np.where(r < 1e-3, series, r - np.log1p(r))
-    return float(math.sqrt(float(np.sum(terms)) / 4.0))
+    return float(math.sqrt(float(np.sum(divergence_terms(delta / lam))) / 4.0))
 
 
 @dataclass

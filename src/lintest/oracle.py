@@ -8,6 +8,7 @@ counter increments by exactly one per evaluated point, batch or not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,11 @@ def scaled_norms(xs):
     """(y, ||y||, e) per row x (the last axis), y = x / 2^e, 2^e near max |x_k|: no square
     overflows, and ||x|| = ldexp(||y||, e), as np.linalg.norm(x) where no x_k^2 leaves range."""
     xs = np.asarray(xs, dtype=float)
-    e = np.frexp(np.max(np.abs(xs), axis=-1, initial=0.0))[1]
+    flat = np.empty(xs.size + 1)  # |x| row after row, then a 0 that closes the last row
+    flat[-1] = 0.0  # and is the whole of an empty one
+    np.abs(xs.ravel(), out=flat[:-1])
+    starts = np.arange(math.prod(xs.shape[:-1])) * xs.shape[-1]  # all 0 for an empty row
+    e = np.frexp(np.maximum.reduceat(flat, starts).reshape(xs.shape[:-1]))[1]
     y = np.ldexp(xs, -e[..., None])
     return y, np.linalg.norm(y, axis=-1), e
 

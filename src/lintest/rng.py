@@ -45,7 +45,7 @@ def hash_rows(words: np.ndarray, key: int) -> np.ndarray:
     """
     keys = mix64(np.arange(words.shape[1], dtype=np.uint64) * np.uint64(_GAMMA)
                  + np.uint64(key & _MASK64))
-    return mix64(mix64(words ^ keys).sum(axis=1, dtype=np.uint64) + np.uint64(_GAMMA))
+    return mix64(np.einsum("ij->i", mix64(words ^ keys)) + np.uint64(_GAMMA))
 
 
 def derive_seed(seed: int, *indices: int) -> int:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lintest.gauss_core import (
     GaussianDist,
     GaussianError,
     _factor,
+    divergence_terms,
     empirical_tv,
     kl_gaussians,
     log_density,
@@ -16,6 +18,7 @@ from lintest.gauss_core import (
     shared_cov_tv_bound,
 )
 from lintest.jacobi import jacobi_eigh
+from lintest.lower_bound import LowerBoundConfig, build_instance
 from lintest.rng import make_rng, standard_normal
 
 
@@ -193,6 +196,48 @@ def test_kl_1d_matches_quadrature():
 
     ref, _ = integrate.quad(integrand, -20, 20)
     assert abs(kl_gaussians(d1, d2) - ref) < 1e-8
+
+
+def _divergence_decimal(nu):
+    with localcontext() as ctx:
+        ctx.prec = 400  # 1 + nu holds every digit of nu down to |nu| = 1e-150
+        d = Decimal(nu)
+        return float(d - (1 + d).ln())
+
+
+def test_divergence_terms_match_a_decimal_reference_on_both_sides_of_the_switch():
+    nus = np.array([-0.999, -0.5, -1.001e-3, -1e-3, -0.999e-3, -1e-6, -1e-150, 0.0, 1e-150,
+                    1e-8, 0.999e-3, 1e-3, 1.001e-3, 0.5, 1.0, 1e10, 1e300])
+    terms = divergence_terms(nus)
+    assert terms.shape == nus.shape
+    assert np.all(terms >= 0.0)
+    assert np.all(terms[nus == 0.0] == 0.0)
+    for nu, term in zip(nus, terms):  # log1p's cancellation, at |nu| just past 1e-3, sets rel
+        assert term == pytest.approx(_divergence_decimal(nu), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, rel", [(10, 1e-8), (50, 1e-2), (200, 1e-2)])
+def test_kl_is_exact_on_rotated_game_spectra(n, rel):
+    # The lower-bound game's pair N(0, Q L Q^T) vs N(0, Q (L + delta I) Q^T) in a random
+    # basis Q: log det + trace - n cancels here, while the per-eigenvalue sum does not.
+    # What error remains is the rotation's: each entry of Q L Q^T is rounded at the
+    # scale of lambda_max, and delta is C lambda_min / n^2, so `rel` grows with n.
+    for seed in range(10):
+        lam, delta, _ = build_instance(LowerBoundConfig(n=n, seed=seed))
+        q, _ = np.linalg.qr(standard_normal(make_rng(seed), (n, n)))
+        yes = GaussianDist(np.zeros(n), (q * lam) @ q.T)
+        no = GaussianDist(np.zeros(n), (q * (lam + delta)) @ q.T)
+        r = delta / lam
+        ref = 0.5 * float(np.sum(np.log1p(r) - r / (1.0 + r)))
+        assert kl_gaussians(yes, no) == pytest.approx(ref, rel=rel, abs=0.0)
+
+
+def test_kl_refuses_a_covariance_ratio_that_rounds_to_zero():
+    # S2^-1 S1 = 1e-41 is positive, but nu = -1 + 1e-41 rounds to -1 and log1p(nu) to -inf
+    d1 = GaussianDist(np.zeros(1), np.array([[1e-11]]))
+    d2 = GaussianDist(np.zeros(1), np.array([[1e30]]))
+    with pytest.raises(GaussianError, match="nonpositive eigenvalue"):
+        kl_gaussians(d1, d2)
 
 
 def test_pinsker_bound():

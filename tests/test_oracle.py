@@ -18,6 +18,7 @@ from lintest.oracle import (
     random_linear,
     scaled_norms,
 )
+from lintest.rng import make_rng, standard_normal
 
 ALL_FAMILIES = [
     lambda: LinearOracle([1.0, -2.0, 0.5]),
@@ -163,6 +164,8 @@ def test_corruption_region_from_mass_and_threshold():
         CorruptionRegion.from_mass([0.0], 0.3)
     with pytest.raises(ValueError):
         CorruptionRegion.from_threshold([0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="finite and nonzero"):  # an empty last axis
+        CorruptionRegion.from_mass([], 0.3)
 
 
 @pytest.mark.parametrize("direction, unit", [([1e308, 1e308], [0.5**0.5, 0.5**0.5]),
@@ -281,6 +284,32 @@ def test_scaled_norms_equal_the_plain_norm_bit_for_bit_where_it_is_exact(row, sh
     _, norm, e = scaled_norms(xs)
     if 1e-150 < np.abs(xs).max() < 1e150:  # where no square under- or overflows
         assert np.array_equal(np.ldexp(norm, e), np.linalg.norm(xs, axis=1))
+
+
+def _rows_at_every_scale(shape, seed):
+    """Gaussian rows, each scaled by its own power of two, with zero, subnormal and
+    near-float-max rows among them."""
+    rng = make_rng(seed)
+    xs = standard_normal(rng, shape)
+    rows = xs.reshape(-1, shape[-1]) if xs.size else xs.reshape(0, 0)
+    rows *= np.ldexp(1.0, rng.integers(-1070, 1020, size=(rows.shape[0], 1)))
+    specials = [0.0, 5e-324, -2.2e-308, np.finfo(float).max, -np.finfo(float).max]
+    for i, value in enumerate(specials if rows.shape[0] > len(specials) else []):
+        rows[i] = value * np.sign(standard_normal(rng, rows.shape[1]))
+    return xs
+
+
+@pytest.mark.parametrize("shape", [(7,), (0,), (0, 5), (6, 1), (1840, 10), (32, 1000),
+                                   (3, 4, 6)])
+def test_scaled_norms_match_a_row_max_bit_for_bit(shape):
+    # scaled_norms finds each row's largest |x_k| in one reduction over the flat array;
+    # its result is that of the plain per-row max, in value, shape and dtype
+    xs = _rows_at_every_scale(shape, seed=sum(shape))
+    e = np.frexp(np.max(np.abs(xs), axis=-1, initial=0.0))[1]
+    y = np.ldexp(xs, -e[..., None])
+    for got, want in zip(scaled_norms(xs), (y, np.linalg.norm(y, axis=-1), e)):
+        assert got.shape == np.shape(want) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_custom_oracle():

@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 from scipy.special import ndtri
 from scipy.stats import chi as chi_law
 from scipy.stats import kstest
 
 from lintest import rng as rng_module
 from lintest.rng import (
+    _GAMMA,
     chi,
     derive_seed,
     hash_rows,
@@ -86,6 +88,19 @@ def test_hash_rows_makes_a_fixed_number_of_mix64_calls_whatever_the_width(monkey
         hash_rows(np.zeros((8, n), dtype=np.uint64), 3)
         counts.append(len(calls))
     assert counts == [3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (5, 1), (1840, 10), (32, 1000)])
+def test_hash_rows_matches_the_wrapping_row_sum_bit_for_bit(shape):
+    # full-range words, so the row sums wrap mod 2**64
+    words = make_rng(shape[0]).integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+    words[:1] = np.uint64(2**64 - 1)
+    key = 2**64 - 3
+    keys = mix64(np.arange(shape[1], dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(key))
+    want = mix64(mix64(words ^ keys).sum(axis=1, dtype=np.uint64) + np.uint64(_GAMMA))
+    got = hash_rows(words, key)
+    assert got.dtype == np.uint64 and got.shape == (shape[0],)
+    assert np.array_equal(got, want)
 
 
 def test_standard_normal_moments_and_shape():

@@ -93,18 +93,6 @@ def test_library_reads_no_environment_variable():
     assert found == []
 
 
-def test_package_exports_are_exactly_its_public_imports():
-    # Every name in __all__ resolves, and every public name __init__ imports is listed.
-    import lintest
-
-    imported = {alias.asname or alias.name for node in ast.walk(TREES["__init__.py"])
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    public = {name for name in imported if not name.startswith("_")}
-    assert [name for name in lintest.__all__ if not hasattr(lintest, name)] == []
-    assert len(set(lintest.__all__)) == len(lintest.__all__)
-    assert public and public == set(lintest.__all__)
-
-
 def test_calibrate_trials_parse_build_and_read_nothing():
     # run_calibrate parses its specs, builds its oracle and sampler and reads any dataset
     # once; the function it fans out, and every harness function that one calls, only
