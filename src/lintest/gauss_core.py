@@ -144,7 +144,7 @@ def kl_gaussians(d1: GaussianDist, d2: GaussianDist) -> float:
 
 def pinsker_tv_bound(kl: float) -> float:
     """TV upper bound sqrt(kl / 2)."""
-    if kl < 0:
+    if not kl >= 0:  # NaN fails too
         raise ValueError(f"KL divergence must be nonnegative, got {kl}")
     return float(np.sqrt(0.5 * kl))
 

@@ -72,9 +72,9 @@ def _choice(*words: str) -> _Type:
     return _Type(" or ".join(map(repr, words)), lambda v: v in words)
 
 
-# Exact Python types of parsed JSON, so that true is no number, and exact
-# comparisons, so that NaN, infinities and ints beyond the double range fail.
-_INT = _Type("an integer", lambda v: type(v) is int)
+# Exact Python types of parsed JSON, so that true is no number, and exact comparisons,
+# so that NaN, infinities, numbers beyond the double range and ints beyond 64 bits fail.
+_INT = _Type("a 64-bit integer", lambda v: type(v) is int and -2**63 <= v < 2**63)
 _NUMBER = _Type("a finite number", lambda v: _NUMBERS.test([v]))
 _OBJECT = _Type("a JSON object", lambda v: type(v) is dict)
 _STRING = _Type("a string", lambda v: type(v) is str)
@@ -226,18 +226,18 @@ def _run_share(fn, share):
 
 
 def _serve(conn):
-    """A worker: send back `_run_share` of each (fn, share) sent, until the stop message
-    (EOF would not come: workers forked later hold copies of the parent's pipe end)."""
-    while (task := conn.recv()) is not None:
-        conn.send(_run_share(*task))
+    """A worker: send back `_run_share` of each (fn, share) until the parent closes or exits."""
+    for _, end in _workers:  # its forked copies of the parent's ends, its own too, or no EOF comes
+        end.close()
+    with contextlib.suppress(EOFError, OSError):  # EOF, or a reply that no parent takes
+        while True:
+            conn.send(_run_share(*conn.recv()))
 
 
 def _stop_workers():
-    """Send each worker the stop message, and join it."""
+    """Close each worker's pipe end, which ends the worker, and join it."""
     while _workers:
         process, conn = _workers.pop()
-        with contextlib.suppress(OSError):  # a dead worker takes no message
-            conn.send(None)
         conn.close()
         process.join()
 

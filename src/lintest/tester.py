@@ -53,7 +53,7 @@ class TesterConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if not 1 <= self.r <= float(np.finfo(float).max):  # so that 1 / r and r * ||p|| are floats
+        if not 1 <= self.r <= float(np.finfo(float).max):  # so that math.frexp takes r
             raise ValueError("r must be a positive integer at most float max")
 
     @property
@@ -138,19 +138,14 @@ def _query_blocks(f: FunctionOracle, m: int, per_row: int, build) -> np.ndarray:
 
 
 def scaling_index(points, r: int) -> np.ndarray:
-    """k_p per point (rows on the last axis): 1 inside the radius-1/r ball, else ceil(r * ||p||).
+    """The exponent e of k_p = 2^e per row p (the last axis): r * ||p|| in [2^(e-1), 2^e).
 
-    That is max(1, ceil(r * ||p||)), since fl(r * fl(1/r)) <= 1 for integral r below 2^53.
-    The indices are integral floats, so p / k_p is the same division for every caller.
+    So p / k_p = ldexp(p, -e) lies on the shell [1/(2r), 1/r) at every scale of p; e = 0 at
+    p = 0.  r = m * 2^e_r and ||p|| = ||y|| * 2^e_y apart, so that m * ||y|| never overflows.
     """
-    with np.errstate(over="ignore"):  # the finiteness check is the one signal
-        r_norms = r * np.ldexp(*scaled_norms(points)[1:])
-    bad = ~np.isfinite(r_norms.ravel())
-    if bad.any():
-        p = np.array2string(np.reshape(points, (bad.size, -1))[np.argmax(bad)], threshold=6,
-                            max_line_width=np.inf)
-        raise ValueError(f"point {p} has no finite k_p: r * ||p|| passes float max (r = {r})")
-    return np.maximum(1.0, np.ceil(r_norms))
+    _, norms, e = scaled_norms(points)
+    m, e_r = math.frexp(r)
+    return np.frexp(m * norms)[1] + np.where(norms > 0, e + e_r, 0)
 
 
 def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
@@ -197,49 +192,48 @@ class QueryGResult:
 
     rejected: bool
     value: float | None
-    k: int
-    base_value: float | None  # value / k, the agreed per-ball level
+    e: int  # k_p = 2^e
+    base_value: float | None  # v_1 = value / 2^e, the agreed per-ball level
     queries_used: int
 
 
 def probe_g(f: FunctionOracle, points, cfg: TesterConfig, rng):
     """Probe the self-corrected function g at each row of `points`.
 
-    Maps p into the 1/r ball via k_p, samples x_1..x_N ~ N(0,I), and
-    demands that all v_i = f(p/k_p - x_i) + f(x_i) agree with v_1, each
-    comparison tolerant to the rounding of the operands it was summed
-    from.  Rows take their x_i from the stream in order, in blocks of one
-    oracle call each, so a batch draws what one probe per row would.
+    Maps p onto the shell of the 1/r ball as p/k_p = ldexp(p, -e), exact unless
+    subnormal, samples x_1..x_N ~ N(0,I), and demands that all v_i = f(p/k_p - x_i)
+    + f(x_i) agree with v_1, each comparison tolerant to the rounding of the operands
+    it was summed from.  Rows take their x_i from the stream in order, in blocks of
+    one oracle call each, so a batch draws what one probe per row would.
 
-    Returns per row: k_p, whether all v_i agree, v_1 = g(p) / k_p, and
+    Returns per row: e, whether all v_i agree, v_1 = g(p) / 2^e, and
     |f(p/k_p - x_1)| + |f(x_1)|, the magnitude of the operands of v_1.
     """
     points = np.asarray(points, dtype=float)
     m, n = points.shape
     nq = cfg.rounds_queryg
-    ks = scaling_index(points, cfg.r)
+    es = scaling_index(points, cfg.r)
 
     def build(lo, hi):
         pts = np.empty((2, hi - lo, nq, n))  # p/k_p - x_i, then x_i: one oracle call for both
         xs = standard_normal(rng, out=pts[1])
-        np.subtract(points[lo:hi, None, :] / ks[lo:hi, None, None], xs, out=pts[0])
+        np.subtract(np.ldexp(points[lo:hi, None], -es[lo:hi, None, None]), xs, out=pts[0])
         return pts
     va, vb = _query_blocks(f, m, 2 * nq, build)
     v = va + vb
     mag = np.abs(va) + np.abs(vb)
     agree = np.all(cfg.policy.eq_arr(v[:, 1:], v[:, :1], mag[:, 1:] + mag[:, :1]), axis=1)
-    return ks, agree, v[:, 0], mag[:, 0]
+    return es, agree, v[:, 0], mag[:, 0]
 
 
 def query_g(f: FunctionOracle, p, cfg: TesterConfig, rng=None) -> QueryGResult:
-    """Probe g at the single point p; returns k_p * v_1 = g(p) on agreement, inf past float max."""
+    """Probe g at the single point p; its value is ldexp(v_1, e) = g(p), inf past float max."""
     rng = rng if rng is not None else make_rng(cfg.seed)
     start = f.query_count
-    ks, agree, v1, _ = probe_g(f, np.asarray(p, dtype=float)[None, :], cfg, rng)
-    k, base = int(ks[0]), float(v1[0])
-    if not agree[0]:
-        return QueryGResult(True, None, k, None, f.query_count - start)
-    return QueryGResult(False, k * base, k, base, f.query_count - start)
+    es, agree, v1, _ = probe_g(f, np.asarray(p, dtype=float)[None, :], cfg, rng)
+    with np.errstate(over="ignore"):
+        value, base = (float(np.ldexp(v1[0], es[0])), float(v1[0])) if agree[0] else (None, None)
+    return QueryGResult(not agree[0], value, int(es[0]), base, f.query_count - start)
 
 
 def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | None) -> Verdict:
@@ -261,16 +255,17 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
     def step(m, done):
         points = drawn[done:done + m]
         fp = _query_blocks(f, m, 1, lambda lo, hi: points[None, lo:hi])[0]
-        ks, agree, v1, mag1 = probe_g(f, points, cfg, rng)
+        es, agree, v1, mag1 = probe_g(f, points, cfg, rng)
+        # f(p)/k_p against v_1 = g(p)/k_p, each only scaled down: neither passes float max
+        # (k_p * v_1 may), and the band's floor stays at f(p)'s own scale where k_p < 1.
+        lo = np.minimum(es, 0)
 
         def witness(site, i):
             if site == "query-g-disagreement":
                 return "query-g", points[i].tolist()
-            return site, points[i].tolist(), float(fp[i]), int(ks[i]), float(v1[i])
-        # Compare, and report, at the per-ball scale: f(p)/k_p against v_1 = g(p)/k_p,
-        # never the product k_p * v_1, which may pass float max for values inside the bound.
+            return site, points[i].tolist(), float(fp[i]), int(es[i]), float(v1[i])
         return {"query-g-disagreement": agree,
-                "f!=g": cfg.policy.eq_arr(fp / ks, v1, mag1)}, witness
+                "f!=g": cfg.policy.eq_arr(*np.ldexp([fp, v1, mag1], [lo - es, lo, lo]))}, witness
 
     return _stage(f, start, rounds, 2 * cfg.rounds_queryg, step)
 

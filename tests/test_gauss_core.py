@@ -245,6 +245,9 @@ def test_pinsker_bound():
     assert abs(pinsker_tv_bound(0.5) - 0.5) < 1e-15
     with pytest.raises(ValueError):
         pinsker_tv_bound(-1e-9)
+    with pytest.raises(ValueError):
+        pinsker_tv_bound(float("nan"))
+    assert pinsker_tv_bound(math.inf) == math.inf
 
 
 def test_shared_cov_bound_identity_cov():

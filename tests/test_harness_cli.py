@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -341,7 +342,7 @@ def test_fan_out_reuses_one_pool_per_worker_count(monkeypatch, fresh_workers):
     assert len(fresh_workers) == 2
     assert not {p for p, _ in first} & {p for p, _ in fresh_workers}
     (process, _), = first
-    assert process.exitcode == 0  # stopped by the stop message, not by a signal
+    assert process.exitcode == 0  # ended by EOF on its pipe, not by a signal
 
 
 def test_fan_out_drops_a_broken_pool(monkeypatch, fresh_workers):
@@ -454,6 +455,45 @@ def test_cli_fan_out_leaves_no_worker_behind_a_failed_trial(tmp_path):
     assert done.returncode == 2, done.stderr
     assert json.loads(done.stderr.splitlines()[0])["error"] == "OracleError"
     assert len(pids) == (1 if harness._usable_cores() > 1 else 0)
+
+
+def _gone(pid: int) -> bool:
+    """Whether process `pid` has exited: it is unknown, or a zombie that no one has reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_fan_out_workers_end_when_their_parent_is_killed(sig):
+    # Killed, the parent runs no exit hook; its workers read EOF and end.
+    script = ("from lintest import harness\n"
+              "harness._usable_cores = lambda: 3\n"
+              "harness._fan_out(abs, list(range(6)), 3)\n"
+              "print(*(process.pid for process, _ in harness._workers), flush=True)\n"
+              "import time; time.sleep(120)\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+    pids = []
+    try:
+        pids = [int(p) for p in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        parent.send_signal(sig)
+        parent.wait(30)
+        deadline = time.monotonic() + 10
+        while not all(map(_gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_gone, pids))
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        for pid in (pid for pid in pids if not _gone(pid)):  # no orphan behind a failure
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_run_calibrate_validation():
@@ -779,7 +819,7 @@ def test_cli_refuses_an_r_beyond_the_double_range(tmp_path, command, spec):
     err = getattr(result, "stderr", "") or result.output
     (line,) = err.strip().splitlines()
     payload = json.loads(line)
-    assert payload["error"] == "ValueError" and "r must be" in payload["message"]
+    assert payload["error"] == "SpecError" and "'r' in" in payload["message"]
 
 
 def test_cli_query_scaling_rejects_bad_sweep(tmp_path):
@@ -875,6 +915,8 @@ def test_cli_refuses_an_oracle_it_cannot_build(tmp_path, oracle, error, message)
     ("calibrate", {"oracle": {**_LINEAR, "family": "corrupted-linear", "corruption": 5},
                    "epsilon": 0.2}, "corruption"),
     ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "trials": True}, "trials"),
+    ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2, "trials": 10**20}, "trials"),
+    ("lower-bound", {"n": 4, "trials": 10**20}, "trials"),
     ("calibrate", {"oracle": _LINEAR, "epsilon": 0.2,
                    "distribution": {"kind": "shifted-gaussian", "mean": []}}, "mean"),
 ])

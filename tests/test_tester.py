@@ -1,16 +1,18 @@
 import hashlib
+import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from lintest import tester
-from lintest.distro import ShiftedGaussian, StandardGaussian
+from lintest.distro import ShiftedGaussian, StandardGaussian, load_empirical
 from lintest.oracle import (
     ConstantShiftLinear,
     CorruptedLinear,
@@ -21,6 +23,7 @@ from lintest.oracle import (
     NormOracle,
     OracleError,
     random_linear,
+    scaled_norms,
 )
 from lintest.rng import derive_seed, make_rng, standard_normal
 from lintest.tester import (
@@ -82,49 +85,71 @@ def test_halving_epsilon_never_cheapens_the_main_stage():
 
 
 def test_scaling_index_examples():
-    assert scaling_index(np.zeros(3), 50) == 1
-    assert scaling_index(np.array([0.01, 0.0]), 50) == 1
-    assert scaling_index(np.array([0.02]), 50) == 1  # exactly on the 1/50 boundary
-    assert scaling_index(np.array([2.03, 0.0]), 50) == 102
-    assert list(scaling_index(np.array([[0.01, 0.0], [2.03, 0.0]]), 50)) == [1, 102]
-    with pytest.raises(ValueError):
-        scaling_index(np.array([np.nan]), 50)
-    with pytest.raises(ValueError):
-        scaling_index(np.array([[1.0, 0.0], [np.nan, 0.0]]), 50)
+    assert scaling_index(np.zeros(3), 50) == 0  # k_p = 1 at p = 0
+    assert scaling_index(np.array([0.01, 0.0]), 50) == 0  # r ||p|| = 1/2: on the shell
+    assert scaling_index(np.array([0.02]), 50) == 1  # r ||p|| = 1: k_p = 2 halves it
+    assert scaling_index(np.array([2.03, 0.0]), 50) == 7  # 101.5 in [64, 128)
+    assert list(scaling_index(np.array([[0.01, 0.0], [2.03, 0.0]]), 50)) == [0, 7]
+    assert scaling_index(np.array([5e-324]), 1) == -1073  # 2^-1074 in [2^-1074, 2^-1073)
+    big = np.finfo(float).max
+    assert scaling_index(np.array([big, -big]), int(big)) == 2049  # 2^2048.5 in [2^2048, 2^2049)
 
 
-_rows = st.integers(1, 8).flatmap(lambda n: st.lists(
-    st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n), min_size=1, max_size=6))
+def _norm(rows):
+    """||row|| per row, where no square of an entry leaves the double range."""
+    return np.ldexp(*scaled_norms(rows)[1:])
 
 
-@settings(max_examples=200, deadline=None)
-@given(_rows, st.integers(1, 200))
-def test_scaling_index_maps_into_ball(rows, r):
+_any_rows = st.integers(1, 50).flatmap(lambda n: st.lists(st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+    st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1.0, -1.7e308, 1.79e308]),
+             min_size=n, max_size=n)), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_rows, st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_scaling_index_puts_every_finite_point_on_the_shell(rows, r, w_seed):
+    # zero, subnormal and near-float-max rows, n from 1 to 50: r * ||p / k_p|| lies in
+    # [1/2, 1), or is 0 at p = 0, and the probe recovers w.p within the equality band
     points = np.asarray(rows)
-    ks = scaling_index(points, r)
-    norms = np.linalg.norm(points, axis=1)
-    assert ks.shape == (len(rows),)
-    assert np.all(ks >= 1) and np.all(ks == np.ceil(ks))
-    assert np.all(norms / ks <= 1.0 / r + 1e-12)
-    assert np.all(ks[norms <= 1.0 / r] == 1)
-    assert np.array_equal(ks, np.where(norms <= 1.0 / r, 1.0, np.ceil(r * norms)))  # bit for bit
-    assert [scaling_index(p, r) for p in points] == list(ks)
+    es = scaling_index(points, r)
+    assert es.shape == (len(rows),)
+    shell = r * _norm(np.ldexp(points, -es[:, None]))
+    zero = ~points.any(axis=1)
+    assert np.all(es[zero] == 0) and np.all(shell[zero] == 0.0)
+    assert np.all((0.5 <= shell[~zero]) & (shell[~zero] < 1.0))
+    assert [int(scaling_index(p, r)) for p in points] == list(es)
+    f, cfg = random_linear(points.shape[1], w_seed), TesterConfig(epsilon=0.2, r=r)
+    probed, agree, v1, mag1 = probe_g(f, points, cfg, make_rng(w_seed))
+    exact = [float(sum(Fraction(w) * Fraction(x) for w, x in zip(f.w, p)) / Fraction(2)**e)
+             for p, e in zip(points, es.tolist())]  # w.p / k_p in exact arithmetic, rounded once
+    assert list(probed) == list(es) and agree.all()
+    assert cfg.policy.eq_arr(v1, exact, mag1).all()
+
+
+def test_a_point_whose_r_norm_passes_float_max_is_probed_exactly(recwarn):
+    edge = np.finfo(float).max / 50
+    p = np.array([1.01 * edge, 0.0])
+    assert scaling_index(p, 50) == 1025  # r ||p|| = 1.01 float max, in [2^1024, 2^1025)
+    cfg = TesterConfig(epsilon=0.1)
+    res = query_g(LinearOracle([1.0, 1.0]), p, cfg)
+    assert (res.e, res.rejected) == (1025, False)
+    assert res.value == pytest.approx(p[0], rel=1e-9)
+    assert res.value == math.ldexp(res.base_value, 1025)
+    res = query_g(LinearOracle([60.0, 1.0]), p, cfg)  # g(p) = 60 p_0 passes float max
+    assert (res.rejected, res.value) == (False, math.inf)
+    assert res.base_value == pytest.approx(60.0 * math.ldexp(p[0], -1025), rel=1e-9)
+    huge_r = TesterConfig(epsilon=0.1, r=int(np.finfo(float).max))
+    assert query_g(LinearOracle([1.0, 1.0]), [3.0, 4.0], huge_r).e == 1027  # 5 r in [2^1026, 2^1027)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("run, queries", [(run_df_additivity, 2357), (run_df_linearity, 6146)])
 def test_a_point_whose_square_overflows_keeps_a_finite_k_p(run, queries, recwarn):
-    # ||p||^2 ~ 1e310 passes float max, but ||p|| and k_p = ceil(r ||p||) do not.
+    # ||p||^2 ~ 1e310 passes float max, but ||p|| and r ||p|| do not.
     f = LinearOracle([1e-300, 1.0])
     verdict = run(f, ShiftedGaussian([1e155, 0.0]), TesterConfig(epsilon=0.1))
     assert verdict.accepted and verdict.queries_used == queries
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-
-def test_a_point_whose_k_p_passes_float_max_is_refused(recwarn):
-    edge = np.finfo(float).max / 50
-    assert scaling_index(np.array([0.0, 0.99 * edge]), 50) == np.ceil(50 * (0.99 * edge))
-    with pytest.raises(ValueError, match=r"point \[3\.63134013e\+306 0\.0+e\+000\] has no"):
-        scaling_index(np.array([[1.5, 0.0], [1.01 * edge, 0.0]]), 50)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -716,13 +741,14 @@ def test_query_g_recovers_linear_values_at_all_scales():
     f = random_linear(5, w_seed=2)
     cfg = TesterConfig(epsilon=0.1, seed=4)
     rng = np.random.default_rng(0)
-    for scale in (0.001, 0.5, 3.0, 40.0):
+    for scale in (1e-300, 0.001, 0.5, 3.0, 40.0, 1e300):
         p = rng.standard_normal(5) * scale
         res = query_g(f, p, cfg)
         assert not res.rejected
         assert res.queries_used == 2 * cfg.rounds_queryg
-        assert res.k == scaling_index(p, 50)
-        assert abs(res.value - float(f.w @ p)) <= 1e-9 * max(1.0, abs(f.w @ p))
+        assert res.e == scaling_index(p, 50)
+        # relative to ||w|| ||p|| at every scale: the probe's operands sit at p's scale
+        assert abs(res.value - float(f.w @ p)) <= 1e-9 * np.linalg.norm(f.w) * _norm(p)
 
 
 @pytest.mark.parametrize("make, clean", [
@@ -733,18 +759,18 @@ def test_query_g_is_one_row_of_probe_g(make, clean):
     cfg = TesterConfig(epsilon=0.1, seed=9)
     scales = np.array([[0.001], [0.5], [1.0], [3.0], [40.0], [1.0], [2.0], [0.1]])
     points = np.random.default_rng(3).standard_normal((8, 5)) * scales
-    ks, agree, v1, _ = probe_g(make(), points, cfg, make_rng(cfg.seed))
+    es, agree, v1, _ = probe_g(make(), points, cfg, make_rng(cfg.seed))
     # query_g on a fresh stream is row 0; on a continued stream, row i
     first = query_g(make(), points[0], cfg)
-    assert (first.k, first.rejected) == (ks[0], not agree[0])
+    assert (first.e, first.rejected) == (es[0], not agree[0])
     rng = make_rng(cfg.seed)
     for i, p in enumerate(points):
         res = query_g(make(), p, cfg, rng)
-        assert res.k == ks[i]
+        assert res.e == es[i]
         assert res.rejected == (not agree[i])
         if not res.rejected:
             assert res.base_value == v1[i]
-            assert res.value == res.k * v1[i]
+            assert res.value == math.ldexp(v1[i], res.e)
     assert agree.all() == clean
 
 
@@ -757,7 +783,7 @@ def test_query_g_on_constant_shift_sees_the_doubled_shift():
     p = np.array([3.0, 1.0])
     res = query_g(f, p, cfg)
     assert not res.rejected
-    expected = float(w @ p) + 2.0 * c * res.k
+    expected = float(w @ p) + math.ldexp(2.0 * c, res.e)
     assert abs(res.value - expected) < 1e-9 * max(1.0, abs(expected))
 
 
@@ -879,10 +905,14 @@ def _hidden_at_scale(k, n, seed):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(_DF_RUNS)), st.integers(-1074, 1010), st.integers(2, 6),
        st.sampled_from([0.05, 0.1, 0.2]), st.integers(0, 2**32 - 1))
+@example("df-additivity", -1074, 4, 0.1, 0)
+@example("df-linearity", -1060, 2, 0.1, 1)
+@example("df-additivity", -1030, 6, 0.05, 2)
 def test_exactly_linear_is_accepted_at_any_scale_of_d(run, k, n, epsilon, seed):
     # The D-side twin of the weight-scale property.  From 2^-1074 D's rows reach
-    # the subnormal grid; up to 2^1010, k_p = ceil(r ||p||) of every point the
-    # testers form stays finite, a bound reached before f's (float max / 4).
+    # the subnormal grid; up to 2^1010 f's values stay within its bound (float max / 4).
+    # On the grid f(p) is a few units of 2^-1074 off w.p: the band's floor must stay at
+    # f(p)'s own scale, not at the ball's shell, where 2^-k would magnify that rounding.
     f = random_linear(n, w_seed=8)
     _, d = _hidden_at_scale(k, n, seed)
     cfg = TesterConfig(epsilon=epsilon, seed=seed)
@@ -894,24 +924,70 @@ def test_exactly_linear_is_accepted_at_any_scale_of_d(run, k, n, epsilon, seed):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.sampled_from(sorted(_DF_RUNS)), st.integers(-20, 1010), st.integers(2, 6),
+@given(st.sampled_from(sorted(_DF_RUNS)), st.integers(-1021, 1010), st.integers(2, 6),
        st.sampled_from([0.05, 0.1, 0.2]), st.integers(0, 2**32 - 1))
+@example("df-additivity", -1021, 4, 0.1, 0)
+@example("df-linearity", -1021, 2, 0.1, 1)
+@example("df-additivity", -1000, 6, 0.05, 2)
+@example("df-additivity", -500, 4, 0.2, 3)
 def test_a_hidden_halfspace_is_rejected_at_any_resolvable_scale_of_d(run, k, n, epsilon, seed):
-    # The corruption lives only at D's scale.  query_g probes g(p) through
-    # f(p - z) + f(z) with z ~ N(0, I) at any scale of D, so below about 2^-30 the
-    # payload sits inside the 1e-9 relative band of those unit-scale values
-    # (the xfail below); from 2^-20 it is 2^10 clear of it.
+    # The corruption lives only at D's scale, and the probe of g(p) runs at p's scale
+    # through p/k_p on the 1/r ball's shell.  A payload of 2^k is resolvable while it
+    # passes the band's floor for subnormal rounding, 2^-1022: below, an exactly linear
+    # f's own rounding on the subnormal grid is as large (the property above).
     f, d = _hidden_at_scale(k, n, seed)
     assert not _DF_RUNS[run](f, d, TesterConfig(epsilon=epsilon, seed=seed)).accepted
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="query_g's N(0, I) probes put g's operands at unit scale, "
-                          "where a payload of 2^-60 is inside the equality band")
 def test_a_hidden_halfspace_is_rejected_at_a_tiny_scale_of_d():
     verdicts = [run_df_additivity(*_hidden_at_scale(-60, 4, seed), TesterConfig(0.1, seed=seed))
                 for seed in range(5)]
     assert not any(v.accepted for v in verdicts)
+
+
+def test_a_payload_that_f_p_over_k_p_would_carry_past_float_max_is_rejected(recwarn):
+    # 1e-13 on a halfspace through D at 2^-1074: inside the band of the battery's
+    # unit-scale values, and so far above D's that at r = 1 f(p)/k_p = ldexp(f(p), -e),
+    # e ~ -1071, would pass float max
+    n, s = 4, 2.0**-1074
+    f = CorruptedLinear(random_linear(n, w_seed=8).w,
+                        CorruptionRegion.from_threshold(np.eye(n)[0], 5.0 * s), payload=1e-13)
+    for run, seed in itertools.product(sorted(_DF_RUNS), range(3)):
+        cfg = TesterConfig(0.1, r=1, seed=seed)
+        verdict = _DF_RUNS[run](f, _hidden_at_scale(-1074, n, seed)[1], cfg)
+        assert verdict.reject_site == ("f!=g" if run == "df-additivity" else "force-negativity")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _write_heavy_tailed(path, n: int, seed: int):
+    """Seeded Cauchy rows plus 120 copies of each of three atoms: the origin, and two rows
+    with entries above 1e3 and 1e6."""
+    rng = np.random.default_rng(seed)
+    atoms = np.vstack([np.zeros(n), 1e3 * (1.0 + np.abs(rng.standard_cauchy(n))),
+                       1e6 * (1.0 + np.abs(rng.standard_cauchy(n)))])
+    rows = np.vstack([rng.standard_cauchy((300, n)), np.repeat(atoms, 120, axis=0)])
+    np.savetxt(path, rng.permutation(rows), delimiter=",", fmt="%.17g")  # exact round trip
+
+
+@pytest.mark.parametrize("run", sorted(_DF_RUNS))
+def test_a_heavy_tailed_d_with_atoms(run, tmp_path):
+    # D read from a file through the empirical loader: Cauchy rows, whose norms span
+    # orders of magnitude, and atoms that the main loop draws again and again.  The far
+    # f's region has no Gaussian mass to speak of: only D's rows can find it.
+    n, path = 5, tmp_path / "heavy.csv"
+    _write_heavy_tailed(path, n, seed=12)
+    data, u = load_empirical(path).data, np.eye(n)[0]
+    assert np.mean(data @ u > 20.0) >= 1 / 3
+    w = random_linear(n, w_seed=8).w
+    far = CorruptedLinear(w, CorruptionRegion.from_threshold(u, 20.0), payload=1.0)
+    for seed in range(4):
+        cfg = TesterConfig(epsilon=0.1, seed=seed)
+        closed = (cfg.accept_path_queries() if run == "df-additivity" else
+                  2 * cfg.rounds_forceneg + 2 * TesterConfig(epsilon=0.05).accept_path_queries())
+        verdict = _DF_RUNS[run](LinearOracle(w), load_empirical(path, seed=seed), cfg)
+        assert verdict.accepted and verdict.queries_used == closed
+        verdict = _DF_RUNS[run](far, load_empirical(path, seed=seed), cfg)
+        assert verdict.reject_site in ("f!=g", "force-negativity")
 
 
 @pytest.mark.parametrize("n", [1, 5, 50])
@@ -927,15 +1003,15 @@ def test_exactly_linear_with_subnormal_values_is_accepted(n):
 
 def test_f_ne_g_witness_near_the_value_bound_is_finite():
     # f = s * x_0 up to x_0 = 50 and 0 beyond, with D around x_0 = 100: every value
-    # is within the bound, but g(p) = k_p * v_1 = 100 s passes float max
+    # is within the bound, but g(p) = 2^e * v_1 = 100 s passes float max
     s = np.finfo(float).max / 80
     f = CustomOracle(5, lambda xs: np.where(xs[:, 0] > 50.0, 0.0, s * xs[:, 0]))
     d = ShiftedGaussian(100.0 * np.eye(5)[0], seed=3)
     verdict = run_df_additivity(f, d, TesterConfig(epsilon=0.1, seed=3))
     assert verdict.reject_site == "f!=g"
-    (site, p, fp, k, v1), = verdict.transcript
-    assert fp == 0.0 and k == scaling_index(p, 50) and math.isfinite(v1)
-    assert v1 == pytest.approx(s * (p[0] / k))
+    (site, p, fp, e, v1), = verdict.transcript
+    assert fp == 0.0 and e == scaling_index(p, 50) and math.isfinite(v1)
+    assert v1 == pytest.approx(s * math.ldexp(p[0], -e))
     assert math.isinf(query_g(f, p, TesterConfig(epsilon=0.1)).value)
 
 
