@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-from .gauss_core import GaussianDist, sample_gaussian
+from .gauss_core import GaussianDist, _require, sample_gaussian
 from .rng import derive_seed, make_rng
 
 
@@ -57,13 +57,14 @@ class StandardGaussian(_Gaussian):
 
 
 class ShiftedGaussian(_Gaussian):
-    """N(mean, cov); cov defaults to the identity."""
+    """N(mean, cov); cov defaults to the identity and must be PSD, checked here, before any draw."""
 
     def __init__(self, mean, cov=None, seed: int = 0):
         mean = np.asarray(mean, dtype=float)
         if cov is None:
             cov = np.eye(mean.size)
         self._dist = GaussianDist(mean, cov)
+        _require(self._dist, definite=False)
         super().__init__(mean.size, seed)
 
 
@@ -83,7 +84,6 @@ class Mixture(SampleDistribution):
             raise DistributionError("mixture components must share a dimension")
         self.weights = weights
         self.components = list(components)
-        self._cum = np.cumsum(weights)
         super().__init__(dims.pop(), seed)
 
     def restarted(self, seed: int) -> "Mixture":
@@ -93,9 +93,7 @@ class Mixture(SampleDistribution):
         return new
 
     def draw_many(self, m: int) -> np.ndarray:
-        u = self._rng.random(m)
-        idx = np.searchsorted(self._cum, u, side="right")
-        idx = np.minimum(idx, len(self.components) - 1)
+        idx = self._rng.choice(len(self.components), size=m, p=self.weights)
         # One grouped draw per component, scattered back in row order, so each
         # component's stream is consumed exactly as by one draw() per row.
         out = np.empty((m, self.dim))

@@ -372,9 +372,9 @@ def run_query_scaling(spec: dict) -> dict:
                    wall_clock_s=time.perf_counter() - start)
 
 
-def _play(cells: list, item: tuple[int, int]):
-    """Trial item[1] of cells[item[0]]: the unit of the lower-bound fan-out."""
-    return play_trial(cells[item[0]], item[1])
+def _play(cells: list, k: int):
+    """Trial k // len(cells) of cells[k % len(cells)]: the unit of the lower-bound fan-out."""
+    return play_trial(cells[k % len(cells)], k // len(cells))
 
 
 def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
@@ -395,9 +395,8 @@ def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
                               delta_override=None if override is None else float(override))
              for i, n in enumerate(n_list) for j, c in enumerate(c_list)]
     # Trial-major, so that each worker's contiguous share holds a slice of
-    # every cell, whatever the cells cost; only (cell, trial) pairs are shipped.
-    items = [(cell, trial) for trial in range(parsed["trials"]) for cell in range(len(cells))]
-    outcomes = _fan_out(functools.partial(_play, cells), items, jobs)
+    # every cell, whatever the cells cost; only ranges of indices are shipped.
+    outcomes = _fan_out(functools.partial(_play, cells), range(parsed["trials"] * len(cells)), jobs)
     games = [{**dataclasses.asdict(cfg), **game_report(cfg, outcomes[cell::len(cells)]).to_json()}
              for cell, cfg in enumerate(cells)]  # each cell: its config, then what its trials gave
     return _report(spec, "lower-bound", seed, cells=games,

@@ -16,7 +16,8 @@ from scipy.special import ndtr, ndtri
 
 from .rng import hash_rows, make_rng, open_unit, standard_normal
 
-_VALUE_BOUND = np.finfo(float).max / 4  # the largest |value| an oracle may return
+_MAX = np.finfo(float).max
+_VALUE_BOUND = _MAX / 4  # the largest |value| an oracle may return
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
@@ -27,7 +28,7 @@ class OracleError(ValueError):
 class EqPolicy:
     """Relative equality standing in for exact-real comparison.
 
-    a == b iff |a - b| <= REL_TOL * max(|a|, |b|, mag) + tiny, symmetric.  `mag`
+    a == b iff |a - b| <= REL_TOL * min(max(|a|, |b|, mag), float max) + tiny, symmetric.  `mag`
     is the magnitude of the operands a and b were summed from: rounding error
     scales with the operands, not the result.  REL_TOL leaves ~6 orders of
     magnitude above double rounding error.  tiny (the smallest normal double)
@@ -42,7 +43,8 @@ class EqPolicy:
 
     def eq_arr(self, a, b, mag=0.0) -> np.ndarray:
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return np.abs(a - b) <= self.REL_TOL * np.maximum(np.maximum(abs(a), abs(b)), mag) + _TINY
+        scale = np.minimum(np.maximum(np.maximum(abs(a), abs(b)), mag), _MAX)  # inf equals nothing
+        return np.abs(a - b) <= self.REL_TOL * scale + _TINY
 
 
 def scaled_norms(xs):

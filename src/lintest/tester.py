@@ -104,27 +104,28 @@ class Verdict:
         return {k: v for k, v in vars(self).items() if k != "transcript"}
 
 
-def _stage(f: FunctionOracle, start: int, rounds: int, per_round: int, step) -> Verdict:
-    """Run a stage's rounds in chunks, rejecting at the first failing round.
+def _stage(f: FunctionOracle, start: int, rows: np.ndarray, per_round: int, step) -> Verdict:
+    """Run a stage's rounds in chunks of `rows`, each round's input, rejecting at the first failure.
 
-    A chunk ends at the stage's end, the next multiple of `_CHUNK` rounds or the
-    next edge of doubling chunks that start at one oracle block of the stage's
-    widest call (`per_round` points a round), whichever comes first: a reject at
-    round r has evaluated no later chunk, and at most 2r rounds and one block.
-    step(m, done) evaluates the m rounds after the first `done` and returns a dict
-    from each reject site, in the order a round runs its checks, to the rounds
-    that passed it, and a function from (site, round) to the witness.
+    All rows are drawn before the first chunk.  A chunk ends at the stage's end, the next
+    multiple of `_CHUNK` rounds or the next edge of doubling chunks that start at one oracle
+    block of the stage's widest call (`per_round` points a round), whichever comes first: a
+    reject at round r has evaluated no later chunk, and at most 2r rounds and one block.
+    step(chunk) evaluates the rounds of its slice of `rows` and returns a dict from each reject
+    site, in the order a round runs its checks, to the rounds that passed it, and a tuple of
+    per-round values; a witness is (site, the round's point(s) as lists, its entry of each).
     """
     first = max(1, _BATCH_DOUBLES // (per_round * f.dim))
     site, transcript, done, edge = None, [], 0, first
-    while site is None and done < rounds:
-        end = min(rounds, edge, done - done % _CHUNK + _CHUNK)
-        checks, witness = step(end - done, done)
+    while site is None and done < len(rows):
+        end = min(len(rows), edge, done - done % _CHUNK + _CHUNK)
+        checks, values = step(rows[done:end])
         passed = functools.reduce(np.logical_and, checks.values())
         i = int(np.argmin(passed))
         if not passed[i]:
             site = next(s for s, ok in checks.items() if not ok[i])
-            transcript = [witness(site, i)]
+            points = rows[done + i].reshape(-1, f.dim).tolist()
+            transcript = [(site, *points, *(v[i].item() for v in values))]
         done, edge = end, 2 * edge + first if end == edge else edge
     return Verdict("accept" if site is None else "reject", site, f.query_count - start, transcript)
 
@@ -152,18 +153,17 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
     """The constant-round identity battery over N(0,I).
 
     Per round, on fresh x, y, z ~ N(0,I): reject unless f(-x) = -f(x),
-    f(x-y) = f(x) - f(y), and f((x-y)/2) = f((x-z)/2) + f((z-y)/2).
+    f(x-y) = f(x) - f(y), and f((x-y)/2) = f((x-z)/2) + f((z-y)/2).  Every
+    round's x, y, z are drawn in one call before the first chunk.
     """
     rng = rng if rng is not None else make_rng(cfg.seed)
     eq = cfg.policy.eq_arr
     n = f.dim
 
-    def step(m, _):
-        xyz = standard_normal(rng, (m, 3, n)).transpose(1, 0, 2)  # one row per round
-
+    def step(chunk):
         def build(lo, hi):
             pts = np.empty((8, hi - lo, n))  # -x, x | x-y, x, y | (x-y)/2, (x-z)/2, (z-y)/2
-            pts[1], pts[4], pts[7] = xyz[:, lo:hi]  # strided rows read once, no other array
+            pts[1], pts[4], pts[7] = chunk[lo:hi].transpose(1, 0, 2)  # strided, read once
             x, y, z = pts[1], pts[4], pts[7]
             np.negative(x, out=pts[0])
             pts[3] = x
@@ -172,13 +172,13 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
             z -= y  # pts[7] becomes z - y after z's last read
             pts[5:] *= 0.5
             return pts
-        f_negx, f_x1, f_xy, f_x2, f_y, h1, h2, h3 = _query_blocks(f, m, 8, build)
-        checks = {"negation": eq(f_negx, -f_x1),
-                  "difference": eq(f_xy, f_x2 - f_y, np.abs(f_x2) + np.abs(f_y)),
-                  "three-point": eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))}
-        return checks, lambda site, i: (site, *xyz[:, i].tolist())
+        f_negx, f_x1, f_xy, f_x2, f_y, h1, h2, h3 = _query_blocks(f, len(chunk), 8, build)
+        return {"negation": eq(f_negx, -f_x1),
+                "difference": eq(f_xy, f_x2 - f_y, np.abs(f_x2) + np.abs(f_y)),
+                "three-point": eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))}, ()
 
-    return _stage(f, f.query_count, cfg.rounds_testadd, QUERIES_PER_ADDITIVITY_ROUND, step)
+    xyz = standard_normal(rng, (cfg.rounds_testadd, 3, n))
+    return _stage(f, f.query_count, xyz, QUERIES_PER_ADDITIVITY_ROUND, step)
 
 
 # the algorithm name collides with test-collection heuristics
@@ -240,9 +240,9 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
     """The identity battery, then the main loop comparing f(p) with the g-probe at p.
 
     The main-loop points come from d, or from N(0,I) on the tester's own
-    stream when d is None.  All of them are drawn before the first chunk (one
-    `draw_many` from d), so the stream yields every point and then the
-    probes' x_i in row order whatever the chunk sizes.
+    stream when d is None, all in one call before the first chunk, so the
+    stream yields every point and then the probes' x_i in row order.  Both
+    sites' witnesses are (site, p, f(p), e, v_1).
     """
     rng = make_rng(cfg.seed)
     start = f.query_count
@@ -252,22 +252,16 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
     rounds = cfg.rounds_main
     drawn = standard_normal(rng, (rounds, f.dim)) if d is None else d.draw_many(rounds)
 
-    def step(m, done):
-        points = drawn[done:done + m]
-        fp = _query_blocks(f, m, 1, lambda lo, hi: points[None, lo:hi])[0]
+    def step(points):
+        fp = _query_blocks(f, len(points), 1, lambda lo, hi: points[None, lo:hi])[0]
         es, agree, v1, mag1 = probe_g(f, points, cfg, rng)
         # f(p)/k_p against v_1 = g(p)/k_p, each only scaled down: neither passes float max
         # (k_p * v_1 may), and the band's floor stays at f(p)'s own scale where k_p < 1.
         lo = np.minimum(es, 0)
+        f_ne_g = cfg.policy.eq_arr(*np.ldexp([fp, v1, mag1], [lo - es, lo, lo]))
+        return {"query-g-disagreement": agree, "f!=g": f_ne_g}, (fp, es, v1)
 
-        def witness(site, i):
-            if site == "query-g-disagreement":
-                return "query-g", points[i].tolist()
-            return site, points[i].tolist(), float(fp[i]), int(es[i]), float(v1[i])
-        return {"query-g-disagreement": agree,
-                "f!=g": cfg.policy.eq_arr(*np.ldexp([fp, v1, mag1], [lo - es, lo, lo]))}, witness
-
-    return _stage(f, start, rounds, 2 * cfg.rounds_queryg, step)
+    return _stage(f, start, drawn, 2 * cfg.rounds_queryg, step)
 
 
 def run_gaussian_additivity(f: FunctionOracle, cfg: TesterConfig) -> Verdict:
@@ -305,16 +299,13 @@ class OddOracle(FunctionOracle):
 
 def force_negativity(f: FunctionOracle, d: SampleDistribution,
                      cfg: TesterConfig) -> tuple[OddOracle | None, Verdict]:
-    """Check f(-x) = -f(x) on draws from d; on success return the odd wrapper."""
-    drawn = d.draw_many(cfg.rounds_forceneg)  # one call, as the main loop's: chunks move no row
+    """Check f(-x) = -f(x) on draws from d, all made before the first chunk; a witness is
+    (site, x, f(x), f(-x)).  On success return the odd wrapper."""
+    def step(xs):
+        a, b = _query_blocks(f, len(xs), 2, lambda lo, hi: np.array([xs[lo:hi], -xs[lo:hi]]))
+        return {"force-negativity": cfg.policy.eq_arr(b, -a)}, (a, b)
 
-    def step(m, done):
-        xs = drawn[done:done + m]
-        a, b = _query_blocks(f, m, 2, lambda lo, hi: np.array([xs[lo:hi], -xs[lo:hi]]))
-        return ({"force-negativity": cfg.policy.eq_arr(b, -a)},
-                lambda site, i: (site, xs[i].tolist(), float(a[i]), float(b[i])))
-
-    verdict = _stage(f, f.query_count, cfg.rounds_forceneg, 2, step)
+    verdict = _stage(f, f.query_count, d.draw_many(cfg.rounds_forceneg), 2, step)
     return (OddOracle(f) if verdict.accepted else None), verdict
 
 

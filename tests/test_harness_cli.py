@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from lintest import cli, harness, lower_bound, tester
 from lintest.cli import main
+from lintest.gauss_core import GaussianError
 from lintest.harness import (
     SpecError,
     build_distribution,
@@ -316,14 +317,23 @@ def test_lower_bound_fans_out_trials_not_cells(monkeypatch, fresh_workers, share
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     one_cell = run_lower_bound({"n": 4, "trials": 20, "seed": 1}, jobs=2)
     grid = run_lower_bound({"n_list": [4, 6], "trials": 20, "seed": 1}, jobs=2)
-    assert _one_share_each(shares[0], 2) == [[(0, t) for t in range(10)],
-                                             [(0, t) for t in range(10, 20)]]
+    # item k is trial k // cells of cell k % cells
+    assert _one_share_each(shares[0], 2) == [list(range(10)), list(range(10, 20))]
     for share in _one_share_each(shares[1], 2):  # trial-major: a slice of both cells each
-        assert len(share) == 20 and {cell for cell, _ in share} == {0, 1}
+        assert len(share) == 20 and {k % 2 for k in share} == {0, 1}
     for report, spec in ((one_cell, {"n": 4}), (grid, {"n_list": [4, 6]})):
         fanned, serial = _reports_without_wall_clock(
             report, run_lower_bound({**spec, "trials": 20, "seed": 1}))
         assert fanned == serial
+
+
+def test_lower_bound_fans_out_a_range_of_trial_indices(monkeypatch):
+    # A range's shares are ranges, so each message has one size however many trials run.
+    seen, fan_out = [], harness._fan_out
+    monkeypatch.setattr(harness, "_fan_out",
+                        lambda fn, items, jobs: seen.append(items) or fan_out(fn, items, jobs))
+    run_lower_bound({"n_list": [4, 6], "C_list": [0.01, 0.1], "trials": 3, "seed": 1})
+    assert seen == [range(12)]
 
 
 def _reports_without_wall_clock(*reports):
@@ -671,15 +681,25 @@ def test_an_empirical_dataset_is_read_once_per_call(tmp_path, monkeypatch, fresh
     assert reads() == 2
 
 
+# a sampler covariance with a negative eigenvalue, which only a draw would have refused
+_INDEFINITE = {"kind": "shifted-gaussian", "mean": [0.0] * 4,
+               "cov": np.diag([1.0, 1.0, 1.0, -1.0]).tolist()}
+
+
 @pytest.mark.parametrize("bad, word", [
     ({"oracle": {"family": "linear", "dim": 2, "w_explicit": [1.0]}}, "w_explicit"),
     ({"algorithm": "df-additivity", "distribution": {"kind": "standard-gaussian"}}, "dim"),
     ({"algorithm": "df-additivity", "distribution": {"kind": "empirical", "path": "no.csv"}},
      "no.csv"),
+    ({"algorithm": "df-additivity", "distribution": _INDEFINITE}, "positive semidefinite"),
+    ({"algorithm": "df-additivity", "distribution": {
+        "kind": "mixture", "weights": [0.5, 0.5],
+        "components": [{"kind": "standard-gaussian", "dim": 4}, _INDEFINITE]}},
+     "positive semidefinite"),
 ])
 def test_a_bad_oracle_or_distribution_fails_before_any_trial(monkeypatch, bad, word):
     monkeypatch.setattr(harness, "_fan_out", lambda *args: pytest.fail("a trial ran"))
-    with pytest.raises((SpecError, OSError), match=word):
+    with pytest.raises((SpecError, OSError, GaussianError), match=word):
         run_calibrate({**_linear_spec(trials=4), **bad}, jobs=2)
 
 

@@ -110,6 +110,22 @@ def test_game_hard_cell_stays_near_chance():
     assert report.bound_respected
 
 
+def test_bound_respected_is_an_exact_binomial_tail():
+    # A cell fails only if P(Bin(trials, 1/2 + mean TV/2) >= successes) < 1e-4.
+    cfg = LowerBoundConfig(n=4, trials=20)
+
+    def respected(wins, tv):
+        outcomes = [(t < wins, tv, 0.0, 0) for t in range(cfg.trials)]
+        return game_report(cfg, outcomes).bound_respected
+    assert respected(16, 0.0) is True  # P = 0.0059
+    assert respected(18, 0.0) is True  # P = 2.0e-4
+    assert respected(19, 0.0) is False  # P = 2.0e-5
+    assert respected(20, 0.0) is False
+    assert respected(20, 1.0) is True  # 1/2 + TV/2 = 1: every rate is allowed
+    assert respected(20, 3.0) is True  # a TV bound above 1 caps there
+    assert respected(0, 0.0) is True
+
+
 def test_game_report_is_deterministic_and_json_complete():
     cfg = LowerBoundConfig(n=6, C=0.05, trials=50, seed=6)
     report = run_distinguish_game(cfg)

@@ -64,6 +64,17 @@ def test_eq_arr_matches_scalar():
     assert not pol.eq_arr(1e-3, 0.0)
 
 
+def test_an_infinite_operand_equals_nothing():
+    # |a - b| = inf would meet a band of REL_TOL * inf: the band's scale stops at float max
+    pol = EqPolicy()
+    big = np.finfo(float).max
+    a = [np.inf, 1.0, -np.inf, np.inf, big]
+    b = [1.0, -np.inf, np.inf, big, np.inf]
+    assert not np.any(pol.eq_arr(a, b)) and not np.any(pol.eq_arr(b, a, mag=np.inf))
+    assert not pol.eq(np.inf, 1.0) and not pol.eq(1.0, -np.inf)
+    assert pol.eq_arr(big, big * (1 - 1e-12))  # the largest finite band still holds
+
+
 # away from 0, no operand, difference or band below comes near the subnormals
 _NOT_TINY = st.floats(-1e9, 1e9).filter(lambda x: x == 0 or abs(x) > 1e-200)
 

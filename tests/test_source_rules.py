@@ -64,6 +64,35 @@ def test_tester_builds_every_verdict_in_its_stage_runner():
     assert len(verdicts(tree)) == len(verdicts(stage)) == 1
 
 
+def _own_returns(fn):
+    """The return statements of fn itself, not of the functions nested in it."""
+    todo, found = list(fn.body), []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_tester_step_returns_a_function():
+    # A step hands _stage its checks and per-round values; _stage builds the one witness,
+    # so no step returns a lambda or a function it defines.
+    steps = [node for node in ast.walk(TREES["tester.py"])
+             if isinstance(node, ast.FunctionDef) and node.name == "step"]
+    found = []
+    for step in steps:
+        nested = {node.name for node in ast.walk(step)
+                  if isinstance(node, ast.FunctionDef) and node is not step}
+        for ret in _own_returns(step):
+            parts = ret.value.elts if isinstance(ret.value, ast.Tuple) else [ret.value]
+            found += [ret.lineno for part in parts if isinstance(part, ast.Lambda)
+                      or (isinstance(part, ast.Name) and part.id in nested)]
+    assert len(steps) == 3
+    assert found == []
+
+
 def test_tester_config_holds_only_epsilon_r_and_seed():
     # The paper fixes every repetition count as a function of epsilon alone,
     # so no field may override the round schedule.

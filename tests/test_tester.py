@@ -398,9 +398,9 @@ def test_only_the_last_oracle_call_of_a_chunk_is_short(monkeypatch, n, epsilon, 
     monkeypatch.setattr(tester, "_CHUNK", chunk)
     stages, stage = [], tester._stage
 
-    def spy(f, start, rounds, per_round, step):
-        stages.append((len(calls), rounds, per_round))
-        return stage(f, start, rounds, per_round, step)
+    def spy(f, start, rows, per_round, step):
+        stages.append((len(calls), len(rows), per_round))
+        return stage(f, start, rows, per_round, step)
     monkeypatch.setattr(tester, "_stage", spy)
     cfg = TesterConfig(epsilon=epsilon, seed=24)
     for run in (lambda f: run_gaussian_additivity(f, cfg),
@@ -732,6 +732,26 @@ def test_seeded_far_verdicts_are_pinned():
         digest = hashlib.sha256(repr(v.transcript).encode()).hexdigest()[:16]
         found[alg, name] = (v.outcome, v.reject_site, v.queries_used, digest)
     assert found == _PINNED_VERDICTS
+
+
+def test_every_witness_names_the_site_that_rejected():
+    # _stage builds every witness as (site, point(s), values), so its first entry is the
+    # verdict's reject site.  reject-far's six families (the hidden halfspace among them)
+    # reject in the battery, force-negativity or at f!=g; a rare corruption (N(0,I)-mass
+    # 3e-4 at epsilon 0.01) lets the battery pass and the probe of g disagree.
+    w = random_linear(4, w_seed=8).w
+    cases = [(make, dist, 0.1) for make, dist in _far_families(10).values()]
+    cases.append((lambda: CorruptedLinear.with_mass(w, 3e-4),
+                  lambda seed: StandardGaussian(4, seed=seed), 0.01))
+    sites = set()
+    for (make, dist, epsilon), seed in itertools.product(cases, range(10)):
+        cfg = TesterConfig(epsilon=epsilon, seed=seed)
+        for v in (run_gaussian_additivity(make(), cfg), run_df_additivity(make(), dist(seed), cfg),
+                  run_df_linearity(make(), dist(seed), cfg)):
+            if not v.accepted:
+                assert v.transcript[0][0] == v.reject_site
+                sites.add(v.reject_site)
+    assert sites == _BATTERY_SITES | _MAIN_SITES | {"force-negativity"}
 
 
 # --- self-corrected probe ---------------------------------------------------------
