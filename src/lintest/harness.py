@@ -1,10 +1,11 @@
 """Experiment harness: spec parsing, trial fan-out, and report assembly.
 
-Specs are JSON dicts, and one table fixes each spec context's keys with their
-JSON types and defaults.  Every trial (a tester run, or one game trial of a
-lower-bound grid cell) derives its own seeds from the master seed through the
-mixing hash, so reports are byte-identical across re-runs and across worker
-schedules, wall-clock aside.
+Specs are JSON dicts.  `_parse` applies every rule that reads one spec object,
+from tables of typed keys with defaults (the library configs' where they share
+a key) and of key pairs that say one thing two ways; builders and runners check
+only rules that join keys.  Every trial derives its seeds from the master seed
+through the mixing hash, so reports are byte-identical across re-runs and across
+worker schedules, wall-clock aside.
 """
 
 from __future__ import annotations
@@ -75,15 +76,18 @@ def _choice(*words: str) -> _Type:
 # Exact Python types of parsed JSON, so that true is no number, and exact comparisons,
 # so that NaN, infinities, numbers beyond the double range and ints beyond 64 bits fail.
 _INT = _Type("a 64-bit integer", lambda v: type(v) is int and -2**63 <= v < 2**63)
+_POSITIVE = _Type("a positive 64-bit integer", lambda v: _INT.test(v) and v > 0)
 _NUMBER = _Type("a finite number", lambda v: _NUMBERS.test([v]))
 _OBJECT = _Type("a JSON object", lambda v: type(v) is dict)
 _STRING = _Type("a string", lambda v: type(v) is str)
 _NUMBERS = _Type("a nonempty list of finite numbers",  # builtins only, for long weight/cov lists
                  lambda v: type(v) is list and v != [] and {int, float}.issuperset(map(type, v))
                  and all(map(sys.float_info.max.__ge__, map(abs, v))))
+_DECREASING = _Type("a strictly decreasing nonempty list of finite numbers",
+                    lambda v: _NUMBERS.test(v) and all(a > b for a, b in zip(v, v[1:])))
 _REQUIRED = object()  # in place of a default: the spec must give the key
 
-_LINEAR = {"family": (_STRING, _REQUIRED), "dim": (_INT, _REQUIRED), "w_seed": (_INT, 0),
+_LINEAR = {"family": (_STRING, _REQUIRED), "dim": (_POSITIVE, _REQUIRED), "w_seed": (_INT, 0),
            "w_explicit": (_NUMBERS, None)}  # None: the weights come from w_seed
 _SAMPLER = {"kind": (_STRING, "standard-gaussian")}
 
@@ -96,25 +100,26 @@ _SCHEMAS = {
                       "df-additivity"),
         "oracle": (_OBJECT, _REQUIRED), "epsilon": (_NUMBER, _REQUIRED),
         "distribution": (_OBJECT, None),  # None: N(0, I) in the oracle's dimension
-        "trials": (_INT, 1), "seed": (_INT, 0), "r": (_INT, 50)},
+        "trials": (_POSITIVE, 1), "seed": (_INT, 0), "r": (_INT, TesterConfig.r)},
     "query-scaling": {
-        "epsilons": (_NUMBERS, _REQUIRED), "seed": (_INT, 0), "r": (_INT, 50),
+        "epsilons": (_DECREASING, _REQUIRED), "seed": (_INT, 0), "r": (_INT, TesterConfig.r),
         "oracle": (_OBJECT, {"family": "linear", "dim": 10, "w_seed": 1})},
     "lower-bound": {
-        "n": (_INT, None), "n_list": (_list_of("integers", _INT), None),  # one of the two
-        "C": (_NUMBER, 0.01), "C_list": (_NUMBERS, None), "trials": (_INT, 1000),
+        "n": (_INT, None), "n_list": (_list_of("integers", _INT), None),
+        "C": (_NUMBER, LowerBoundConfig.C), "C_list": (_NUMBERS, None),
+        "trials": (_INT, LowerBoundConfig.trials),
         "seed": (_INT, 0), "delta_override": (_or_null(_NUMBER), None)},
     "linear": _LINEAR,
     "constant-shift-linear": {**_LINEAR, "shift": (_NUMBER, 1.0)},
     "corrupted-linear": {**_LINEAR, "corruption": (_OBJECT, {})},
     "noisy-linear": {**_LINEAR, "noise": (_OBJECT, {})},
-    "norm": {"family": (_STRING, _REQUIRED), "dim": (_INT, _REQUIRED)},
+    "norm": {"family": (_STRING, _REQUIRED), "dim": (_POSITIVE, _REQUIRED)},
     "corruption": {
-        "mass": (_NUMBER, None), "threshold": (_NUMBER, None),  # mass, or threshold
+        "mass": (_NUMBER, None), "threshold": (_NUMBER, None),
         "payload": (_NUMBER, 1.0), "direction": (_or_null(_NUMBERS), None),  # the first axis
         "odd_symmetric": (_Type("true or false", lambda v: type(v) is bool), False)},
     "noise": {"delta": (_NUMBER, _REQUIRED), "seed": (_INT, 0)},
-    "standard-gaussian": {**_SAMPLER, "dim": (_INT, _REQUIRED)},
+    "standard-gaussian": {**_SAMPLER, "dim": (_POSITIVE, _REQUIRED)},
     "shifted-gaussian": {
         **_SAMPLER, "mean": (_NUMBERS, _REQUIRED),
         "cov": (_or_null(_list_of("nonempty lists of finite numbers", _NUMBERS)),
@@ -123,13 +128,24 @@ _SCHEMAS = {
                 "components": (_list_of("JSON objects", _OBJECT), _REQUIRED)},
     "empirical": {**_SAMPLER, "path": (_STRING, _REQUIRED)},
 }
+# The contexts named by a key of the spec: that key and its default.
+_VARIANTS = {"oracle": ("family", None), "distribution": ("kind", _SAMPLER["kind"][1])}
+# Pairs of keys that say one thing two ways: never both, and, where True, one of them.
+_EITHER = {("w_seed", "w_explicit"): False, ("mass", "threshold"): True,
+           ("n", "n_list"): True, ("C", "C_list"): False}
 
 
 def _parse(spec, context: str) -> dict:
-    """`spec` checked against its context's schema, with the defaults filled in."""
+    """`spec` checked against its context's schema and key pairs, defaults filled in."""
     where = f"{context} spec"
     if type(spec) is not dict:
         raise SpecError(f"{where} must be a JSON object, got {spec!r}")
+    if context in _VARIANTS:  # an oracle family or a distribution kind: the spec names it
+        key, default = _VARIANTS[context]
+        name = spec.get(key, default)
+        if type(name) is not str or key not in _SCHEMAS.get(name, ()):
+            raise SpecError(f"unknown {context} {key}: {name!r}")
+        context, where = name, f"{name} spec"
     schema = _SCHEMAS[context]
     unknown = spec.keys() - schema.keys()
     if unknown:
@@ -138,6 +154,11 @@ def _parse(spec, context: str) -> dict:
         kind = schema[key][0]
         if not kind.test(value):
             raise SpecError(f"'{key}' in {where} must be {kind.name}, got {value!r}")
+    for (one, other), needed in _EITHER.items():
+        if one in spec and other in spec:
+            raise SpecError(f"give '{one}' or '{other}', not both")
+        if needed and one in schema and one not in spec and other not in spec:
+            raise SpecError(f"{where} needs '{one}' or '{other}'")
     parsed = {key: default for key, (_, default) in schema.items()} | spec
     missing = [key for key, value in parsed.items() if value is _REQUIRED]
     if missing:
@@ -145,29 +166,10 @@ def _parse(spec, context: str) -> dict:
     return parsed
 
 
-def _variant(spec, group: str, key: str, default=None) -> str:
-    """The oracle family or distribution kind that `spec` names by `key`: its context."""
-    if type(spec) is not dict:
-        raise SpecError(f"{group} spec must be a JSON object, got {spec!r}")
-    name = spec[key] if key in spec else default
-    if type(name) is not str or key not in _SCHEMAS.get(name, ()):
-        raise SpecError(f"unknown {group} {key}: {name!r}")
-    return name
-
-
-def _one_of(spec: dict, one: str, other: str):
-    if one in spec and other in spec:
-        raise SpecError(f"give '{one}' or '{other}', not both")
-
-
 def build_oracle(spec: dict) -> FunctionOracle:
     """Instantiate the oracle its JSON spec fixes, noise key included."""
-    family = _variant(spec, "oracle", "family")
-    _one_of(spec, "w_seed", "w_explicit")
-    spec = _parse(spec, family)
-    dim = spec["dim"]
-    if dim < 1:
-        raise SpecError("oracle spec needs a positive 'dim'")
+    spec = _parse(spec, "oracle")
+    family, dim = spec["family"], spec["dim"]
     if family == "norm":
         return NormOracle(dim)
     if spec["w_explicit"] is None:
@@ -182,9 +184,6 @@ def build_oracle(spec: dict) -> FunctionOracle:
         return ConstantShiftLinear(w, float(spec["shift"]))
     if family == "corrupted-linear":
         c = _parse(spec["corruption"], "corruption")
-        _one_of(spec["corruption"], "mass", "threshold")
-        if c["threshold"] is None and c["mass"] is None:
-            raise SpecError("corruption spec needs 'mass' or 'threshold'")
         if c["threshold"] is None:  # with_mass takes a null direction as the first axis
             return CorruptedLinear.with_mass(w, float(c["mass"]), float(c["payload"]),
                                              c["direction"], c["odd_symmetric"])
@@ -197,8 +196,8 @@ def build_oracle(spec: dict) -> FunctionOracle:
 
 def build_distribution(spec: dict) -> SampleDistribution:
     """Instantiate a sampler from its JSON spec; `restarted(seed)` keys its streams."""
-    kind = _variant(spec, "distribution", "kind", _SAMPLER["kind"][1])
-    spec = _parse(spec, kind)
+    spec = _parse(spec, "distribution")
+    kind = spec["kind"]
     if kind == "standard-gaussian":
         return StandardGaussian(spec["dim"])
     if kind == "shifted-gaussian":
@@ -306,8 +305,6 @@ def run_calibrate(spec: dict, jobs: int = 1) -> dict:
         raise SpecError("gaussian-additivity measures distance under N(0,I) "
                         "and reads no 'distribution'")
     trials = parsed["trials"]
-    if trials < 1:
-        raise SpecError("trials must be >= 1")
 
     start = time.perf_counter()
     cfg = TesterConfig(epsilon=float(parsed["epsilon"]), r=parsed["r"])
@@ -340,8 +337,6 @@ def run_query_scaling(spec: dict) -> dict:
     """Sweep epsilon and compare measured accept-path queries to the closed form."""
     parsed = _parse(spec, "query-scaling")
     epsilons = [float(e) for e in parsed["epsilons"]]
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise SpecError("'epsilons' must be strictly decreasing")
     seed = parsed["seed"]
 
     start = time.perf_counter()
@@ -380,10 +375,6 @@ def _play(cells: list, k: int):
 def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
     """Run the distinguishing game over an (n, C) grid, fanned out by trial."""
     parsed = _parse(spec, "lower-bound")
-    _one_of(spec, "n", "n_list")
-    _one_of(spec, "C", "C_list")
-    if parsed["n"] is None and parsed["n_list"] is None:
-        raise SpecError("lower-bound needs 'n' or 'n_list'")
     n_list = [parsed["n"]] if parsed["n_list"] is None else parsed["n_list"]
     c_list = [parsed["C"]] if parsed["C_list"] is None else parsed["C_list"]
     seed = parsed["seed"]
@@ -394,6 +385,8 @@ def run_lower_bound(spec: dict, jobs: int = 1) -> dict:
                               seed=derive_seed(seed, i, j),
                               delta_override=None if override is None else float(override))
              for i, n in enumerate(n_list) for j, c in enumerate(c_list)]
+    if parsed["trials"] * len(cells) > sys.maxsize:  # past it, a range of trials has no len
+        raise SpecError(f"'trials' times {len(cells)} grid cells must be at most {sys.maxsize}")
     # Trial-major, so that each worker's contiguous share holds a slice of
     # every cell, whatever the cells cost; only ranges of indices are shipped.
     outcomes = _fan_out(functools.partial(_play, cells), range(parsed["trials"] * len(cells)), jobs)

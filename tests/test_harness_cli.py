@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import gc
 import io
@@ -95,6 +96,66 @@ def test_readme_lists_the_keys_of_every_spec_context():
                                    for context, keys in harness._SCHEMAS.items()}
 
 
+# A value of every key that an either-or pair or a required key of its context needs.
+_GIVEN = {"dim": 1, "w_seed": 1, "w_explicit": [1.0], "mass": 0.3, "threshold": 5.0,
+          "n": 4, "n_list": [4], "C": 0.01, "C_list": [0.01]}
+_PAIRS = [(context, pair, needed) for context, schema in harness._SCHEMAS.items()
+          for pair, needed in harness._EITHER.items() if set(pair) <= schema.keys()]
+
+
+def test_each_either_or_pair_is_read_by_its_contexts():
+    assert {(context, pair) for context, pair, _ in _PAIRS} == {
+        *((family, ("w_seed", "w_explicit")) for family in
+          ("linear", "constant-shift-linear", "corrupted-linear", "noisy-linear")),
+        ("corruption", ("mass", "threshold")), ("lower-bound", ("n", "n_list")),
+        ("lower-bound", ("C", "C_list"))}
+
+
+@pytest.mark.parametrize("context, pair, needed", _PAIRS)
+def test_parse_refuses_both_keys_of_a_pair_and_neither_of_a_required_one(context, pair, needed):
+    one, other = pair
+    base = {key: context if key == "family" else _GIVEN[key]
+            for key, (_, default) in harness._SCHEMAS[context].items()
+            if default is harness._REQUIRED}
+    if context == "lower-bound" and one == "C":
+        base["n"] = 4  # the required pair beside this one
+    with pytest.raises(SpecError, match=f"give '{one}' or '{other}', not both"):
+        harness._parse({**base, one: _GIVEN[one], other: _GIVEN[other]}, context)
+    assert harness._parse({**base, other: _GIVEN[other]}, context)[other] == _GIVEN[other]
+    if needed:
+        with pytest.raises(SpecError, match=f"{context} spec needs '{one}' or '{other}'"):
+            harness._parse(base, context)
+
+
+_FAMILIES = {"linear": {}, "constant-shift-linear": {}, "norm": {},
+             "corrupted-linear": {"corruption": {"mass": 0.3}},
+             "noisy-linear": {"noise": {"delta": 0.1}}}
+
+
+@pytest.mark.parametrize("dim", [0, -2])
+@pytest.mark.parametrize("build, spec, context", [
+    *((build_oracle, {"family": family, **keys}, family) for family, keys in _FAMILIES.items()),
+    (build_distribution, {"kind": "standard-gaussian"}, "standard-gaussian"),
+    (build_distribution, {}, "standard-gaussian"),
+])
+def test_every_dimension_below_one_is_refused_naming_dim(build, spec, context, dim):
+    assert set(_FAMILIES) == {c for c, schema in harness._SCHEMAS.items() if "family" in schema}
+    with pytest.raises(SpecError, match=f"'dim' in {context} spec must be a positive"):
+        build({**spec, "dim": dim})
+
+
+def test_spec_defaults_are_the_library_config_defaults():
+    configs = {"calibrate": tester.TesterConfig, "query-scaling": tester.TesterConfig,
+               "lower-bound": lower_bound.LowerBoundConfig}
+    shared = [(context, field) for context, config in configs.items()
+              for field in dataclasses.fields(config) if field.name in harness._SCHEMAS[context]
+              and field.default is not dataclasses.MISSING]
+    assert {(context, field.name) for context, field in shared} >= {
+        ("calibrate", "r"), ("query-scaling", "r"), ("lower-bound", "C"), ("lower-bound", "trials")}
+    for context, field in shared:
+        assert harness._SCHEMAS[context][field.name][1] == field.default, (context, field.name)
+
+
 def test_build_oracle_families():
     assert isinstance(build_oracle({"family": "linear", "dim": 3}), LinearOracle)
     assert isinstance(build_oracle({"family": "norm", "dim": 3}), NormOracle)
@@ -131,6 +192,7 @@ def test_build_oracle_explicit_weights_and_errors():
     ({"family": "constant-shift-linear", "dim": 2, "corruption": {"mass": 0.3}}, "corruption"),
     ({"family": "noisy-linear", "dim": 2, "shift": 1.0, "noise": {"delta": 0.1}}, "shift"),
     ({"family": "linear", "dim": 2, "w_seed": 1, "w_explicit": [1.0, 2.0]}, "not both"),
+    ({"family": "norm", "dim": 2, "w_seed": 1, "w_explicit": [1.0, 2.0]}, "unknown field"),
 ])
 def test_build_oracle_rejects_keys_its_family_does_not_read(spec, word):
     with pytest.raises(SpecError, match=word):
@@ -513,7 +575,7 @@ def test_run_calibrate_validation():
         run_calibrate({"oracle": {"family": "linear", "dim": 2}})
     with pytest.raises(SpecError):
         run_calibrate(_linear_spec(algorithm="quantum"))
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="'trials' in calibrate spec must be a positive"):
         run_calibrate(_linear_spec(trials=0))
 
 
@@ -913,8 +975,10 @@ def test_cli_rejects_spec_keys_the_command_does_not_read(tmp_path, command, spec
     ({**_LINEAR, "family": "corrupted-linear",
       "corruption": {"threshold": 1.0, "direction": [1.0, 0.0, 0.0]}},
      "OracleError", "corruption direction dimension mismatch"),
-    ({**_LINEAR, "dim": 0}, "SpecError", "oracle spec needs a positive 'dim'"),
-    ({"family": "norm", "dim": -2}, "SpecError", "oracle spec needs a positive 'dim'"),
+    ({**_LINEAR, "dim": 0}, "SpecError",
+     "'dim' in linear spec must be a positive 64-bit integer, got 0"),
+    ({"family": "norm", "dim": -2}, "SpecError",
+     "'dim' in norm spec must be a positive 64-bit integer, got -2"),
 ])
 def test_cli_refuses_an_oracle_it_cannot_build(tmp_path, oracle, error, message):
     path = _write_spec(tmp_path, {"oracle": oracle, "epsilon": 0.2})
@@ -1093,6 +1157,37 @@ def test_cli_rejects_mass_with_threshold(tmp_path):
     payload = json.loads(lines[-1])
     assert len(lines) == 1 and payload["error"] == "SpecError"
     assert "mass" in payload["message"] and "threshold" in payload["message"]
+
+
+def test_cli_refuses_a_lower_bound_grid_of_2_to_the_63_trials(tmp_path):
+    # 4 cells of 2^62 trials each: each key alone is a 64-bit integer, the grid is not.
+    spec = {"n_list": [4, 6], "C_list": [0.01, 0.1], "trials": 2**62}
+    result = CliRunner().invoke(main, ["lower-bound", "--spec", _write_spec(tmp_path, spec)])
+    assert result.exit_code == 2, result.output
+    err = getattr(result, "stderr", "") or result.output
+    (line,) = err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "SpecError" and "'trials'" in payload["message"]
+
+
+def test_a_lower_bound_grid_of_sys_maxsize_trials_reaches_the_fan_out(monkeypatch):
+    seen = []
+
+    def stop(fn, items, jobs):
+        seen.append(len(items))
+        raise RuntimeError("stop before any trial")
+
+    monkeypatch.setattr(harness, "_fan_out", stop)
+    with pytest.raises(RuntimeError, match="stop"):
+        run_lower_bound({"n_list": [4, 6], "C_list": [0.01, 0.1], "trials": sys.maxsize // 4})
+    assert seen == [sys.maxsize // 4 * 4]
+
+
+def test_readmes_example_spec_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    report = run_calibrate(json.loads(block))
+    assert report["aggregates"]["trials"] == 500 and report["aggregates"]["reject_rate"] == 1.0
 
 
 def test_cli_json_report_is_one_line(tmp_path):

@@ -147,3 +147,18 @@ def test_calibrate_trials_parse_build_and_read_nothing():
                 elif called in defs and called not in seen:
                     todo.append(called)
     assert found == []
+
+
+def test_harness_refuses_specs_only_in_parse_and_the_cross_key_checks():
+    # A rule that reads one spec object lives in _parse's tables; a builder or runner
+    # checks only what joins keys or specs: the w_explicit length, gaussian-additivity
+    # given a distribution, the oracle and distribution dimensions, and trials x cells.
+    tree = TREES["harness.py"]
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    def refusals(root):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call) and _name(node.exc.func) == "SpecError"]
+    sites = {fn.name: len(refusals(fn)) for fn in defs if refusals(fn) and fn.name != "_parse"}
+    assert sites == {"build_oracle": 1, "run_calibrate": 2, "run_lower_bound": 1}
+    assert len(refusals(tree)) == sum(len(refusals(fn)) for fn in defs)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
+from scipy.stats import binomtest
 
 from lintest import tester
 from lintest.distro import ShiftedGaussian, StandardGaussian, load_empirical
@@ -525,6 +526,31 @@ def test_main_loop_stops_at_its_first_failing_chunk(monkeypatch):
         assert (verdict.queries_used < cfg.accept_path_queries()) == (r < 7 + 14 + 28)
         rounds.append(r)
     assert len(rounds) >= 10 and max(rounds) >= 7
+
+
+@pytest.mark.parametrize("algorithm", ["df-additivity", "df-linearity"])
+@pytest.mark.parametrize("share", [1 / 8, 1 / 4, 1 / 2, 1])
+def test_a_hidden_halfspace_is_rejected_at_its_exact_power(algorithm, share):
+    # f = w.x + 1[u.x > 5] under D = N(s u, I) with D-mass m on u.x > 5 is exactly m-far
+    # from linear, and each stage's chance to reject has a closed form.  The battery sees
+    # the region only through x - y ~ N(0, 2I), with chance c Phi(-5/sqrt 2) a round, c = 2
+    # on df-linearity's odd wrapper, which corrupts both tails; a main-loop round rejects
+    # where its D-point lands in the region, and so does a force-negativity round.  The
+    # inner run of df-linearity works at epsilon / 2.  Seeds are fixed: trial t, D t's hash.
+    cfg, inner, mass = TesterConfig(epsilon=0.1), TesterConfig(epsilon=0.05), 0.1 * share
+
+    def missed(c):  # the chance that the battery misses
+        return (1.0 - c * ndtr(-5.0 / math.sqrt(2.0))) ** cfg.rounds_testadd
+
+    if algorithm == "df-additivity":
+        run, power = run_df_additivity, 1.0 - missed(1) * (1.0 - mass) ** cfg.rounds_main
+    else:
+        run, power = run_df_linearity, 1.0 - (1.0 - mass) ** cfg.rounds_forceneg * missed(2) * (
+            1.0 - mass) ** inner.rounds_main
+    f, dist = _hidden_halfspace(mass, n=10)
+    rejects = sum(not run(f, dist(derive_seed(t, 2)), replace(cfg, seed=t)).accepted
+                  for t in range(1000))
+    assert binomtest(rejects, 1000, power).pvalue >= 1e-4, (rejects, power)
 
 
 @pytest.mark.parametrize("algorithm, mass, odd_symmetric", [
