@@ -36,10 +36,10 @@ def _emit(report: dict, spec_text: str):
 
 @contextlib.contextmanager
 def _errors_as_json():
-    """Report bad input as one line of JSON on stderr and exit 2."""
+    """Report bad input, or a spec too large for the machine, as one JSON line on stderr; exit 2."""
     try:
         yield
-    except (ValueError, OSError) as exc:  # SpecError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # SpecError is a ValueError
         click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
         sys.exit(2)
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-from .gauss_core import GaussianDist, _require, sample_gaussian
+from .gauss_core import GaussianDist, _as_mean, _require, sample_gaussian
 from .rng import derive_seed, make_rng
 
 
@@ -19,7 +19,9 @@ class DistributionError(ValueError):
 class SampleDistribution:
     """A seeded sampler over R^n.  Each instance owns its own stream, made at its first draw."""
 
-    def __init__(self, dim: int, seed: int):
+    def __init__(self, dim: int, seed: int = 0):
+        if dim < 1:
+            raise DistributionError(f"dimension must be >= 1, got {dim}")
         self.dim = int(dim)
         self.seed = int(seed)
 
@@ -41,31 +43,30 @@ class SampleDistribution:
         raise NotImplementedError
 
 
-class _Gaussian(SampleDistribution):
-    """Draws from `self._dist`, the GaussianDist each subclass's constructor sets."""
+_N01 = GaussianDist.standard(1)
+
+
+class StandardGaussian(SampleDistribution):
+    """N(0, I): each row is `dim` draws of the shared N(0, 1), in row order, so no n x n factor."""
 
     def draw_many(self, m: int) -> np.ndarray:
-        return sample_gaussian(self._dist, self._rng, size=m)
+        return sample_gaussian(_N01, self._rng, m * self.dim).reshape(m, self.dim)
 
 
-class StandardGaussian(_Gaussian):
-    """N(0, I), sharing one cached GaussianDist per dimension."""
-
-    def __init__(self, dim: int, seed: int = 0):
-        super().__init__(dim, seed)
-        self._dist = GaussianDist.standard(self.dim)
-
-
-class ShiftedGaussian(_Gaussian):
-    """N(mean, cov); cov defaults to the identity and must be PSD, checked here, before any draw."""
+class ShiftedGaussian(StandardGaussian):
+    """N(mean, cov), cov PSD and checked here, before any draw; with no cov, mean + N(0, I)."""
 
     def __init__(self, mean, cov=None, seed: int = 0):
-        mean = np.asarray(mean, dtype=float)
-        if cov is None:
-            cov = np.eye(mean.size)
-        self._dist = GaussianDist(mean, cov)
-        _require(self._dist, definite=False)
-        super().__init__(mean.size, seed)
+        self.mean = _as_mean(mean)
+        self._dist = None if cov is None else GaussianDist(self.mean, cov)
+        if self._dist is not None:
+            _require(self._dist, definite=False)
+        super().__init__(self.mean.size, seed)
+
+    def draw_many(self, m: int) -> np.ndarray:
+        if self._dist is None:
+            return self.mean + super().draw_many(m)
+        return sample_gaussian(self._dist, self._rng, size=m)
 
 
 class Mixture(SampleDistribution):

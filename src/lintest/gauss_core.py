@@ -2,14 +2,12 @@
 
 Closed-form KL between Gaussians, the Pinsker total-variation bound, the
 shared-covariance TV bound, and a bounded Monte Carlo TV estimator.  A
-covariance is factored once by LAPACK's symmetric eigensolver, which returns
-the identity exactly for an identity covariance, and all densities are
-evaluated in log-space so nothing underflows at n >= 50.
+covariance is factored once by LAPACK's symmetric eigensolver, and all
+densities are evaluated in log-space so nothing underflows at n >= 50.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +67,6 @@ class GaussianDist:
         return self.mean.size
 
     @staticmethod
-    @functools.cache
     def standard(n: int) -> "GaussianDist":
         return GaussianDist(np.zeros(n), np.eye(n))
 

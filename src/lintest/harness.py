@@ -187,7 +187,7 @@ def build_oracle(spec: dict) -> FunctionOracle:
         if c["threshold"] is None:  # with_mass takes a null direction as the first axis
             return CorruptedLinear.with_mass(w, float(c["mass"]), float(c["payload"]),
                                              c["direction"], c["odd_symmetric"])
-        direction = np.eye(dim)[0] if c["direction"] is None else c["direction"]
+        direction = np.eye(1, dim)[0] if c["direction"] is None else c["direction"]
         region = CorruptionRegion.from_threshold(direction, float(c["threshold"]))
         return CorruptedLinear(w, region, float(c["payload"]), c["odd_symmetric"])
     nz = _parse(spec["noise"], "noise")

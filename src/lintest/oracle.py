@@ -182,7 +182,7 @@ class CorruptedLinear(FunctionOracle):
                   odd_symmetric: bool = False) -> "CorruptedLinear":
         w = np.asarray(w, dtype=float)
         if direction is None:
-            direction = np.eye(w.size)[0]
+            direction = np.eye(1, w.size)[0]
         m = mass / 2.0 if odd_symmetric else mass
         region = CorruptionRegion.from_mass(direction, m)
         return CorruptedLinear(w, region, payload, odd_symmetric)

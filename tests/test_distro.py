@@ -1,5 +1,6 @@
 import gzip
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from lintest.distro import (
     StandardGaussian,
     load_empirical,
 )
-from lintest.gauss_core import GaussianDist
+from lintest.gauss_core import GaussianError
+from lintest.harness import build_oracle
+from lintest.oracle import CorruptedLinear
 from lintest.rng import derive_seed, make_rng, standard_normal
 
 
@@ -28,29 +31,42 @@ def test_standard_gaussian_determinism_and_moments():
                               StandardGaussian(3, seed=6).draw_many(10))
 
 
-def test_standard_gaussians_of_one_dimension_share_one_factored_dist(monkeypatch):
-    eigh, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda c: calls.append(c.shape) or eigh(c))
-    GaussianDist.standard.cache_clear()
-    a, b = StandardGaussian(37, seed=1), StandardGaussian(37, seed=2)
-    assert a._dist is b._dist is GaussianDist.standard(37)
-    assert GaussianDist.standard.cache_info().currsize == 1
-    a.draw_many(3)
-    b.draw_many(3)
-    assert calls == [(37, 37)]  # eigh(I) runs once per dimension
-    assert StandardGaussian(38, seed=1)._dist is not a._dist
-    assert calls == [(37, 37), (38, 38)]
+def test_every_sampler_refuses_a_dimension_below_one():
+    for make in (lambda: StandardGaussian(0), lambda: StandardGaussian(-2),
+                 lambda: Empirical(np.empty((3, 0)))):
+        with pytest.raises(DistributionError, match="dimension must be >= 1"):
+            make()
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: StandardGaussian(n, seed=1).draw_many(2),
+    lambda n: ShiftedGaussian(np.zeros(n), seed=1).draw_many(2),
+    lambda n: CorruptedLinear.with_mass(np.ones(n), 0.3),
+    lambda n: build_oracle({"family": "corrupted-linear", "dim": n,
+                            "corruption": {"threshold": 1.0}}),
+], ids=["standard", "shifted", "with-mass", "threshold-oracle"])
+def test_n0i_draws_and_first_axis_defaults_take_o_n_memory(build):
+    # At n = 10^6 an n x n identity would take 8 TB, and numpy refuses it with MemoryError.
+    tracemalloc.start()
+    try:
+        build(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 3, 10, 20, 50, 200])
 def test_standard_gaussian_draws_the_generators_normals_bit_for_bit(n):
-    # for N(0, I), mean + z @ I.T is z bit for bit
-    d, rng, old = StandardGaussian(n, seed=n), make_rng(n), make_rng(n)
-    factor = np.eye(n)
+    # m*n normals in row order, the stream continued across batches: for N(0, I) these are
+    # the bits of the factored form mean + z @ I.T, with mean 0
+    mean = np.linspace(-3.0, 5.0, n)
+    d, shifted, rng = StandardGaussian(n, seed=n), ShiftedGaussian(mean, seed=n), make_rng(n)
     for m in (1, 17, 922, 5000):
-        x = d.draw_many(m)
-        assert np.array_equal(x, standard_normal(rng, (m, n)))
-        assert np.array_equal(x, np.zeros(n) + standard_normal(old, (m, n)) @ factor.T)
+        z = standard_normal(rng, (m, n))
+        assert np.array_equal(d.draw_many(m), z)
+        assert np.array_equal(z, np.zeros(n) + z @ np.eye(n).T)
+        assert np.array_equal(shifted.draw_many(m), mean + z)
 
 
 def test_restarted_copies_draw_afresh_from_the_given_seed():
@@ -83,6 +99,8 @@ def test_shifted_gaussian():
     cov = np.array([[2.0, 0.0], [0.0, 0.5]])
     x2 = ShiftedGaussian(mean, cov, seed=2).draw_many(50_000)
     assert np.allclose(np.cov(x2.T), cov, atol=0.05)
+    with pytest.raises(GaussianError, match="non-finite"):
+        ShiftedGaussian([np.nan, 0.0])  # checked with no cov too, where no GaussianDist is built
 
 
 def test_mixture_validation():

@@ -1100,6 +1100,40 @@ def test_cli_lets_a_library_key_error_through(tmp_path, monkeypatch):
     assert isinstance(result.exception, KeyError) and result.exit_code == 1
 
 
+def test_cli_reports_a_spec_too_large_for_the_machine_as_one_json_line(tmp_path, monkeypatch):
+    # numpy refuses an impossible allocation up front.  Nothing is allocated here: a host
+    # that overcommits memory could grant the allocation and then kill the process.
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+    def too_large(spec, jobs=1):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_calibrate", too_large)
+    path = _write_spec(tmp_path, {"oracle": _LINEAR, "epsilon": 0.2})
+    result = CliRunner().invoke(main, ["calibrate", "--spec", path])
+    assert result.exit_code == 2
+    err = getattr(result, "stderr", "") or result.output
+    assert json.loads(err) == {"error": "MemoryError", "message": message}
+
+
+@pytest.mark.parametrize("algorithm, queries", [("df-additivity", 1890), ("df-linearity", 3956)])
+def test_the_default_d_accepts_at_the_closed_form_count_at_large_n(algorithm, queries):
+    # The paper's count does not depend on n, and N(0, I) needs no n x n matrix.
+    report = run_calibrate({"oracle": {"family": "linear", "dim": 20_000}, "epsilon": 0.5,
+                            "algorithm": algorithm})
+    assert [(v["outcome"], v["queries_used"]) for v in report["verdicts"]] == [("accept", queries)]
+
+
+def test_cli_rejects_a_far_f_under_the_default_d_at_dim_100000(tmp_path):
+    path = _write_spec(tmp_path, {"oracle": {"family": "corrupted-linear", "dim": 100_000,
+                                             "corruption": {"threshold": 0.5}},
+                                  "epsilon": 0.1, "algorithm": "df-linearity"})
+    result = CliRunner().invoke(main, ["calibrate", "--spec", path])
+    assert result.exit_code == 0, result.output
+    (v,) = json.loads(result.output)["verdicts"]
+    assert (v["outcome"], v["reject_site"], v["queries_used"]) == ("reject", "force-negativity", 6)
+
+
 _SPECS = {"calibrate": {"oracle": _LINEAR, "epsilon": 0.2},
           "query-scaling": {"epsilons": [0.2]},
           "lower-bound": {"n": 4, "trials": 5}}

@@ -122,6 +122,17 @@ def test_library_reads_no_environment_variable():
     assert found == []
 
 
+def test_library_memoizes_nothing_across_calls():
+    # A memo cache keeps every key and result for the process's life and hands each caller
+    # the same result; a per-instance cached_property goes with its instance.
+    found = [f"{name}:{node.lineno}" for name, tree in TREES.items() for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in {"cache", "lru_cache"}
+                 and _name(node.value) == "functools")
+             or (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 and {a.name for a in node.names} & {"cache", "lru_cache"})]
+    assert found == []
+
+
 def test_calibrate_trials_parse_build_and_read_nothing():
     # run_calibrate parses its specs, builds its oracle and sampler and reads any dataset
     # once; the function it fans out, and every harness function that one calls, only
