@@ -52,7 +52,6 @@ from .lower_bound import (
     GameReport,
     LowerBoundConfig,
     build_instance,
-    derive_delta,
     run_distinguish_game,
     tv_bound,
 )

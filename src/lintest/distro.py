@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 import functools
-import warnings
+import math
 
 import numpy as np
 
@@ -125,12 +125,20 @@ class Empirical(SampleDistribution):
 
 
 def load_empirical(path, seed: int = 0) -> Empirical:
-    """Read a headerless CSV of floats, one point per line; blank lines are skipped."""
+    """Read a headerless CSV of floats, one point per line; blank lines are skipped.
+    A refusal names the file and its 1-based line."""
+    rows, where = [], ""
     try:
-        # Opened here, not by loadtxt, which would also fetch URLs and try path.gz and the like.
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty file is refused below
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        return Empirical(data, seed=seed)
+        with open(path, encoding="utf-8") as fh:  # the named file only: no URL, no path.gz
+            for k, line in enumerate(fh, 1):
+                where = f"line {k}: "
+                if line != "\n":  # a line of spaces is one field that is no float
+                    rows.append(row := [float(field) for field in line.rstrip("\n").split(",")])
+                    if len(row) != len(rows[0]):
+                        raise ValueError(f"{len(row)} fields, not {len(rows[0])}")
+                    if not all(map(math.isfinite, row)):
+                        raise ValueError("a non-finite entry")
+                where = ""  # a bad byte met while reading ahead names no line
+        return Empirical(rows, seed=seed)
     except ValueError as exc:  # DistributionError is a ValueError
-        raise DistributionError(f"{path}: {exc}") from None
+        raise DistributionError(f"{path}: {where}{exc}") from None

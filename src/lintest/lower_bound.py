@@ -6,11 +6,11 @@ With delta = C * lambda_min(X)^2 / n^2 the two observation laws are within
 TV <= sqrt(C)/2, so even the optimal likelihood-ratio distinguisher stays
 near coin-flipping: no sample-based tester learns anything from n samples.
 
-A trial touches only the Gram spectrum.  It is drawn exactly, with no X,
-from the beta = 1 Laguerre bidiagonal model (Dumitriu & Edelman, "Matrix
-models for beta ensembles", J. Math. Phys. 2002) by one O(n^2) tridiagonal
-eigenvalue solve; the observation is drawn directly in the Gram eigenbasis,
-the only coordinates the likelihood-ratio rule reads.
+A trial computes no spectrum.  XX^T is drawn, with no X, as T = BB^T from the
+beta = 1 Laguerre bidiagonal model (Dumitriu & Edelman, "Matrix models for beta
+ensembles", J. Math. Phys. 2002), and bisected for lambda_min alone.  The observation
+is v = Bz (+ sqrt(delta) z').  The LDL^T pivots of T and T + delta I give the TV bound
+and, with two tridiagonal solves, the likelihood ratio, each in O(n) time.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from .gauss_core import divergence_terms
 from .rng import chi, derive_seed, make_rng, standard_normal
 
 _DEGENERACY_FLOOR = 1e-10
-# Draws keep lambda > _DEGENERACY_FLOOR, so a delta up to this cap keeps delta/lambda,
-# its square, lambda(lambda + delta) and delta y^2 = delta (lambda + delta) z^2 finite.
-_MAX_RATIO = math.sqrt(np.finfo(float).max)  # largest delta/lambda whose square is finite
-_MAX_DELTA = _DEGENERACY_FLOOR * _MAX_RATIO  # ~1.3e144
+# Draws keep every pivot p_i >= lambda_min > _DEGENERACY_FLOOR, so a delta up to this cap
+# keeps g/p, h/p, delta (T^-1 v).((T + delta I)^-1 v) and their sums finite.
+_MAX_DELTA = _DEGENERACY_FLOOR * math.sqrt(np.finfo(float).max)  # ~1.3e144
 _MAX_RESAMPLES = 10
 _WILSON_Z = 1.959963984540054  # the standard normal's 97.5% quantile
 # A correct cell fails its bound check with probability at most this, so a sweep of thousands
@@ -59,22 +58,16 @@ class LowerBoundConfig:
             raise LowerBoundError(f"delta_override must lie in [0, {_MAX_DELTA:.3g}]")
 
 
-def build_instance(cfg: LowerBoundConfig, rng=None) -> tuple[np.ndarray, float, int]:
-    """Draw the Gram spectrum of an n x n X ~ N(0, I) and delta = C lambda_min(X)^2 / n^2.
-
-    XX^T has the spectrum of T = BB^T, with B lower bidiagonal: diagonal
-    a = (chi_n, ..., chi_1), subdiagonal b = (chi_{n-1}, ..., chi_1).  T is
-    tridiagonal (diagonal a_i^2 + b_{i-1}^2, off-diagonal a_i b_i), so a draw
-    costs 2n - 1 chi variates and one eigenvalue-only tridiagonal solve.
-
-    Numerically degenerate draws (Gram min eigenvalue <= 1e-10) are
-    resampled, up to a hard cap; the resample count is returned so reports
-    can surface it.  Degeneracy has measure zero, so the cap never binds in
-    practice.
+def build_instance(cfg: LowerBoundConfig, rng=None) -> tuple[tuple, float, int]:
+    """Draw ((a, b), delta, resamples): a bidiagonal B whose T = BB^T has the spectrum law of
+    XX^T for X ~ N(0, I_n), with diagonal a = (chi_n, ..., chi_1) and subdiagonal
+    b = (chi_{n-1}, ..., chi_1), b[i-1] coupling rows i-1 and i; delta = C lambda_min(T) / n^2
+    unless the config overrides it.  T is tridiagonal (diagonal a_i^2 + b_{i-1}^2,
+    off-diagonal a_i b_i), and `dstebz` bisects it for lambda_min alone to full relative
+    accuracy (its tol = 0 stops at an absolute eps * ||T||).  Degenerate draws
+    (lambda_min <= 1e-10, of measure zero) are resampled up to a cap, and counted.
     """
-    # Imported here: only the game pays for scipy.linalg.  dsterf is the
-    # routine eigvalsh_tridiagonal ends in, without its per-call checks.
-    from scipy.linalg.lapack import dsterf
+    from scipy.linalg.lapack import dstebz  # imported here: only the game pays for it
 
     rng = rng if rng is not None else make_rng(cfg.seed)
     n = cfg.n
@@ -85,37 +78,58 @@ def build_instance(cfg: LowerBoundConfig, rng=None) -> tuple[np.ndarray, float, 
         a, b = c[:n], c[n:]
         diag = a * a
         diag[1:] += b * b
-        eigvals, info = dsterf(diag, a[:-1] * b)
+        _, w, _, _, info = dstebz(diag, a[:-1] * b, 2, 0.0, 0.0, 1, 1, 1e-300, "E")
         if info != 0:
-            raise LowerBoundError(f"tridiagonal eigenvalue solve failed (dsterf info {info})")
-        if eigvals[0] > _DEGENERACY_FLOOR:
+            raise LowerBoundError(f"tridiagonal eigenvalue solve failed (dstebz info {info})")
+        if w[0] > _DEGENERACY_FLOOR:
             break
         resamples += 1
         if resamples > _MAX_RESAMPLES:
             raise LowerBoundError("persistent degenerate sample matrix")
-    override = cfg.delta_override
-    delta = derive_delta(eigvals, cfg.C) if override is None else float(override)
-    return eigvals, delta, resamples
+    delta = cfg.C * float(w[0]) / n**2 if cfg.delta_override is None else cfg.delta_override
+    return (a, b), float(delta), resamples
 
 
-def derive_delta(eigvals: np.ndarray, C: float) -> float:
-    """delta = C * lambda_min(X)^2 / n^2, with lambda_min(X)^2 the smallest Gram eigenvalue."""
-    return float(C) * float(np.min(eigvals)) / float(eigvals.size**2)
+def pivots(a: np.ndarray, b: np.ndarray, delta: float):
+    """p = a^2, the LDL^T pivots of T, and g = q - p and h, with q those of T + delta I.
 
-
-def tv_bound(eigvals: np.ndarray, delta: float) -> float:
-    """Closed-form TV bound between N(0, XX^T) and N(0, XX^T + delta I).
-
-    Pinsker on their KL: sqrt( sum_i divergence_terms(delta / lambda_i) / 4 ), each
-    term nonnegative (see `gauss_core.divergence_terms`).
+    Two positive recurrences, so nothing cancels: g_0 = delta, g_i = delta + b_{i-1}^2
+    g_{i-1} / q_{i-1}; h_0 = 0, h_i = (b_{i-1}^2 / p_{i-1}) (h_{i-1} + g_{i-1}^2 / q_{i-1}).
+    Then sum log1p(g/p) = log det(I + delta T^-1) and sum (g + h)/p = delta tr T^-1.
     """
-    lam = np.asarray(eigvals, dtype=float)
-    lam_min = float(np.min(lam))  # in any entry order
-    if not 0 < lam_min < math.inf:
-        raise LowerBoundError(f"Gram matrix is singular or not finite (min {lam_min:g})")
-    if not 0 <= delta <= lam_min * _MAX_RATIO:  # in Python floats: cannot overflow
-        raise LowerBoundError("delta must lie in [0, min Gram eigenvalue * sqrt(float max)]")
-    return float(math.sqrt(float(np.sum(divergence_terms(delta / lam))) / 4.0))
+    p = a * a
+    if not (0.0 <= delta <= _MAX_DELTA and np.min(p) > 0.0):  # T = BB^T nonsingular
+        raise LowerBoundError(f"need delta in [0, {_MAX_DELTA:.3g}] and no a_i = 0, got {delta:g}")
+    gi, hi = delta, 0.0
+    g, h = [gi], [hi]
+    for pi, bi2 in zip(p.tolist(), (b * b).tolist()):
+        r = gi / (pi + gi)
+        hi, gi = bi2 / pi * (hi + gi * r), delta + bi2 * r
+        g.append(gi)
+        h.append(hi)
+    return p, np.array(g), np.array(h)
+
+
+def tv_bound(p: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
+    """Pinsker's TV bound between N(0, T) and N(0, T + delta I), from `pivots`: with
+    r = delta / lambda, 2 KL = sum (r - log1p r) = sum [h/p + divergence_terms(g/p)],
+    every term nonnegative (see `gauss_core.divergence_terms`)."""
+    total = float(np.sum(h / p + divergence_terms(g / p)))
+    if not 0.0 <= total < math.inf:
+        raise LowerBoundError(f"TV sum is not finite and nonnegative ({total:g})")
+    return math.sqrt(total / 4.0)
+
+
+def lr_statistic(v, a, b, p, g, delta: float) -> float:
+    """Twice the log-likelihood ratio of N(0, T + delta I) over N(0, T) at v:
+    delta (T^-1 v).((T + delta I)^-1 v) - sum log1p(g/p), by two solves on the known
+    LDL^T factors, (p, b / a) of T and (q, a b / q) of T + delta I, with q = p + g."""
+    from scipy.linalg.lapack import dpttrs
+
+    q = p + g
+    s, _ = dpttrs(p, b / a[:-1], v)
+    u, _ = dpttrs(q, a[:-1] * b / q[:-1], v)
+    return delta * float(np.sum(s * u)) - float(np.sum(np.log1p(g / p)))
 
 
 @dataclass
@@ -150,23 +164,21 @@ def play_trial(cfg: LowerBoundConfig, t: int) -> tuple[bool, float, float, int]:
 
     The trial has its own stream, make_rng(derive_seed(cfg.seed, t)), so its
     outcome is pure in (cfg, t): trials may run in any order and any process.
-    Draw the Gram spectrum lambda, flip a fair coin, and draw the observation
-    v = Xw (yes) or v = Xw + eps, eps ~ N(0, delta I) (no), as its
-    coordinates y = U^T v in the Gram eigenbasis: given lambda, y is
-    N(0, diag(lambda)) or N(0, diag(lambda + delta)).  Classify y by the sign
-    of the log-likelihood ratio of no over yes (twice it is
-    sum(delta y^2 / (lambda (lambda + delta)) - log1p(delta / lambda)));
-    a ratio of exactly 0, as at delta = 0, goes to a coin flip.
-
+    Draw B, flip a fair coin, draw z, z' ~ N(0, I) as one (2, n) block, and observe
+    v = Bz ~ N(0, T) (yes) or v = Bz + sqrt(delta) z' ~ N(0, T + delta I) (no).
+    Classify v by the sign of `lr_statistic`; exactly 0, as at delta = 0, is a coin flip.
     Returns (success, TV bound, delta, resamples).
     """
     rng = make_rng(derive_seed(cfg.seed, t))
-    lam, delta, resamples = build_instance(cfg, rng)
+    (a, b), delta, resamples = build_instance(cfg, rng)
     truth_yes = bool(rng.random() < 0.5)
-    y2 = (lam if truth_yes else lam + delta) * standard_normal(rng, cfg.n) ** 2
-    llr = float(np.sum(delta * y2 / (lam * (lam + delta)) - np.log1p(delta / lam)))
-    guess_yes = bool(rng.random() < 0.5) if llr == 0.0 else llr < 0.0
-    return guess_yes == truth_yes, tv_bound(lam, delta), delta, resamples
+    z = standard_normal(rng, (2, cfg.n))
+    v = a * z[0] + (0.0 if truth_yes else math.sqrt(delta)) * z[1]
+    v[1:] += b * z[0, :-1]
+    p, g, h = pivots(a, b, delta)
+    stat = lr_statistic(v, a, b, p, g, delta)
+    guess_yes = bool(rng.random() < 0.5) if stat == 0.0 else stat < 0.0
+    return guess_yes == truth_yes, tv_bound(p, g, h), delta, resamples
 
 
 def game_report(cfg: LowerBoundConfig, outcomes) -> GameReport:

@@ -200,7 +200,7 @@ def test_empirical_rejects_non_finite_rows(tmp_path, bad):
         Empirical(data)
     p = tmp_path / "data.csv"
     p.write_text("".join(",".join(map(str, row)) + "\n" for row in data))
-    with pytest.raises(DistributionError, match="data.csv: .*row 2 has non-finite"):
+    with pytest.raises(DistributionError, match="data.csv: line 2: a non-finite entry"):
         load_empirical(p)
 
 
@@ -223,16 +223,28 @@ def test_load_empirical_reads_only_the_named_file(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("1.0,2.0\n1.0,oops\n", "bad.csv: could not convert string 'oops' to float64 at row 1"),
-    ("1.0,2.0\n1.0\n", "bad.csv: the number of columns changed from 2 to 1"),
-    ("1.0,2.0\n   \n3.0,4.0\n", "bad.csv: the number of columns changed from 2 to 1"),
+    ("1.0,2.0\n1.0,oops\n", "bad.csv: line 2: could not convert string to float: 'oops'"),
+    ("1.0,2.0\n1.0\n", "bad.csv: line 2: 1 fields, not 2"),
+    ("1.0,2.0\n   \n3.0,4.0\n", "bad.csv: line 2: could not convert string to float: '   '"),
     ("\n\n", "bad.csv: empirical dataset must be a nonempty 2-D array"),
     ("", "bad.csv: empirical dataset must be a nonempty 2-D array"),
+    # blank lines count: each refusal names the file's own line, not a data row
+    ("1,2\n\n3,4\n\n5,x\n", "bad.csv: line 5: could not convert string to float: 'x'"),
+    ("1,2\n\n3,4\n\n5,inf\n", "bad.csv: line 5: a non-finite entry"),
+    ("1,2\n\n3,4\n\n5\n", "bad.csv: line 5: 1 fields, not 2"),
 ])
 def test_load_empirical_errors(tmp_path, text, message):
-    # numpy's messages, after the path; an empty file is refused without a warning,
-    # and a line of spaces is a row of one empty field, unlike a blank line
+    # the path, then the 1-based line; an empty file is refused without a warning,
+    # and a line of spaces is a field that is no float, unlike a blank line
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
     with pytest.raises(DistributionError, match=re.escape(message)):
+        load_empirical(bad)
+
+
+def test_load_empirical_names_no_line_for_a_bad_byte(tmp_path):
+    # the file is decoded ahead of the line being read, so no line number would be right
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1,2\n3,4\n\xff,1\n")
+    with pytest.raises(DistributionError, match=r"bad\.csv: 'utf-8' codec can't decode"):
         load_empirical(bad)

@@ -223,7 +223,8 @@ def test_kl_is_exact_on_rotated_game_spectra(n, rel):
     # What error remains is the rotation's: each entry of Q L Q^T is rounded at the
     # scale of lambda_max, and delta is C lambda_min / n^2, so `rel` grows with n.
     for seed in range(10):
-        lam, delta, _ = build_instance(LowerBoundConfig(n=n, seed=seed))
+        (a, b), delta, _ = build_instance(LowerBoundConfig(n=n, seed=seed))
+        lam = np.linalg.svd(np.diag(a) + np.diag(b, -1), compute_uv=False) ** 2  # of BB^T
         q, _ = np.linalg.qr(standard_normal(make_rng(seed), (n, n)))
         yes = GaussianDist(np.zeros(n), (q * lam) @ q.T)
         no = GaussianDist(np.zeros(n), (q * (lam + delta)) @ q.T)

@@ -173,3 +173,15 @@ def test_harness_refuses_specs_only_in_parse_and_the_cross_key_checks():
     sites = {fn.name: len(refusals(fn)) for fn in defs if refusals(fn) and fn.name != "_parse"}
     assert sites == {"build_oracle": 1, "run_calibrate": 2, "run_lower_bound": 1}
     assert len(refusals(tree)) == sum(len(refusals(fn)) for fn in defs)
+
+
+def test_lower_bound_names_no_spectral_solver():
+    # The game reads lambda_min by bisection and everything else from O(n) pivots, so a
+    # second, spectrum-based path for the trial cannot come back beside them.
+    solvers = {"dsterf", "eigvalsh", "eigh", "eigvalsh_tridiagonal"}
+    found = [f"lower_bound.py:{node.lineno} names {_name(node)}"
+             for node in ast.walk(TREES["lower_bound.py"]) if _name(node) in solvers]
+    found += [f"lower_bound.py:{node.lineno} imports {alias.name}"
+              for node in ast.walk(TREES["lower_bound.py"]) if isinstance(node, ast.ImportFrom)
+              for alias in node.names if alias.name in solvers]
+    assert found == []
