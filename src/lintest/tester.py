@@ -26,8 +26,9 @@ from .oracle import EqPolicy, FunctionOracle, scaled_norms
 from .rng import derive_seed, make_rng, standard_normal
 
 # A stage is checked at least every _CHUNK rounds, so that a reject evaluates
-# at most _CHUNK - 1 rounds past its first failure however long its stage is.
-_CHUNK = 256
+# at most _CHUNK - 1 rounds past its first failure however long its stage is;
+# the main loop also checks its first _HEAD rounds alone, however wide a block is.
+_CHUNK, _HEAD = 256, 8
 
 # Every oracle call of a tester step holds at most this many doubles of points
 # (or one row; rows are never split), so that a batch and the odd wrapper's
@@ -104,27 +105,27 @@ class Verdict:
         return {k: v for k, v in vars(self).items() if k != "transcript"}
 
 
-def _stage(f: FunctionOracle, start: int, rows: np.ndarray, per_round: int, step) -> Verdict:
-    """Run a stage's rounds in chunks of `rows`, each round's input, rejecting at the first failure.
+def _stage(f: FunctionOracle, start: int, rounds: int, draw, per_round: int, step,
+           head: int = 0) -> Verdict:
+    """Run a stage's rounds in chunks, each on draw(m), its m rounds' rows drawn just before it.
 
-    All rows are drawn before the first chunk.  A chunk ends at the stage's end, the next
-    multiple of `_CHUNK` rounds or the next edge of doubling chunks that start at one oracle
-    block of the stage's widest call (`per_round` points a round), whichever comes first: a
-    reject at round r has evaluated no later chunk, and at most 2r rounds and one block.
-    step(chunk) evaluates the rounds of its slice of `rows` and returns a dict from each reject
-    site, in the order a round runs its checks, to the rounds that passed it, and a tuple of
-    per-round values; a witness is (site, the round's point(s) as lists, its entry of each).
+    A chunk ends at the stage's end, round `head`, the next multiple of `_CHUNK` rounds or the
+    next edge of doubling chunks that start at one oracle block of the stage's widest call
+    (`per_round` points a round), whichever comes first: a reject at round r has drawn and
+    evaluated no later chunk, and at most 2r rounds and one block.  step(rows) returns a dict
+    from each reject site, in the order a round runs its checks, to the rounds that passed it,
+    and per-round values; a witness is (site, the round's point(s) as lists, its entry of each).
     """
     first = max(1, _BATCH_DOUBLES // (per_round * f.dim))
     site, transcript, done, edge = None, [], 0, first
-    while site is None and done < len(rows):
-        end = min(len(rows), edge, done - done % _CHUNK + _CHUNK)
-        checks, values = step(rows[done:end])
+    while site is None and done < rounds:
+        end = min(rounds, edge, done - done % _CHUNK + _CHUNK, head if done < head else rounds)
+        checks, values = step(rows := draw(end - done))
         passed = functools.reduce(np.logical_and, checks.values())
         i = int(np.argmin(passed))
         if not passed[i]:
             site = next(s for s, ok in checks.items() if not ok[i])
-            points = rows[done + i].reshape(-1, f.dim).tolist()
+            points = rows[i].reshape(-1, f.dim).tolist()
             transcript = [(site, *points, *(v[i].item() for v in values))]
         done, edge = end, 2 * edge + first if end == edge else edge
     return Verdict("accept" if site is None else "reject", site, f.query_count - start, transcript)
@@ -153,8 +154,8 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
     """The constant-round identity battery over N(0,I).
 
     Per round, on fresh x, y, z ~ N(0,I): reject unless f(-x) = -f(x),
-    f(x-y) = f(x) - f(y), and f((x-y)/2) = f((x-z)/2) + f((z-y)/2).  Every
-    round's x, y, z are drawn in one call before the first chunk.
+    f(x-y) = f(x) - f(y), and f((x-y)/2) = f((x-z)/2) + f((z-y)/2).  Each
+    chunk draws its rounds' x, y, z in one call just before it runs.
     """
     rng = rng if rng is not None else make_rng(cfg.seed)
     eq = cfg.policy.eq_arr
@@ -177,8 +178,8 @@ def test_additivity(f: FunctionOracle, cfg: TesterConfig, rng=None) -> Verdict:
                 "difference": eq(f_xy, f_x2 - f_y, np.abs(f_x2) + np.abs(f_y)),
                 "three-point": eq(h1, h2 + h3, np.abs(h2) + np.abs(h3))}, ()
 
-    xyz = standard_normal(rng, (cfg.rounds_testadd, 3, n))
-    return _stage(f, f.query_count, xyz, QUERIES_PER_ADDITIVITY_ROUND, step)
+    return _stage(f, f.query_count, cfg.rounds_testadd, lambda m: standard_normal(rng, (m, 3, n)),
+                  QUERIES_PER_ADDITIVITY_ROUND, step)
 
 
 # the algorithm name collides with test-collection heuristics
@@ -239,18 +240,15 @@ def query_g(f: FunctionOracle, p, cfg: TesterConfig, rng=None) -> QueryGResult:
 def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | None) -> Verdict:
     """The identity battery, then the main loop comparing f(p) with the g-probe at p.
 
-    The main-loop points come from d, or from N(0,I) on the tester's own
-    stream when d is None, all in one call before the first chunk, so the
-    stream yields every point and then the probes' x_i in row order.  Both
-    sites' witnesses are (site, p, f(p), e, v_1).
+    Each chunk draws its points just before it runs: from d, or when d is None from N(0,I)
+    on the tester's own stream, just ahead of their probes' x_i.  The first chunk ends by
+    round _HEAD.  Both sites' witnesses are (site, p, f(p), e, v_1).
     """
     rng = make_rng(cfg.seed)
     start = f.query_count
     battery = test_additivity(f, cfg, rng)
     if not battery.accepted:
         return battery
-    rounds = cfg.rounds_main
-    drawn = standard_normal(rng, (rounds, f.dim)) if d is None else d.draw_many(rounds)
 
     def step(points):
         fp = _query_blocks(f, len(points), 1, lambda lo, hi: points[None, lo:hi])[0]
@@ -261,7 +259,9 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
         f_ne_g = cfg.policy.eq_arr(*np.ldexp([fp, v1, mag1], [lo - es, lo, lo]))
         return {"query-g-disagreement": agree, "f!=g": f_ne_g}, (fp, es, v1)
 
-    return _stage(f, start, drawn, 2 * cfg.rounds_queryg, step)
+    return _stage(f, start, cfg.rounds_main,
+                  (lambda m: standard_normal(rng, (m, f.dim))) if d is None else d.draw_many,
+                  2 * cfg.rounds_queryg, step, _HEAD)
 
 
 def run_gaussian_additivity(f: FunctionOracle, cfg: TesterConfig) -> Verdict:
@@ -299,13 +299,13 @@ class OddOracle(FunctionOracle):
 
 def force_negativity(f: FunctionOracle, d: SampleDistribution,
                      cfg: TesterConfig) -> tuple[OddOracle | None, Verdict]:
-    """Check f(-x) = -f(x) on draws from d, all made before the first chunk; a witness is
-    (site, x, f(x), f(-x)).  On success return the odd wrapper."""
+    """Check f(-x) = -f(x) on draws from d, each chunk's made just before it runs; a witness
+    is (site, x, f(x), f(-x)).  On success return the odd wrapper."""
     def step(xs):
         a, b = _query_blocks(f, len(xs), 2, lambda lo, hi: np.array([xs[lo:hi], -xs[lo:hi]]))
         return {"force-negativity": cfg.policy.eq_arr(b, -a)}, (a, b)
 
-    verdict = _stage(f, f.query_count, d.draw_many(cfg.rounds_forceneg), 2, step)
+    verdict = _stage(f, f.query_count, cfg.rounds_forceneg, d.draw_many, 2, step)
     return (OddOracle(f) if verdict.accepted else None), verdict
 
 

@@ -1326,3 +1326,79 @@ def test_cli_lower_bound_largest_delta_override_gives_a_finite_report(tmp_path):
     cell = json.loads(result.output)["cells"][0]
     assert cell["delta_stats"]["max"] == lower_bound._MAX_DELTA
     assert 1.0 < cell["max_tv_bound"] < float("inf")
+
+
+def test_a_round_zero_reject_at_dim_1e5_holds_one_chunk_of_rows():
+    # Each stage draws its rows chunk by chunk: a constant shift fails the battery's first
+    # round, whose one-round chunk is 3 * 10^5 normals.  Drawing all 230 rounds' x, y, z
+    # first took a tracemalloc peak of 536 MB here.
+    import tracemalloc
+
+    spec = {"algorithm": "df-additivity", "epsilon": 0.3, "trials": 1, "seed": 1,
+            "oracle": {"family": "constant-shift-linear", "dim": 10**5, "w_seed": 2}}
+    tracemalloc.start()
+    try:
+        report = run_calibrate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(v["reject_site"], v["queries_used"]) for v in report["verdicts"]] == [("negation", 8)]
+    assert peak < 64 * 2**20
+
+
+def _correlated_mixture(n, seed):
+    """Two correlated Gaussians centred just past |u.x| = 7, and an f oddly corrupted there."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    components = []
+    for sign in (1.0, -1.0):
+        a = rng.standard_normal((n, n))
+        cov = a @ a.T / n + 0.5 * np.eye(n)
+        cov = 0.5 * (cov + cov.T)
+        mean = sign * (7.0 + 0.5 * float(np.sqrt(u @ cov @ u))) * u
+        components.append({"kind": "shifted-gaussian", "mean": mean.tolist(),
+                           "cov": cov.tolist()})
+    oracle = {"family": "corrupted-linear", "dim": n, "w_explicit": rng.standard_normal(n).tolist(),
+              "corruption": {"threshold": 7.0, "direction": u.tolist(), "odd_symmetric": True}}
+    return oracle, {"kind": "mixture", "weights": [0.5, 0.5], "components": components}
+
+
+def test_calibrate_reports_do_not_move_across_blas_kernels_and_threads(tmp_path):
+    # A correlated D draws z @ L.T per chunk, and every oracle batch is a matrix-vector
+    # product: each row's last bits may depend on the kernel, the thread count and the
+    # rows in the call.  Each subprocess pins OpenBLAS's kernel and threads, must show
+    # the kernel it ran, and runs three calibrate specs through the CLI: the corrupted f
+    # (rejected at f!=g) and a linear f under the mixture, and a rare corruption under
+    # N(0,I), which one trial lets through to the main loop.
+    oracle, mixture = _correlated_mixture(20, 4)
+    specs = [{"algorithm": "df-linearity", "oracle": f, "distribution": mixture,
+              "epsilon": 0.01, "trials": trials, "seed": 5}
+             for f, trials in ((oracle, 3), ({"family": "linear", "dim": 20,
+                                              "w_explicit": oracle["w_explicit"]}, 1))]
+    specs.append({"algorithm": "gaussian-additivity", "epsilon": 0.01, "trials": 4, "seed": 6,
+                  "oracle": {"family": "corrupted-linear", "dim": 20, "w_seed": 7,
+                             "corruption": {"mass": 3e-4}}})
+    paths = [tmp_path / f"spec{k}.json" for k in range(len(specs))]
+    for path, spec in zip(paths, specs):
+        path.write_text(json.dumps(spec), encoding="utf-8")
+    calibrate = ("import sys\nfrom lintest.cli import main\n"
+                 "for p in sys.argv[1:]: main(['calibrate', '--spec', p], standalone_mode=False)")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=src, OPENBLAS_VERBOSE="2")
+    reports = {}
+    for core, threads in itertools.product((None, "Haswell", "Sandybridge"), ("1", "2")):
+        run_env = {**env, "OPENBLAS_NUM_THREADS": threads,
+                   **({} if core is None else {"OPENBLAS_CORETYPE": core})}
+        done = subprocess.run([sys.executable, "-c", calibrate, *map(str, paths)],
+                              capture_output=True, text=True, timeout=120, env=run_env)
+        assert done.returncode == 0, done.stderr
+        cores = re.findall(r"^Core: (\S+)", done.stderr, re.MULTILINE)
+        assert cores, f"OpenBLAS printed no Core line (is numpy on OpenBLAS?): {done.stderr!r}"
+        assert core is None or set(cores) == {core}, f"asked for {core}, ran {cores}"
+        reports[core, threads] = re.sub(r', "wall_clock_s": [^,}]+', "", done.stdout)
+    assert all(report == reports[None, "1"] for report in reports.values())
+    verdicts = [v for line in reports[None, "1"].splitlines() for v in json.loads(line)["verdicts"]]
+    assert len(verdicts) == 8
+    assert {v["reject_site"] for v in verdicts} >= {"f!=g", None, "query-g-disagreement"}

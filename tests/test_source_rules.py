@@ -93,6 +93,35 @@ def test_no_tester_step_returns_a_function():
     assert found == []
 
 
+def test_no_tester_stage_draws_stage_sized_rows():
+    # _stage draws each chunk's rows just before it runs the chunk, so a stage holds one
+    # chunk of rows and a reject draws nothing past its chunk.  So draw_many is only handed
+    # to _stage as a drawer, never called, and standard_normal is called only in a drawer
+    # lambda m: standard_normal(rng, (m, ...)) handed to _stage, or in probe_g's block builder.
+    tree = TREES["tester.py"]
+    drawers = [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and _name(node.func) == "_stage" for arg in node.args]
+    handed = {id(node) for arg in drawers for node in ast.walk(arg)}
+    lambdas = [lam for arg in drawers for lam in ast.walk(arg) if isinstance(lam, ast.Lambda)]
+    sized = {id(call) for lam in lambdas for call in ast.walk(lam) if isinstance(call, ast.Call)
+             and len(call.args) == 2 and isinstance(call.args[1], ast.Tuple)
+             and _name(call.args[1].elts[0]) == lam.args.args[0].arg}
+    (probe_g,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "probe_g"]
+    (build,) = [node for node in probe_g.body
+                if isinstance(node, ast.FunctionDef) and node.name == "build"]
+    allowed = sized | {id(node) for node in ast.walk(build)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    found = [f"tester.py:{node.lineno} calls draw_many" for node in calls
+             if _name(node.func) == "draw_many"]
+    found += [f"tester.py:{node.lineno} names draw_many outside a drawer"
+              for node in ast.walk(tree) if _name(node) == "draw_many" and id(node) not in handed]
+    found += [f"tester.py:{node.lineno} calls standard_normal outside a drawer" for node in calls
+              if _name(node.func) == "standard_normal" and id(node) not in allowed]
+    assert found == []
+    assert len(lambdas) == len(sized) == 2  # the battery's and the N(0, I) main loop's
+
+
 def test_tester_config_holds_only_epsilon_r_and_seed():
     # The paper fixes every repetition count as a function of epsilon alone,
     # so no field may override the round schedule.

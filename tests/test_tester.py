@@ -205,18 +205,30 @@ def _first_chunk(per_round, n):
     return max(1, tester._BATCH_DOUBLES // (per_round * n))
 
 
-def _evaluated_rounds(first, rounds, r, chunk=None):
+def _evaluated_rounds(first, rounds, r, chunk=None, head=0):
     """Rounds evaluated when round r fails first: up to the stage's end, the next multiple
-    of _CHUNK or the next edge of chunks of first, 2 first, 4 first, ..., whichever is first."""
+    of _CHUNK, round `head` (the main loop's _HEAD) or the next edge of chunks of first,
+    2 first, 4 first, ..., whichever is first.  head = 0 is every stage's schedule before
+    the main loop's round-_HEAD edge."""
     chunk = tester._CHUNK if chunk is None else chunk
     doubling = first * (2 ** (r // first + 1).bit_length() - 1)  # edges first * (2^k - 1)
-    return min(rounds, doubling, chunk * (r // chunk + 1))
+    return min(rounds, doubling, chunk * (r // chunk + 1), head if r < head else rounds)
 
 
-def _chunks(first, rounds):
+def _chunks(first, rounds, head=0):
     """A stage's chunk sizes in order: each chunk ends where some failing round stops it."""
-    ends = sorted({_evaluated_rounds(first, rounds, r) for r in range(rounds)})
+    ends = sorted({_evaluated_rounds(first, rounds, r, head=head) for r in range(rounds)})
     return [hi - lo for lo, hi in zip([0] + ends, ends)]
+
+
+def _gaussian_main_rows(rng, cfg, n):
+    """The N(0, I) main loop's points on the tester stream `rng` past the battery, under the
+    current budget: each chunk draws its points, then its probes' x_i, which are skipped."""
+    rows = []
+    for m in _chunks(_first_chunk(2 * cfg.rounds_queryg, n), cfg.rounds_main, tester._HEAD):
+        rows.append(standard_normal(rng, (m, n)))
+        standard_normal(rng, (m, cfg.rounds_queryg, n))
+    return np.concatenate(rows)
 
 
 def _battery_rows(seed, n):
@@ -279,7 +291,7 @@ def _one_round_battery_run(seed):
 def _one_round_battery_main_rows(seed):
     rng = make_rng(seed)
     standard_normal(rng, (1, 3, 5))
-    return standard_normal(rng, (TesterConfig(epsilon=0.1).rounds_main, 5))
+    return _gaussian_main_rows(rng, TesterConfig(epsilon=0.1), 5)
 
 
 @pytest.mark.parametrize("run, main_epsilon, site, main_rows, battery", [
@@ -298,33 +310,36 @@ def test_probe_block_size_changes_no_verdict(monkeypatch, run, main_epsilon, sit
                                              battery):
     # main-loop rows take their probe draws from the stream in order and every
     # block is evaluated, so the batch budget decides only how many rows one
-    # oracle call of probe_g evaluates and how many rounds a chunk checks
+    # oracle call of probe_g evaluates and how many rounds a chunk checks.  An
+    # N(0,I) main loop draws each chunk's points from the tester's stream ahead
+    # of that chunk's probes, so there the budget also moves the points past the
+    # first chunk; its witness is still the row that its schedule drew.
     main = TesterConfig(epsilon=main_epsilon)
     doubles_per_row = 2 * main.rounds_queryg * 5  # p/k_p - x_i and x_i
     whole = main.rounds_main
     runs = {}
     for rows in (1, 7, whole):
         monkeypatch.setattr(tester, "_BATCH_DOUBLES", rows * doubles_per_row)
-        runs[rows] = [run(seed) for seed in range(8)]
-    if site is None:
-        assert all(v.accepted for v in runs[whole])
-    else:
-        assert site in {v.reject_site for v in runs[whole]}
-    for rows, verdicts in runs.items():
-        assert [(v.outcome, v.reject_site, v.transcript) for v in verdicts] == \
-            [(v.outcome, v.reject_site, v.transcript) for v in runs[whole]]
+        runs[rows] = verdicts = [run(seed) for seed in range(8)]
         for seed, v in enumerate(verdicts):
-            if v.accepted:
-                assert v.queries_used == runs[whole][seed].queries_used
-            elif v.reject_site in ("query-g-disagreement", "f!=g"):
+            if v.reject_site in ("query-g-disagreement", "f!=g"):
                 r = _round_of(main_rows(seed), v.transcript[0][1])
                 assert v.queries_used == battery + (1 + 2 * main.rounds_queryg) * \
-                    _evaluated_rounds(rows, whole, r)
-            else:  # a battery reject, in the battery's own chunks of the same budget
+                    _evaluated_rounds(rows, whole, r, head=tester._HEAD)
+            elif not v.accepted:  # a battery reject, in the battery's own chunks of the same budget
                 r = _round_of(_battery_rows(seed, 5), v.transcript[0][1])
                 first = rows * doubles_per_row // (QUERIES_PER_ADDITIVITY_ROUND * 5)
                 assert v.queries_used == QUERIES_PER_ADDITIVITY_ROUND * _evaluated_rounds(
                     first, battery // QUERIES_PER_ADDITIVITY_ROUND, r)
+    if site is None:
+        assert all(v.accepted for v in runs[whole])
+    else:
+        assert site in {v.reject_site for v in runs[whole]}
+    assert len({v.queries_used for vs in runs.values() for v in vs if v.accepted}) <= 1
+    if main_rows is not _one_round_battery_main_rows:  # no N(0,I) main-loop reject: same verdicts
+        for verdicts in runs.values():
+            assert [(v.outcome, v.reject_site, v.transcript) for v in verdicts] == \
+                [(v.outcome, v.reject_site, v.transcript) for v in runs[whole]]
 
 
 # --- one oracle call per block of a step ----------------------------------------
@@ -365,11 +380,11 @@ def test_each_probe_block_is_one_oracle_call(monkeypatch):
     verdict = run_gaussian_additivity(f, cfg)
     assert verdict.accepted
     # the battery's blocks of 70 // 8 = 8 rounds in chunks of 8, 16, 32, ...;
-    # then main-loop chunks of 7, 14 and the last 26 rounds, each one call of f
-    # at its points (blocks of 70 rows) and one call per probe block
+    # then main-loop chunks of 7, 1 (up to round 8), 13 and the last 26 rounds,
+    # each one call of f at its points (blocks of 70 rows) and one call per probe block
     battery = [8 * rows for chunk in (8, 16, 32, 64, 110) for rows in _blocks(chunk, 8)]
-    assert rounds == 7 + 14 + 26
-    assert calls == battery + [call for chunk in (7, 14, 26)
+    assert rounds == 7 + 1 + 13 + 26
+    assert calls == battery + [call for chunk in (7, 1, 13, 26)
                                for call in [chunk] + [2 * nq * rows for rows in _blocks(chunk, 7)]]
     f, calls = _counting_linear(n)
     probe_g(f, np.ones((5, n)), TesterConfig(epsilon=eps), make_rng(3))
@@ -391,17 +406,19 @@ def test_each_negativity_chunk_is_one_oracle_call(monkeypatch):
     (50, 0.01, None, 256), (5, 0.05, 2**9, 256), (5, 0.05, 2**9, 20)])
 def test_only_the_last_oracle_call_of_a_chunk_is_short(monkeypatch, n, epsilon, budget, chunk):
     # Each stage's chunks end at its doubling edges (from one oracle block of
-    # its widest call), at multiples of _CHUNK and at its last round; every
-    # call of a chunk holds one block but its last, and the main loop calls f
-    # at a chunk's points (in blocks of _BATCH_DOUBLES // n rows) before its probes.
+    # its widest call), at multiples of _CHUNK, at its last round and, in the
+    # main loop alone, at round _HEAD; a chunk draws its own rows, every call of
+    # a chunk holds one block but its last, and the main loop calls f at a
+    # chunk's points (in blocks of _BATCH_DOUBLES // n rows) before its probes.
     if budget is not None:
         monkeypatch.setattr(tester, "_BATCH_DOUBLES", budget)
     monkeypatch.setattr(tester, "_CHUNK", chunk)
     stages, stage = [], tester._stage
 
-    def spy(f, start, rows, per_round, step):
-        stages.append((len(calls), len(rows), per_round))
-        return stage(f, start, rows, per_round, step)
+    def spy(f, start, rounds, draw, per_round, step, head=0):
+        drawn = []
+        stages.append((len(calls), rounds, per_round, head, drawn))
+        return stage(f, start, rounds, lambda m: drawn.append(m) or draw(m), per_round, step, head)
     monkeypatch.setattr(tester, "_stage", spy)
     cfg = TesterConfig(epsilon=epsilon, seed=24)
     for run in (lambda f: run_gaussian_additivity(f, cfg),
@@ -411,19 +428,21 @@ def test_only_the_last_oracle_call_of_a_chunk_is_short(monkeypatch, n, epsilon, 
         f, calls = _counting_linear(n)
         assert run(f).accepted
         ends = [lo for lo, *_ in stages[1:]] + [len(calls)]
-        for k, ((lo, rounds, width), hi) in enumerate(zip(stages, ends)):
+        for k, ((lo, rounds, width, head, drawn), hi) in enumerate(zip(stages, ends)):
             stage_calls = calls[lo:hi]
             if k and len(stages) == 3:  # under OddOracle each call is x, then -x
                 assert stage_calls[::2] == stage_calls[1::2]
                 stage_calls = stage_calls[::2]
             first = _first_chunk(width, n)
             f_rows = tester._BATCH_DOUBLES // n if k == len(stages) - 1 else None
+            assert head == (tester._HEAD if f_rows else 0)
+            assert drawn == _chunks(first, rounds, head)
             assert stage_calls == [
-                call for m in _chunks(first, rounds)
+                call for m in _chunks(first, rounds, head)
                 for call in (_blocks(m, f_rows) if f_rows else [])
                 + [width * rows for rows in _blocks(m, first)]]
-        assert len(_chunks(first, rounds)) >= 3  # the main loop's
-    assert chunk == 256 or 20 in _chunks(first, rounds)
+        assert len(_chunks(first, rounds, head)) >= 3  # the main loop's
+    assert chunk == 256 or 20 in _chunks(first, rounds, head)
 
 
 @pytest.mark.parametrize("n", [10, 50])
@@ -507,9 +526,9 @@ class _RowExactCorrupted(CorruptedLinear):
 
 def test_main_loop_stops_at_its_first_failing_chunk(monkeypatch):
     # A first main-loop chunk of 7 rounds: an oracle that first fails at
-    # main-loop round r has evaluated the battery, then the chunks of 7, 14,
-    # 28, ... rounds up to the one holding r, each round one f(p) and
-    # 2 * rounds_queryg probe queries.
+    # main-loop round r has evaluated the battery, then the chunks of 7, 1 (up
+    # to round _HEAD = 8), 13, 28, ... rounds up to the one holding r, each
+    # round one f(p) and 2 * rounds_queryg probe queries.
     rounds = []
     for seed in range(12):
         cfg = TesterConfig(epsilon=0.05, seed=seed)
@@ -520,12 +539,75 @@ def test_main_loop_stops_at_its_first_failing_chunk(monkeypatch):
             continue
         assert verdict.reject_site == "f!=g"
         r = _round_of(dist(seed).draw_many(cfg.rounds_main), verdict.transcript[0][1])
-        main = _evaluated_rounds(7, cfg.rounds_main, r) * (1 + 2 * cfg.rounds_queryg)
+        main = _evaluated_rounds(7, cfg.rounds_main, r, head=tester._HEAD) * (
+            1 + 2 * cfg.rounds_queryg)
         assert verdict.queries_used == f.query_count == cfg.battery_queries() + main
-        # the first three chunks hold 7 + 14 + 28 of the 93 rounds; the fourth the rest
-        assert (verdict.queries_used < cfg.accept_path_queries()) == (r < 7 + 14 + 28)
+        # the first four chunks hold 7 + 1 + 13 + 28 of the 93 rounds; the fifth the rest
+        assert (verdict.queries_used < cfg.accept_path_queries()) == (r < 7 + 1 + 13 + 28)
         rounds.append(r)
     assert len(rounds) >= 10 and max(rounds) >= 7
+
+
+@pytest.mark.parametrize("algorithm, epsilon, block, evaluated", [
+    ("df-additivity", 0.1, None, 8), ("df-additivity", 0.1, 5, 5), ("df-additivity", 0.9, None, 6),
+    ("df-linearity", 0.1, None, 8), ("df-linearity", 0.1, 5, 5)])
+def test_a_main_loop_reject_before_round_eight_evaluates_eight_rounds(
+        monkeypatch, algorithm, epsilon, block, evaluated):
+    # The main loop's first chunk ends by round _HEAD = 8, so a reject at round r < 8
+    # evaluates min(8, one oracle block, the loop's rounds) rounds, or 8 where a block
+    # of 5 ends before r: at n = 10 a block is 327 rounds (273 on df-linearity's inner
+    # run at epsilon / 2), and at epsilon = 0.9 the loop has 6.  D puts mass 0.3 on the
+    # hidden halfspace.
+    n, cfg = 10, TesterConfig(epsilon=epsilon)
+    main = cfg if algorithm == "df-additivity" else TesterConfig(epsilon=epsilon / 2)
+    if block is not None:
+        monkeypatch.setattr(tester, "_BATCH_DOUBLES", block * 2 * main.rounds_queryg * n)
+    assert evaluated == min(8, _first_chunk(2 * main.rounds_queryg, n), main.rounds_main)
+    f, dist = _hidden_halfspace(0.3, algorithm == "df-linearity", n)
+    if algorithm == "df-additivity":
+        run, before, q = run_df_additivity, cfg.battery_queries(), 1 + 2 * main.rounds_queryg
+    else:  # each wrapper query costs two base queries
+        run, before = run_df_linearity, 2 * cfg.rounds_forceneg + 2 * main.battery_queries()
+        q = 2 * (1 + 2 * main.rounds_queryg)
+    early = 0
+    for seed in range(12):
+        verdict = run(f, dist(seed), replace(cfg, seed=seed))
+        if verdict.reject_site not in _MAIN_SITES:
+            continue
+        d = dist(seed)
+        if algorithm == "df-linearity":
+            d.draw_many(cfg.rounds_forceneg)
+        r = _round_of(d.draw_many(main.rounds_main), verdict.transcript[0][1])
+        if r < 8:
+            assert verdict.queries_used == before + q * (evaluated if r < evaluated else 8)
+            early += 1
+    assert early >= 6
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.01])
+def test_no_verdict_evaluates_more_than_without_the_round_eight_edge(monkeypatch, epsilon):
+    # With _HEAD = 0 every stage keeps the schedule it had before the main loop's
+    # round-8 edge.  A D stream does not depend on how its draws are split, so the
+    # edge changes no outcome, site or witness, and only a main-loop reject may
+    # evaluate fewer queries.  reject-far's families, and the hidden halfspace at
+    # small masses, where main-loop rejects come later.
+    cases = list(_far_families(10).values())
+    for mass, odd in itertools.product((0.002, 0.02), (False, True)):
+        f, dist = _hidden_halfspace(mass, odd, 10)
+        cases.append((lambda f=f: f, dist))
+
+    def verdicts():
+        return [run(make(), dist(seed), TesterConfig(epsilon=epsilon, seed=seed))
+                for (make, dist), run, seed in itertools.product(
+                    cases, (run_df_additivity, run_df_linearity), range(6))]
+    now = verdicts()
+    monkeypatch.setattr(tester, "_HEAD", 0)
+    before = verdicts()
+    assert [(v.outcome, v.reject_site, v.transcript) for v in now] == \
+        [(v.outcome, v.reject_site, v.transcript) for v in before]
+    fewer = [v.reject_site for v, w in zip(now, before) if v.queries_used < w.queries_used]
+    assert all(v.queries_used <= w.queries_used for v, w in zip(now, before))
+    assert fewer and set(fewer) <= _MAIN_SITES
 
 
 @pytest.mark.parametrize("algorithm", ["df-additivity", "df-linearity"])
@@ -556,10 +638,10 @@ def test_a_hidden_halfspace_is_rejected_at_its_exact_power(algorithm, share):
 @pytest.mark.parametrize("algorithm, mass, odd_symmetric", [
     ("df-additivity", 0.004, False), ("df-linearity", 0.002, True)])
 def test_main_loop_chunk_size_changes_no_verdict(monkeypatch, algorithm, mass, odd_symmetric):
-    # The main loop draws all its points, then their probes' x_i, before its
-    # first chunk, so at epsilon = 0.01 (461 rounds, or 922 on the odd wrapper)
-    # a reject past the first 256 rounds keeps its outcome, site and witness
-    # under any first chunk, and evaluation stops at the end of its chunk.  At
+    # The main loop draws each chunk's points from D, whose stream does not
+    # depend on how it is split, so at epsilon = 0.01 (461 rounds, or 922 on the
+    # odd wrapper) a reject past the first 256 rounds keeps its outcome, site and
+    # witness under any first chunk, and evaluation stops at the end of its chunk.  At
     # n = 5 the default first chunk (409 or 364 rounds) is longer than _CHUNK,
     # and no reject evaluates more than checks every _CHUNK rounds would.
     cfg = TesterConfig(epsilon=0.01)
@@ -600,7 +682,7 @@ def test_main_loop_chunk_size_changes_no_verdict(monkeypatch, algorithm, mass, o
         early, late = early + (r < 256), late + (r >= 256)
         for first, verdicts in runs.items():
             assert verdicts[seed].queries_used == \
-                before + _evaluated_rounds(first, rounds, r) * per_round
+                before + _evaluated_rounds(first, rounds, r, head=tester._HEAD) * per_round
             assert verdicts[seed].queries_used <= \
                 before + min(rounds, 256 * (r // 256 + 1)) * per_round
     assert early >= 2 and late >= 2
@@ -641,7 +723,7 @@ def _stages(algorithm, cfg, d, n):
         cfg, per_query = replace(cfg, epsilon=cfg.epsilon / 2.0, seed=derive_seed(cfg.seed, 1)), 2
     rng = make_rng(cfg.seed)
     battery = standard_normal(rng, (cfg.rounds_testadd, 3, n))[:, 0]
-    main = (standard_normal(rng, (cfg.rounds_main, n)) if algorithm == "gaussian-additivity"
+    main = (_gaussian_main_rows(rng, cfg, n) if algorithm == "gaussian-additivity"
             else d.draw_many(cfg.rounds_main))
     return stages + [
         (cfg.rounds_testadd, per_query * QUERIES_PER_ADDITIVITY_ROUND,
@@ -660,8 +742,9 @@ def test_evaluated_is_at_most_twice_sequential_plus_one_block(algorithm, family,
     # A sequential tester stops at the failing check of round r of some stage.
     # The doubling chunks evaluate at most 2r + one block of that stage's
     # rounds, so evaluated <= 2 * sequential + one block (ROADMAP item 6), and
-    # the _CHUNK edges no more than checks every _CHUNK rounds would; on accept
-    # both are the closed form.  D has mass share * epsilon on the region.
+    # the _CHUNK edges no more than checks every _CHUNK rounds would; the main
+    # loop's round-_HEAD edge only cuts a chunk short.  On accept all are the
+    # closed form.  D has mass share * epsilon on the region.
     if family == "corrupted-odd":
         f = CorruptedLinear.with_mass(random_linear(n, w_seed=8).w, share * epsilon,
                                       odd_symmetric=True)
@@ -692,8 +775,10 @@ def test_evaluated_is_at_most_twice_sequential_plus_one_block(algorithm, family,
     prefix = q if verdict.reject_site == "f!=g" else per_query * _ROUND_PREFIX[verdict.reject_site]
     before = sum(rr * qq for rr, qq, *_ in stages[:s])
     sequential = before + r * q + prefix
-    assert verdict.queries_used == before + q * _evaluated_rounds(firsts[s], rounds, r, chunk)
+    head = tester._HEAD if s == len(stages) - 1 else 0
+    assert verdict.queries_used == before + q * _evaluated_rounds(firsts[s], rounds, r, chunk, head)
     assert sequential <= verdict.queries_used <= 2 * sequential + q * firsts[s]
+    assert verdict.queries_used <= before + q * _evaluated_rounds(firsts[s], rounds, r, chunk)
     assert verdict.queries_used <= before + q * min(rounds, chunk * (r // chunk + 1))
 
 
