@@ -3,9 +3,9 @@
 The pipeline: a constant-round battery of additivity identities over
 N(0,I) (negation, difference, three-point split), a self-corrected probe
 that recovers the value of the implied additive function g at any point,
-and a main loop that compares f against g on points from either N(0,I) or
-an unknown distribution D.  A negativity-forcing wrapper upgrades the
-additivity tester to a linearity tester for continuous inputs.
+and a main loop that compares f against g on points from a distribution D,
+N(0,I) on a seed of its own for the Gaussian tester.  A negativity-forcing
+wrapper upgrades the additivity tester to a linearity tester for continuous inputs.
 
 Exactly additive/linear inputs are accepted with probability 1: the
 identities hold to floating-point rounding, which EqPolicy's relative
@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distro import SampleDistribution
+from .distro import SampleDistribution, StandardGaussian
 from .oracle import EqPolicy, FunctionOracle, scaled_norms
 from .rng import derive_seed, make_rng, standard_normal
 
@@ -237,12 +237,12 @@ def query_g(f: FunctionOracle, p, cfg: TesterConfig, rng=None) -> QueryGResult:
     return QueryGResult(not agree[0], value, int(es[0]), base, f.query_count - start)
 
 
-def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | None) -> Verdict:
+def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution) -> Verdict:
     """The identity battery, then the main loop comparing f(p) with the g-probe at p.
 
-    Each chunk draws its points just before it runs: from d, or when d is None from N(0,I)
-    on the tester's own stream, just ahead of their probes' x_i.  The first chunk ends by
-    round _HEAD.  Both sites' witnesses are (site, p, f(p), e, v_1).
+    Each chunk draws its points from d just before it runs; the tester's own stream feeds
+    only the battery and the probes' x_i, so no chunk edge moves a draw.  The first chunk
+    ends by round _HEAD.  Both sites' witnesses are (site, p, f(p), e, v_1).
     """
     rng = make_rng(cfg.seed)
     start = f.query_count
@@ -259,22 +259,17 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution | No
         f_ne_g = cfg.policy.eq_arr(*np.ldexp([fp, v1, mag1], [lo - es, lo, lo]))
         return {"query-g-disagreement": agree, "f!=g": f_ne_g}, (fp, es, v1)
 
-    return _stage(f, start, cfg.rounds_main,
-                  (lambda m: standard_normal(rng, (m, f.dim))) if d is None else d.draw_many,
-                  2 * cfg.rounds_queryg, step, _HEAD)
+    return _stage(f, start, cfg.rounds_main, d.draw_many, 2 * cfg.rounds_queryg, step, _HEAD)
 
 
 def run_gaussian_additivity(f: FunctionOracle, cfg: TesterConfig) -> Verdict:
-    """Additivity tester with distance measured over N(0,I)."""
-    return _additivity(f, cfg, None)
+    """The distribution-free additivity tester with D = N(0,I) on its own seed."""
+    return _additivity(f, cfg, StandardGaussian(f.dim, derive_seed(cfg.seed, 2)))
 
 
 def run_df_additivity(f: FunctionOracle, d: SampleDistribution, cfg: TesterConfig) -> Verdict:
-    """Distribution-free additivity tester: distance points come from d.
-
-    The identity battery and the g-probe still sample from N(0,I); only the
-    step-3 comparison points are drawn from the unknown distribution.
-    """
+    """Distribution-free additivity tester: the identity battery and the g-probe sample
+    N(0,I) on the tester's stream, and only the main loop's points come from d."""
     if d.dim != f.dim:
         raise ValueError(f"distribution dimension {d.dim} != oracle dimension {f.dim}")
     return _additivity(f, cfg, d)
@@ -301,6 +296,9 @@ def force_negativity(f: FunctionOracle, d: SampleDistribution,
                      cfg: TesterConfig) -> tuple[OddOracle | None, Verdict]:
     """Check f(-x) = -f(x) on draws from d, each chunk's made just before it runs; a witness
     is (site, x, f(x), f(-x)).  On success return the odd wrapper."""
+    if d.dim != f.dim:
+        raise ValueError(f"distribution dimension {d.dim} != oracle dimension {f.dim}")
+
     def step(xs):
         a, b = _query_blocks(f, len(xs), 2, lambda lo, hi: np.array([xs[lo:hi], -xs[lo:hi]]))
         return {"force-negativity": cfg.policy.eq_arr(b, -a)}, (a, b)

@@ -98,6 +98,7 @@ def test_no_tester_stage_draws_stage_sized_rows():
     # chunk of rows and a reject draws nothing past its chunk.  So draw_many is only handed
     # to _stage as a drawer, never called, and standard_normal is called only in a drawer
     # lambda m: standard_normal(rng, (m, ...)) handed to _stage, or in probe_g's block builder.
+    # Every main loop draws from its D, N(0, I) included, so the battery's is the one lambda.
     tree = TREES["tester.py"]
     drawers = [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
                and _name(node.func) == "_stage" for arg in node.args]
@@ -119,7 +120,22 @@ def test_no_tester_stage_draws_stage_sized_rows():
     found += [f"tester.py:{node.lineno} calls standard_normal outside a drawer" for node in calls
               if _name(node.func) == "standard_normal" and id(node) not in allowed]
     assert found == []
-    assert len(lambdas) == len(sized) == 2  # the battery's and the N(0, I) main loop's
+    assert len(lambdas) == len(sized) == 1  # the battery's
+    (battery,) = lambdas
+    (test_additivity,) = [node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "test_additivity"]
+    assert battery in list(ast.walk(test_additivity))
+
+
+# ROADMAP's rule for this round ("Keep src at or below 1,800 lines after every PR"):
+# a PR that adds library code pays for it with deleted lines.
+SRC_LINE_BUDGET = 1800
+
+
+def test_src_stays_within_its_line_budget():
+    # as `cat src/lintest/*.py | wc -l` counts them
+    lines = {path.name: path.read_bytes().count(b"\n") for path in SOURCES}
+    assert sum(lines.values()) <= SRC_LINE_BUDGET, lines
 
 
 def test_tester_config_holds_only_epsilon_r_and_seed():

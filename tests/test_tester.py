@@ -221,14 +221,9 @@ def _chunks(first, rounds, head=0):
     return [hi - lo for lo, hi in zip([0] + ends, ends)]
 
 
-def _gaussian_main_rows(rng, cfg, n):
-    """The N(0, I) main loop's points on the tester stream `rng` past the battery, under the
-    current budget: each chunk draws its points, then its probes' x_i, which are skipped."""
-    rows = []
-    for m in _chunks(_first_chunk(2 * cfg.rounds_queryg, n), cfg.rounds_main, tester._HEAD):
-        rows.append(standard_normal(rng, (m, n)))
-        standard_normal(rng, (m, cfg.rounds_queryg, n))
-    return np.concatenate(rows)
+def _gaussian_main_rows(cfg, n):
+    """The N(0, I) main loop's points: rows of its own sampler, under any chunk schedule."""
+    return StandardGaussian(n, seed=derive_seed(cfg.seed, 2)).draw_many(cfg.rounds_main)
 
 
 def _battery_rows(seed, n):
@@ -289,9 +284,7 @@ def _one_round_battery_run(seed):
 
 
 def _one_round_battery_main_rows(seed):
-    rng = make_rng(seed)
-    standard_normal(rng, (1, 3, 5))
-    return _gaussian_main_rows(rng, TesterConfig(epsilon=0.1), 5)
+    return _gaussian_main_rows(TesterConfig(epsilon=0.1, seed=seed), 5)
 
 
 @pytest.mark.parametrize("run, main_epsilon, site, main_rows, battery", [
@@ -308,12 +301,10 @@ def _one_round_battery_main_rows(seed):
 ], ids=["linear-gaussian", "linear-df-linearity", "query-g-disagreement", "f!=g-shifted"])
 def test_probe_block_size_changes_no_verdict(monkeypatch, run, main_epsilon, site, main_rows,
                                              battery):
-    # main-loop rows take their probe draws from the stream in order and every
-    # block is evaluated, so the batch budget decides only how many rows one
-    # oracle call of probe_g evaluates and how many rounds a chunk checks.  An
-    # N(0,I) main loop draws each chunk's points from the tester's stream ahead
-    # of that chunk's probes, so there the budget also moves the points past the
-    # first chunk; its witness is still the row that its schedule drew.
+    # main-loop rows take their points from D (N(0,I) on a sampler of its own for the
+    # Gaussian tester) and their probe draws from the tester's stream, both in order,
+    # and every block is evaluated, so the batch budget decides only how many rows one
+    # oracle call of probe_g evaluates and how many rounds a chunk checks.
     main = TesterConfig(epsilon=main_epsilon)
     doubles_per_row = 2 * main.rounds_queryg * 5  # p/k_p - x_i and x_i
     whole = main.rounds_main
@@ -336,10 +327,9 @@ def test_probe_block_size_changes_no_verdict(monkeypatch, run, main_epsilon, sit
     else:
         assert site in {v.reject_site for v in runs[whole]}
     assert len({v.queries_used for vs in runs.values() for v in vs if v.accepted}) <= 1
-    if main_rows is not _one_round_battery_main_rows:  # no N(0,I) main-loop reject: same verdicts
-        for verdicts in runs.values():
-            assert [(v.outcome, v.reject_site, v.transcript) for v in verdicts] == \
-                [(v.outcome, v.reject_site, v.transcript) for v in runs[whole]]
+    for verdicts in runs.values():
+        assert [(v.outcome, v.reject_site, v.transcript) for v in verdicts] == \
+            [(v.outcome, v.reject_site, v.transcript) for v in runs[whole]]
 
 
 # --- one oracle call per block of a step ----------------------------------------
@@ -636,41 +626,55 @@ def test_a_hidden_halfspace_is_rejected_at_its_exact_power(algorithm, share):
 
 
 @pytest.mark.parametrize("algorithm, mass, odd_symmetric", [
-    ("df-additivity", 0.004, False), ("df-linearity", 0.002, True)])
+    ("df-additivity", 0.004, False), ("df-linearity", 0.002, True),
+    ("gaussian-additivity", 1e-4, False)])
 def test_main_loop_chunk_size_changes_no_verdict(monkeypatch, algorithm, mass, odd_symmetric):
     # The main loop draws each chunk's points from D, whose stream does not
     # depend on how it is split, so at epsilon = 0.01 (461 rounds, or 922 on the
     # odd wrapper) a reject past the first 256 rounds keeps its outcome, site and
     # witness under any first chunk, and evaluation stops at the end of its chunk.  At
     # n = 5 the default first chunk (409 or 364 rounds) is longer than _CHUNK,
-    # and no reject evaluates more than checks every _CHUNK rounds would.
+    # and no reject evaluates more than checks every _CHUNK rounds would.  The
+    # Gaussian tester's D is N(0, I) on a sampler of its own; its one-round battery
+    # lets a corruption of N(0, I)-mass 1e-4 through to the main loop.
     cfg = TesterConfig(epsilon=0.01)
-    main = cfg if algorithm == "df-additivity" else TesterConfig(epsilon=0.005)
+    main = cfg if algorithm != "df-linearity" else TesterConfig(epsilon=0.005)
     rounds = main.rounds_main
     per_round = 1 + 2 * main.rounds_queryg
     default = _first_chunk(2 * main.rounds_queryg, 5)
     assert default > tester._CHUNK == 256
-    if algorithm == "df-additivity":
-        run, before = run_df_additivity, cfg.battery_queries()
-    else:  # each wrapper query costs two base queries
+    hidden, dist = _hidden_halfspace(mass, odd_symmetric)
+    run, before = run_df_additivity, cfg.battery_queries()
+    if algorithm == "df-linearity":  # each wrapper query costs two base queries
         run, before = run_df_linearity, 2 * cfg.rounds_forceneg + 2 * main.battery_queries()
         per_round *= 2
-    hidden, dist = _hidden_halfspace(mass, odd_symmetric)
+    elif algorithm == "gaussian-additivity":  # which takes no D
+        monkeypatch.setattr(TesterConfig, "rounds_testadd", property(lambda cfg: 1))
+        hidden, before = CorruptedLinear.with_mass(np.ones(5), mass), QUERIES_PER_ADDITIVITY_ROUND
+        run = lambda f, d, cfg: run_gaussian_additivity(f, cfg)  # noqa: E731
     f = _RowExactCorrupted(hidden.w, hidden.region, odd_symmetric=odd_symmetric)
 
     def main_rows(seed):
+        if algorithm == "gaussian-additivity":
+            return _gaussian_main_rows(replace(cfg, seed=seed), 5)
         d = dist(seed)
         if algorithm == "df-linearity":
             d.draw_many(cfg.rounds_forceneg)
         return d.draw_many(rounds)
 
+    def verdicts():
+        return [run(f, dist(seed), TesterConfig(epsilon=0.01, seed=seed)) for seed in range(8)]
+
     runs = {}
     for first in (1, 7, 256, default):
         monkeypatch.setattr(tester, "_BATCH_DOUBLES", first * 2 * main.rounds_queryg * 5)
-        runs[first] = [run(f, dist(seed), TesterConfig(epsilon=0.01, seed=seed))
-                       for seed in range(8)]
-    for first in (1, 7, default):
-        assert [(v.outcome, v.reject_site, v.transcript) for v in runs[first]] == \
+        runs[first] = verdicts()
+    with monkeypatch.context() as m:  # nor do the other chunk constants move a verdict
+        m.setattr(tester, "_CHUNK", 5)
+        m.setattr(tester, "_HEAD", 0)
+        other = verdicts()
+    for vs in (runs[1], runs[7], runs[default], other):
+        assert [(v.outcome, v.reject_site, v.transcript) for v in vs] == \
             [(v.outcome, v.reject_site, v.transcript) for v in runs[256]]
     early = late = 0
     for seed, verdict in enumerate(runs[256]):
@@ -721,9 +725,8 @@ def _stages(algorithm, cfg, d, n):
         stages.append((cfg.rounds_forceneg, 2, 2, {"force-negativity"},
                        d.draw_many(cfg.rounds_forceneg)))
         cfg, per_query = replace(cfg, epsilon=cfg.epsilon / 2.0, seed=derive_seed(cfg.seed, 1)), 2
-    rng = make_rng(cfg.seed)
-    battery = standard_normal(rng, (cfg.rounds_testadd, 3, n))[:, 0]
-    main = (_gaussian_main_rows(rng, cfg, n) if algorithm == "gaussian-additivity"
+    battery = _battery_rows(cfg.seed, n)
+    main = (_gaussian_main_rows(cfg, n) if algorithm == "gaussian-additivity"
             else d.draw_many(cfg.rounds_main))
     return stages + [
         (cfg.rounds_testadd, per_query * QUERIES_PER_ADDITIVITY_ROUND,
@@ -737,6 +740,8 @@ def _stages(algorithm, cfg, d, n):
        st.sampled_from(["hidden", "hidden-odd", "corrupted-odd"]), st.floats(0.125, 1.0),
        st.sampled_from([0.05, 0.1, 0.2]), st.integers(2, 6), st.integers(-40, 40),
        st.integers(4, 15), st.sampled_from([5, 64, 256]), st.integers(0, 2**32 - 1))
+@example("gaussian-additivity", "rare", 0.5, 0.05, 6, 3, 5, 5, 11)  # a query-g-disagreement
+@example("gaussian-additivity", "rare", 1.0, 0.1, 4, -2, 9, 64, 7)  # an f!=g
 def test_evaluated_is_at_most_twice_sequential_plus_one_block(algorithm, family, share, epsilon,
                                                                n, k, log_budget, chunk, seed):
     # A sequential tester stops at the failing check of round r of some stage.
@@ -744,10 +749,12 @@ def test_evaluated_is_at_most_twice_sequential_plus_one_block(algorithm, family,
     # rounds, so evaluated <= 2 * sequential + one block (ROADMAP item 6), and
     # the _CHUNK edges no more than checks every _CHUNK rounds would; the main
     # loop's round-_HEAD edge only cuts a chunk short.  On accept all are the
-    # closed form.  D has mass share * epsilon on the region.
-    if family == "corrupted-odd":
-        f = CorruptedLinear.with_mass(random_linear(n, w_seed=8).w, share * epsilon,
-                                      odd_symmetric=True)
+    # closed form.  D has mass share * epsilon on the region; a "rare" corruption
+    # has 1/256 of that, so that the battery lets it through to a Gaussian main loop.
+    if family in ("corrupted-odd", "rare"):
+        f = CorruptedLinear.with_mass(random_linear(n, w_seed=8).w,
+                                      share * epsilon / (256 if family == "rare" else 1),
+                                      odd_symmetric=family == "corrupted-odd")
         dist = lambda: StandardGaussian(n, seed=seed)  # noqa: E731
     else:
         f, shifted = _hidden_halfspace(share * epsilon, family == "hidden-odd", n)
@@ -1175,14 +1182,14 @@ def test_df_additivity_accepts_linear_under_shifted_distribution():
     assert verdict.queries_used == cfg.accept_path_queries()
 
 
-def test_df_additivity_dimension_mismatch():
-    with pytest.raises(ValueError):
-        run_df_additivity(random_linear(3, 0), StandardGaussian(4, 0),
-                          TesterConfig(epsilon=0.1))
-    f = random_linear(3, 0)
-    with pytest.raises(ValueError):
-        run_df_linearity(f, StandardGaussian(4, 0), TesterConfig(epsilon=0.1))
+@pytest.mark.parametrize("run", [run_df_additivity, run_df_linearity, force_negativity])
+def test_df_additivity_dimension_mismatch(run):
+    # refused up front: no query made and nothing drawn from D
+    f, d = random_linear(3, 0), StandardGaussian(4, 0)
+    with pytest.raises(ValueError, match="distribution dimension 4 != oracle dimension 3"):
+        run(f, d, TesterConfig(epsilon=0.1))
     assert f.query_count == 0
+    assert "_rng" not in vars(d)
 
 
 def test_df_additivity_sees_corruption_hidden_from_the_gaussian_tester():
