@@ -7,19 +7,12 @@ stdout as one line of ASCII JSON: `spec` first, as the file's text, then sorted 
 
 from __future__ import annotations
 
-import contextlib
 import json
 import sys
 
 import click
 
 from .harness import run_calibrate, run_lower_bound, run_query_scaling
-
-
-def _load_spec(spec_path) -> str:
-    """The spec file's text; each command parses it, and the harness checks the value."""
-    with open(spec_path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _emit(report: dict, spec_text: str):
@@ -34,11 +27,13 @@ def _emit(report: dict, spec_text: str):
     sys.stdout.write('{"spec": ' + spec + ", " + rest[1:] + "\n")
 
 
-@contextlib.contextmanager
-def _errors_as_json():
-    """Report bad input, or a spec too large for the machine, as one JSON line on stderr; exit 2."""
+def _run(spec_path, run, **kwargs):
+    """Emit the report of `run` on the spec file's JSON.  Bad input, or a spec too large
+    for the machine, is reported as one JSON line on stderr, with exit status 2."""
     try:
-        yield
+        with open(spec_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        _emit(run(json.loads(text), **kwargs), text)
     except (ValueError, OSError, MemoryError) as exc:  # SpecError is a ValueError
         click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
         sys.exit(2)
@@ -60,18 +55,14 @@ def main():
 @_JOBS
 def cmd_calibrate(spec_path, jobs):
     """Run the spec's tester over many seeded trials and aggregate the verdicts."""
-    with _errors_as_json():
-        text = _load_spec(spec_path)
-        _emit(run_calibrate(json.loads(text), jobs=jobs), text)
+    _run(spec_path, run_calibrate, jobs=jobs)
 
 
 @main.command("query-scaling")
 @_SPEC
 def cmd_query_scaling(spec_path):
     """Sweep epsilon and compare measured query counts against the closed form."""
-    with _errors_as_json():
-        text = _load_spec(spec_path)
-        _emit(run_query_scaling(json.loads(text)), text)
+    _run(spec_path, run_query_scaling)
 
 
 @main.command("lower-bound")
@@ -79,9 +70,7 @@ def cmd_query_scaling(spec_path):
 @_JOBS
 def cmd_lower_bound(spec_path, jobs):
     """Play the likelihood-ratio distinguishing game over an (n, C) grid."""
-    with _errors_as_json():
-        text = _load_spec(spec_path)
-        _emit(run_lower_bound(json.loads(text), jobs=jobs), text)
+    _run(spec_path, run_lower_bound, jobs=jobs)
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ class SampleDistribution:
     """A seeded sampler over R^n.  Each instance owns its own stream, made at its first draw."""
 
     def __init__(self, dim: int, seed: int = 0):
-        if dim < 1:
-            raise DistributionError(f"dimension must be >= 1, got {dim}")
+        if not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise DistributionError(f"dimension must be >= 1 and an integer, got {dim!r}")
         self.dim = int(dim)
         self.seed = int(seed)
 

@@ -3,9 +3,9 @@
 Specs are JSON dicts.  `_parse` applies every rule that reads one spec object,
 from tables of typed keys with defaults (the library configs' where they share
 a key) and of key pairs that say one thing two ways; builders and runners check
-only rules that join keys.  Every trial derives its seeds from the master seed
-through the mixing hash, so reports are byte-identical across re-runs and across
-worker schedules, wall-clock aside.
+only rules that join keys.  A trial's seed comes from the master seed through the mixing
+hash, and its D's seed from the trial's alone, so a verdict replays from its `seed` and
+reports are byte-identical across re-runs and worker schedules, wall-clock aside.
 """
 
 from __future__ import annotations
@@ -286,15 +286,12 @@ def _report(spec: dict, command: str, seed: int, **body) -> dict:
 
 
 def _run_one_trial(setup: tuple, trial: int) -> dict:
-    """One seeded tester run, restarting only the streams; its ε, seed and trial stamped here."""
+    """One tester run on the trial's seed, D restarted from that seed; ε, seed, trial stamped."""
     spec, cfg, oracle, dist = setup
-    seed = spec["seed"]
-    cfg = dataclasses.replace(cfg, seed=derive_seed(seed, trial, 1))
-    if dist is None:
-        verdict = run_gaussian_additivity(oracle, cfg)
-    else:
-        run = run_df_additivity if spec["algorithm"] == "df-additivity" else run_df_linearity
-        verdict = run(oracle, dist.restarted(derive_seed(seed, trial, 2)), cfg)
+    cfg = dataclasses.replace(cfg, seed=derive_seed(spec["seed"], trial, 1))
+    run = run_df_linearity if spec["algorithm"] == "df-linearity" else run_df_additivity
+    # run_gaussian_additivity's rule: D restarts from derive_seed(cfg.seed, 2)
+    verdict = run(oracle, dist.restarted(derive_seed(cfg.seed, 2)), cfg)
     return {**verdict.to_json(), "epsilon": cfg.epsilon, "seed": cfg.seed, "trial": trial}
 
 
@@ -309,9 +306,9 @@ def run_calibrate(spec: dict, jobs: int = 1) -> dict:
     start = time.perf_counter()
     cfg = TesterConfig(epsilon=float(parsed["epsilon"]), r=parsed["r"])
     oracle, dspec = build_oracle(parsed["oracle"]), parsed["distribution"]
-    dist = None if parsed["algorithm"] == "gaussian-additivity" else build_distribution(
-        {"kind": "standard-gaussian", "dim": oracle.dim} if dspec is None else dspec)
-    if dist is not None and dist.dim != oracle.dim:
+    dist = build_distribution({"kind": "standard-gaussian", "dim": oracle.dim} if dspec is None
+                              else dspec)
+    if dist.dim != oracle.dim:
         raise SpecError(f"distribution dimension {dist.dim} != oracle dimension {oracle.dim}")
     setup = (parsed, cfg, oracle, dist)  # built once; each worker gets it in its share's message
     results = _fan_out(functools.partial(_run_one_trial, setup), range(trials), jobs)

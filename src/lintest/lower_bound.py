@@ -48,12 +48,12 @@ class LowerBoundConfig:
     delta_override: float | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise LowerBoundError(f"need dimension n >= 2, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise LowerBoundError(f"need an integer dimension n >= 2, got {self.n!r}")
         if not 0.0 < self.C < (2.0 / 3.0) ** 2:
             raise LowerBoundError(f"C must lie in (0, (2/3)^2), got {self.C}")
-        if self.trials < 1:
-            raise LowerBoundError("need at least one trial")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise LowerBoundError(f"need an integer number of trials >= 1, got {self.trials!r}")
         if self.delta_override is not None and not 0 <= self.delta_override <= _MAX_DELTA:
             raise LowerBoundError(f"delta_override must lie in [0, {_MAX_DELTA:.3g}]")
 

@@ -97,8 +97,8 @@ class FunctionOracle:
     """
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise OracleError(f"dimension must be >= 1, got {dim}")
+        if not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise OracleError(f"dimension must be >= 1 and an integer, got {dim!r}")
         self.dim = int(dim)
         self.query_count = 0
 
@@ -145,19 +145,18 @@ class LinearOracle(FunctionOracle):
         return xs @ self.w
 
 
-class ConstantShiftLinear(FunctionOracle):
+class ConstantShiftLinear(LinearOracle):
     """f(x) = w.x + c (additive everywhere off by the constant c)."""
 
     def __init__(self, w, c: float):
-        self.w = np.asarray(w, dtype=float)
+        super().__init__(w)
         self.c = float(c)
-        super().__init__(self.w.size)
 
     def _values(self, xs):
-        return xs @ self.w + self.c
+        return super()._values(xs) + self.c
 
 
-class CorruptedLinear(FunctionOracle):
+class CorruptedLinear(LinearOracle):
     """w.x plus an absolute payload on a halfspace of prescribed mass.
 
     With odd_symmetric=True the payload is applied antisymmetrically on the
@@ -167,11 +166,10 @@ class CorruptedLinear(FunctionOracle):
 
     def __init__(self, w, region: CorruptionRegion, payload: float = 1.0,
                  odd_symmetric: bool = False):
-        self.w = np.asarray(w, dtype=float)
+        super().__init__(w)
         self.region = region
         self.payload = float(payload)
         self.odd_symmetric = bool(odd_symmetric)
-        super().__init__(self.w.size)
         if self.region.direction.size != self.dim:
             raise OracleError("corruption direction dimension mismatch")
         if odd_symmetric and region.threshold <= 0:
@@ -192,10 +190,10 @@ class CorruptedLinear(FunctionOracle):
         hit = (proj > self.region.threshold).astype(float)
         if self.odd_symmetric:
             hit = hit - (-proj > self.region.threshold).astype(float)
-        return xs @ self.w + self.payload * hit
+        return super()._values(xs) + self.payload * hit
 
 
-class NoisyLinear(FunctionOracle):
+class NoisyLinear(LinearOracle):
     """w.x + eta(x) with eta(x) ~ N(0, delta_noise) keyed by the bits of x.
 
     The noise is a function of the point, not of the query: the canonical
@@ -205,17 +203,16 @@ class NoisyLinear(FunctionOracle):
     """
 
     def __init__(self, w, delta_noise: float, noise_seed: int = 0):
-        self.w = np.asarray(w, dtype=float)
+        super().__init__(w)
         if delta_noise < 0:
             raise OracleError("noise variance must be nonnegative")
         self.delta_noise = float(delta_noise)
         self.noise_seed = int(noise_seed)
-        super().__init__(self.w.size)
 
     def _values(self, xs):
         words = np.ascontiguousarray(xs + 0.0, dtype="<f8").view("<u8")
         h = hash_rows(words, self.noise_seed)
-        return xs @ self.w + np.sqrt(self.delta_noise) * ndtri(open_unit(h >> 11))
+        return super()._values(xs) + np.sqrt(self.delta_noise) * ndtri(open_unit(h >> 11))
 
 
 class NormOracle(FunctionOracle):

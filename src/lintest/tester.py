@@ -263,7 +263,7 @@ def _additivity(f: FunctionOracle, cfg: TesterConfig, d: SampleDistribution) -> 
 
 
 def run_gaussian_additivity(f: FunctionOracle, cfg: TesterConfig) -> Verdict:
-    """The distribution-free additivity tester with D = N(0,I) on its own seed."""
+    """run_df_additivity on D = N(0, I) from derive_seed(cfg.seed, 2), as calibrate seeds any D."""
     return _additivity(f, cfg, StandardGaussian(f.dim, derive_seed(cfg.seed, 2)))
 
 

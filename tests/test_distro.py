@@ -32,8 +32,10 @@ def test_standard_gaussian_determinism_and_moments():
 
 
 def test_every_sampler_refuses_a_dimension_below_one():
+    # and a size that is no integer, which int() would have cut silently
     for make in (lambda: StandardGaussian(0), lambda: StandardGaussian(-2),
-                 lambda: Empirical(np.empty((3, 0)))):
+                 lambda: Empirical(np.empty((3, 0))), lambda: StandardGaussian(2.5),
+                 lambda: StandardGaussian(3.0), lambda: StandardGaussian("3")):
         with pytest.raises(DistributionError, match="dimension must be >= 1"):
             make()
 

@@ -629,7 +629,8 @@ def test_run_calibrate_is_deterministic_in_the_seed(seed, n, algorithm):
 
 
 def _fresh_trial(spec: dict, t: int) -> dict:
-    """Trial t of a calibrate spec, from an oracle and a sampler built for that trial alone."""
+    """Trial t of a calibrate spec, from an oracle and a sampler built for that trial alone,
+    with D restarted from the verdict's own seed, as run_gaussian_additivity restarts N(0, I)."""
     seed = spec["seed"]
     cfg = TesterConfig(epsilon=spec["epsilon"], seed=derive_seed(seed, t, 1))
     oracle = build_oracle(spec["oracle"])
@@ -638,7 +639,7 @@ def _fresh_trial(spec: dict, t: int) -> dict:
         return {**vars(run_gaussian_additivity(oracle, cfg)), **stamp}
     dspec = spec.get("distribution", {"kind": "standard-gaussian", "dim": oracle.dim})
     run = run_df_additivity if spec["algorithm"] == "df-additivity" else run_df_linearity
-    dist = build_distribution(dspec).restarted(derive_seed(seed, t, 2))
+    dist = build_distribution(dspec).restarted(derive_seed(cfg.seed, 2))
     return {**vars(run(oracle, dist, cfg)), **stamp}
 
 
@@ -680,7 +681,8 @@ _MIXTURE = {"kind": "mixture", "weights": [0.3, 0.7],
 def test_each_trial_equals_a_fresh_build_of_its_own_objects(
         tmp_path, monkeypatch, fresh_workers, algorithm, oracle, distribution, jobs):
     # run_calibrate builds its oracle and sampler once and restarts the sampler per trial;
-    # every verdict, transcript included, is what building them for that trial gives.
+    # every verdict, transcript included, is what building them for that trial gives, and
+    # so replays from its own record: the spec and the verdict's seed.
     if isinstance(distribution, str):
         data = tmp_path / "data.csv"
         data.write_text("".join(f"{a},{b},{c}\n" for a, b, c in

@@ -52,6 +52,10 @@ def test_config_validation():
         LowerBoundConfig(n=5, C=(2.0 / 3.0) ** 2)
     with pytest.raises(LowerBoundError):
         LowerBoundConfig(n=5, trials=0)
+    with pytest.raises(LowerBoundError, match="integer dimension"):
+        LowerBoundConfig(n=2.5, trials=2)
+    with pytest.raises(LowerBoundError, match="integer number of trials"):
+        LowerBoundConfig(n=5, trials=2.5)
     with pytest.raises(LowerBoundError):
         LowerBoundConfig(n=5, delta_override=-1.0)
     with pytest.raises(LowerBoundError):

@@ -109,6 +109,9 @@ def test_query_validation():
         f.query([np.inf, 0.0])
     with pytest.raises(OracleError):
         LinearOracle([])
+    for dim in (2.5, 3.0, "3"):  # a size that is no integer, which int() would have cut
+        with pytest.raises(OracleError, match="dimension must be >= 1 and an integer"):
+            NormOracle(dim)
     for xs in (np.ones((1, 2)), np.ones((3, 2)), np.ones((1, 1, 2))):
         with pytest.raises(OracleError, match=r"query expects a single point, got shape \("):
             f.query(xs)

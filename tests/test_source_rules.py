@@ -52,6 +52,19 @@ def test_every_oracle_evaluation_passes_through_query_batch():
     assert calls == []
 
 
+def test_one_method_forms_w_dot_x():
+    # The w.x families extend LinearOracle and add their own term to its values, so how
+    # w.x is formed (which kernel, how many rows a call) is decided in one place.
+    tree = TREES["oracle.py"]
+    (linear,) = [node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "LinearOracle"]
+    products = [node for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.MatMult) and isinstance(node.right, ast.Attribute)
+                and node.right.attr == "w" and _name(node.right.value) == "self"]
+    assert len(products) == 1
+    assert products[0] in list(ast.walk(linear))
+
+
 def test_tester_builds_every_verdict_in_its_stage_runner():
     # One first-failure search and one Verdict construction: every stage feeds _stage.
     tree = TREES["tester.py"]
